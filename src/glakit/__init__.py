@@ -14,27 +14,26 @@ from .checks import (CheckReport, check_causality, check_equivalence,
 from .fixtures import ModelKind, SplitMix64, make_instance
 from .gates import (ChunkDecays, ChunkPlan, CumulativeDecay, GateSeq,
                     chunk_relative_decays, cumulative_log_decay)
-from .parallel import (DecayRangeError, backward_parallel, decay_range,
-                       forward_parallel, parallel_forward_cost)
+from .parallel import backward_parallel, forward_parallel, parallel_forward_cost
 from .recurrent import (ForwardTrace, GlaInstance, GradBundle,
                         backward_recurrent_exact, backward_recurrent_fd,
                         forward_recurrent, recurrent_forward_cost)
 from .runconfig import RunConfig, format_config, parse_config
-from .tensor import SeqTensor, State, hadamard, matmul, suffix_sum
+from .tensor import SeqTensor, mm, suffix_sum_arr
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChunkDecays", "ChunkPlan", "ChunkPolicy", "CheckReport", "CostReport",
-    "CumulativeDecay", "DecayRangeError", "ForwardTrace", "GateSeq",
+    "CumulativeDecay", "ForwardTrace", "GateSeq",
     "GlaInstance", "GradBundle", "ModelKind", "RunConfig", "SeqTensor",
-    "SplitMix64", "State", "TensorFileError",
+    "SplitMix64", "TensorFileError",
     "backward_chunkwise", "backward_parallel", "backward_recurrent_exact",
     "backward_recurrent_fd", "check_causality", "check_equivalence",
     "check_gradients", "chunk_relative_decays", "cumulative_log_decay",
-    "decay_range", "format_config", "forward_chunkwise", "forward_parallel",
-    "forward_recurrent", "hadamard", "make_instance", "matmul", "max_abs",
+    "format_config", "forward_chunkwise", "forward_parallel",
+    "forward_recurrent", "make_instance", "max_abs", "mm",
     "parallel_forward_cost", "parse_config", "predict_cost", "read_tensor",
-    "recurrent_forward_cost", "rel_err", "suffix_sum", "write_tensor",
+    "recurrent_forward_cost", "rel_err", "suffix_sum_arr", "write_tensor",
 ]

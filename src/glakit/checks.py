@@ -17,7 +17,7 @@ import numpy as np
 from .chunkwise import ChunkPolicy, backward_chunkwise, forward_chunkwise
 from .fixtures import SplitMix64
 from .gates import ChunkPlan, GateSeq
-from .parallel import DecayRangeError, backward_parallel, forward_parallel
+from .parallel import backward_parallel, forward_parallel
 from .recurrent import (GlaInstance, backward_recurrent_exact,
                         backward_recurrent_fd, forward_recurrent)
 from .tensor import SeqTensor
@@ -58,29 +58,23 @@ class CheckReport:
         r = rel_err(a, b)
         return cls(name, max_abs(a, b), r, tol, r <= tol, time.perf_counter() - t0)
 
-    @classmethod
-    def failure(cls, name: str, tol: float, t0: float) -> "CheckReport":
-        return cls(name, float("inf"), float("inf"), tol, False,
-                   time.perf_counter() - t0)
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"{self.name} max_rel_err={self.max_rel_err:.3e} "
                 f"tol={self.tolerance:.1e} {status}")
 
 
-def check_equivalence(inst: GlaInstance, chunk_sizes, tol: float = 1e-9,
-                      policy_tol: float = 1e-12) -> list[CheckReport]:
-    """All forms against the recurrent oracle, plus materialize vs recompute."""
+def check_equivalence(inst: GlaInstance, chunk_sizes, tol: float = 1e-9) -> list[CheckReport]:
+    """All forms against the recurrent oracle, plus materialize vs recompute.
+
+    The two policies must agree bitwise (tolerance 0).
+    """
     reports = []
     ref = forward_recurrent(inst).O.data
 
     t0 = time.perf_counter()
-    try:
-        par = forward_parallel(inst).data
-        reports.append(CheckReport.from_arrays("parallel_vs_recurrent", par, ref, tol, t0))
-    except DecayRangeError:
-        reports.append(CheckReport.failure("parallel_vs_recurrent", tol, t0))
+    par = forward_parallel(inst).data
+    reports.append(CheckReport.from_arrays("parallel_vs_recurrent", par, ref, tol, t0))
 
     for C in chunk_sizes:
         plan = ChunkPlan(inst.L, C)
@@ -91,7 +85,7 @@ def check_equivalence(inst: GlaInstance, chunk_sizes, tol: float = 1e-9,
         t0 = time.perf_counter()
         orc, _, _ = forward_chunkwise(inst, plan, ChunkPolicy("recompute"))
         reports.append(CheckReport.from_arrays(
-            f"policy_equivalence_C{C}", om.data, orc.data, policy_tol, t0))
+            f"policy_equivalence_C{C}", om.data, orc.data, 0.0, t0))
     return reports
 
 
@@ -142,12 +136,7 @@ def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
     reports = []
     for impl_name, run in impls.items():
         t0 = time.perf_counter()
-        try:
-            bundle = run()
-        except DecayRangeError:
-            for field in _GRAD_FIELDS:
-                reports.append(CheckReport.failure(f"grad_{impl_name}_{field}", tol, t0))
-            continue
+        bundle = run()
         for field in _GRAD_FIELDS:
             got = getattr(bundle, field).data
             if flip_dlogb_sign and field == "dlog_alpha":

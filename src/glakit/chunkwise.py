@@ -31,7 +31,7 @@ import numpy as np
 from .cost import CostReport, Meter, mm_flops
 from .gates import ChunkPlan, chunk_relative_decays, cumulative_log_decay
 from .recurrent import GlaInstance, GradBundle
-from .tensor import SeqTensor, State, mm, suffix_sum_arr
+from .tensor import SeqTensor, mm, readonly, suffix_sum_arr
 
 __all__ = [
     "ChunkPolicy",
@@ -126,7 +126,7 @@ def _run_forward(inst: GlaInstance, plan: ChunkPlan, decs, collect: bool, meter:
         meter.add_flops(c * dv)
         S = _state_update(dec, K[s:e], V[s:e], S, i == 0, meter)
         if collect:
-            states.append(S.copy())
+            states.append(readonly(S))  # never written again: the next chunk rebinds S
             meter.state_writes += 1
     return O, states
 
@@ -136,41 +136,7 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     meter = Meter()
     decs = _decays(inst, plan, meter)
     O, states = _run_forward(inst, plan, decs, policy.materialize, meter)
-    wrapped = [State(s) for s in states] if states is not None else None
-    return SeqTensor(O), wrapped, meter.report()
-
-
-class _StateProvider:
-    """Serves S_{i-1} to the backward's forward-order sweep.
-
-    materialize: reads the states recorded by the forward pass (one slow-
-    memory read per served state).  recompute: replays the inter-chunk
-    recurrence chunk by chunk, one recompute pass per chunk, storing
-    nothing beyond the live running state.
-    """
-
-    def __init__(self, inst, plan, decs, states, meter):
-        self.inst = inst
-        self.plan = plan
-        self.decs = decs
-        self.states = states
-        self.meter = meter
-        self.running = np.zeros((inst.dk, inst.dv))
-
-    def prev_state(self, i: int) -> np.ndarray:
-        if self.states is not None:
-            self.meter.state_reads += 1
-            return self.states[i - 1]
-        return self.running
-
-    def advance(self, i: int) -> None:
-        if self.states is not None:
-            return
-        s, e = self.plan.boundaries[i]
-        self.running = _state_update(self.decs[i], self.inst.K.data[s:e],
-                                     self.inst.V.data[s:e], self.running,
-                                     i == 0, self.meter)
-        self.meter.recompute_passes += 1
+    return SeqTensor(O), states, meter.report()
 
 
 def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
@@ -202,20 +168,29 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
 
-    # Sweep B: pieces needing S_{i-1}, in forward order.
-    provider = _StateProvider(inst, plan, decs, states, meter)
+    # Sweep B: pieces needing S_{i-1}, in forward order.  materialize reads
+    # back the states the forward recorded (one slow-memory read each);
+    # recompute replays the inter-chunk recurrence chunk by chunk, storing
+    # nothing beyond the live running state.
+    S_run = np.zeros((dk, dv))
     for i, (s, e) in enumerate(plan.boundaries):
         dec = decs[i]
         c = e - s
         if i > 0:
-            S_prev = provider.prev_state(i)
+            if states is not None:
+                S_prev = states[i - 1]
+                meter.state_reads += 1
+            else:
+                S_prev = S_run
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dv)
             dq_inter = mm(dOt, S_prev.T)
             meter.add_flops(mm_flops(c, dv, dk))
             dQ[s:e] += dq_inter * dec.b_dagger
             meter.add_flops(2 * c * dk)
-        provider.advance(i)
+        if states is None:
+            S_run = _state_update(dec, K[s:e], V[s:e], S_run, i == 0, meter)
+            meter.recompute_passes += 1
 
     # Sweep C: intra-chunk pieces, state-path pieces, cotangent carry.
     dS = np.zeros((dk, dv))

@@ -17,7 +17,7 @@ from .chunkwise import ChunkPolicy, forward_chunkwise, predict_cost
 from .checks import check_causality, check_equivalence, check_gradients
 from .fixtures import ModelKind, make_instance
 from .gates import ChunkPlan, GateSeq
-from .parallel import DecayRangeError, decay_range, forward_parallel, parallel_forward_cost
+from .parallel import forward_parallel, parallel_forward_cost
 from .recurrent import GlaInstance, forward_recurrent, recurrent_forward_cost
 from .runconfig import RunConfig, format_config, parse_config
 from .tensor import SeqTensor
@@ -30,6 +30,12 @@ EXIT_INPUT_ERROR = 2
 TENSOR_FILES = ("Q", "K", "V", "logalpha", "logbeta")
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--chunk", type=int)
+    p.add_argument("--policy", choices=("materialize", "recompute"))
+    p.add_argument("--form", choices=("recurrent", "parallel", "chunkwise"))
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key = value config file to start from")
     p.add_argument("--kind", choices=("vanilla", "retnet", "gla_beta_one", "general"))
@@ -39,21 +45,23 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dv", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--gate-floor", dest="gate_floor", type=float)
-    p.add_argument("--chunk", type=int)
-    p.add_argument("--policy", choices=("materialize", "recompute"))
-    p.add_argument("--form", choices=("recurrent", "parallel", "chunkwise"))
+    _add_run_flags(p)
     p.add_argument("--tol", type=float)
     p.add_argument("--grad-tol", dest="grad_tol", type=float)
     p.add_argument("--eps", type=float)
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = parse_config(args.config.read_text()) if args.config else RunConfig()
+def _override(cfg: RunConfig, args) -> RunConfig:
+    """Values given as flags replace the config's; the result is validated."""
     for f in fields(cfg):
         v = getattr(args, f.name, None)
         if v is not None:
             setattr(cfg, f.name, v)
     return cfg.validate()
+
+
+def _config_from_args(args) -> RunConfig:
+    return _override(parse_config(args.config.read_text()) if args.config else RunConfig(), args)
 
 
 def _instance(cfg: RunConfig) -> GlaInstance:
@@ -104,16 +112,16 @@ def _load_instance(indir: Path) -> tuple[RunConfig, GlaInstance]:
         arrs[name] = read_tensor(indir / f"{name}.glat")
     inst = GlaInstance(SeqTensor(arrs["Q"]), SeqTensor(arrs["K"]), SeqTensor(arrs["V"]),
                        GateSeq(arrs["logalpha"], arrs["logbeta"]))
+    for name in ("L", "dk", "dv"):
+        if getattr(cfg, name) != getattr(inst, name):
+            raise ValueError(f"{cfg_path}: {name} = {getattr(cfg, name)} but the tensors "
+                             f"have {name} = {getattr(inst, name)}")
     return cfg, inst
 
 
 def cmd_run(args) -> int:
     cfg, inst = _load_instance(args.indir)
-    for f in fields(cfg):  # flag overrides on top of the stored config
-        v = getattr(args, f.name, None)
-        if v is not None:
-            setattr(cfg, f.name, v)
-    cfg.validate()
+    cfg = _override(cfg, args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     cost = None
@@ -129,7 +137,7 @@ def cmd_run(args) -> int:
             sdir = out / "states"
             sdir.mkdir(exist_ok=True)
             for i, st in enumerate(states, start=1):
-                write_tensor(sdir / f"S_{i:04d}.glat", st.data)
+                write_tensor(sdir / f"S_{i:04d}.glat", st)
             print(f"wrote {len(states)} chunk states to {sdir}")
     write_tensor(out / "O.glat", O.data)
     if cost is not None:
@@ -179,11 +187,8 @@ def cmd_bench(args) -> int:
     ms = _median_ms(lambda: forward_recurrent(inst), args.repeats)
     print(f"recurrent {cfg.L} - - {ms:.2f} {recurrent_forward_cost(cfg.L, cfg.dk, cfg.dv)} 0 0")
 
-    try:
-        ms = _median_ms(lambda: forward_parallel(inst), args.repeats)
-        print(f"parallel {cfg.L} - - {ms:.2f} {parallel_forward_cost(cfg.L, cfg.dk, cfg.dv)} 0 0")
-    except DecayRangeError:
-        print(f"parallel {cfg.L} - - SKIP decay_range={decay_range(inst):.1f} exceeds guard")
+    ms = _median_ms(lambda: forward_parallel(inst), args.repeats)
+    print(f"parallel {cfg.L} - - {ms:.2f} {parallel_forward_cost(cfg.L, cfg.dk, cfg.dv)} 0 0")
 
     ms = _median_ms(lambda: forward_chunkwise(inst, plan, policy), args.repeats)
     pred = predict_cost(cfg.L, cfg.dk, cfg.dv, plan, policy)
@@ -219,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("run", help="run one form over tensor files")
-    _add_config_flags(p)
     p.add_argument("--in", dest="indir", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
+    _add_run_flags(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("check", help="equivalence + causality checks")
@@ -249,7 +254,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TensorFileError, DecayRangeError, ValueError, OSError) as exc:
+    except (TensorFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

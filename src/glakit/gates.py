@@ -4,15 +4,18 @@ Gates live in (0, 1] and are stored as log-gates (<= 0).  Cumulative decay
 products underflow fp64 long before useful sequence lengths, so cumulative
 quantities are kept as prefix sums of logs and every concrete decay factor
 is formed as exp() of a difference of those sums.  Within a chunk the
-differences are bounded by the chunk's own decay range, which is what makes
-the chunkwise path stable at any sequence length.
+differences are bounded by the chunk's own decay range, at most
+C * |ln gate_floor|: independent of the sequence length, but not of C.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
-from .tensor import _as_f64
+from .tensor import _as_f64, readonly
 
 __all__ = [
     "GateSeq",
@@ -24,17 +27,19 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GateSeq:
     """Per-position log-gates: log_alpha is L x dk, log_beta is L x dv.
 
     Entries must be finite and <= 0; 0.0 encodes a gate of exactly 1.
     """
 
-    __slots__ = ("L", "dk", "dv", "log_alpha", "log_beta")
+    log_alpha: np.ndarray
+    log_beta: np.ndarray
 
-    def __init__(self, log_alpha, log_beta):
-        la = _as_f64(log_alpha)
-        lb = _as_f64(log_beta)
+    def __post_init__(self):
+        la = _as_f64(self.log_alpha)
+        lb = _as_f64(self.log_beta)
         if la.ndim != 2 or lb.ndim != 2 or la.shape[0] != lb.shape[0]:
             raise ValueError(
                 f"log-gate shapes disagree on L: {la.shape} vs {lb.shape}"
@@ -43,104 +48,76 @@ class GateSeq:
             raise ValueError("empty gate sequence")
         if np.any(la > 0.0) or np.any(lb > 0.0):
             raise ValueError("log-gates must be <= 0 (gates in (0, 1])")
-        la = np.ascontiguousarray(la)
-        lb = np.ascontiguousarray(lb)
-        la.setflags(write=False)
-        lb.setflags(write=False)
-        object.__setattr__(self, "L", la.shape[0])
-        object.__setattr__(self, "dk", la.shape[1])
-        object.__setattr__(self, "dv", lb.shape[1])
-        object.__setattr__(self, "log_alpha", la)
-        object.__setattr__(self, "log_beta", lb)
+        object.__setattr__(self, "log_alpha", readonly(np.ascontiguousarray(la)))
+        object.__setattr__(self, "log_beta", readonly(np.ascontiguousarray(lb)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GateSeq is immutable")
+    @property
+    def L(self) -> int:
+        return self.log_alpha.shape[0]
+
+    @property
+    def dk(self) -> int:
+        return self.log_alpha.shape[1]
+
+    @property
+    def dv(self) -> int:
+        return self.log_beta.shape[1]
 
 
-class CumulativeDecay:
+class CumulativeDecay(NamedTuple):
     """Prefix sums of log-gates: log_b[t] = sum_{j<=t} log_alpha[j], same for d."""
 
-    __slots__ = ("log_b", "log_d")
-
-    def __init__(self, log_b: np.ndarray, log_d: np.ndarray):
-        log_b = np.ascontiguousarray(log_b)
-        log_d = np.ascontiguousarray(log_d)
-        log_b.setflags(write=False)
-        log_d.setflags(write=False)
-        object.__setattr__(self, "log_b", log_b)
-        object.__setattr__(self, "log_d", log_d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CumulativeDecay is immutable")
+    log_b: np.ndarray
+    log_d: np.ndarray
 
     @property
     def L(self) -> int:
         return self.log_b.shape[0]
 
 
+@dataclass(frozen=True, slots=True)
 class ChunkPlan:
     """Contiguous [start, end) chunks covering [0, L); only the last may be short."""
 
-    __slots__ = ("L", "C", "boundaries")
+    L: int
+    C: int
+    boundaries: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __init__(self, L: int, C: int):
-        if L < 1 or C < 1:
+    def __post_init__(self):
+        if self.L < 1 or self.C < 1:
             raise ValueError("ChunkPlan needs L >= 1 and C >= 1")
         bounds = []
         s = 0
-        while s < L:
-            e = min(s + C, L)
+        while s < self.L:
+            e = min(s + self.C, self.L)
             bounds.append((s, e))
             s = e
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "C", C)
         object.__setattr__(self, "boundaries", tuple(bounds))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChunkPlan is immutable")
 
     @property
     def num_chunks(self) -> int:
         return len(self.boundaries)
 
 
-class ChunkDecays:
+class ChunkDecays(NamedTuple):
     """Decay factors for one chunk [s, e), all in (0, 1].
 
     b_dagger[j]: decay accumulated from just before the chunk up to s+j
                  (propagates the incoming state to position s+j).
     b_prime[j]:  decay from position s+j to the chunk's last position e-1
                  (carries position s+j's contribution into the outgoing state).
-    gamma_b:     whole-chunk decay, b_prime[j] * b_dagger[j] for every j.
-    d_* mirror these on the value side.  log_gamma_* are kept so consumers
-    can exponentiate sums rather than multiply exponentials.
+    log_gamma_b: log of the whole-chunk decay, b_prime[j] * b_dagger[j] for
+                 every j; kept in log space so consumers can exponentiate
+                 sums rather than multiply exponentials.
+    d_* mirror these on the value side.
     """
 
-    __slots__ = (
-        "index", "start", "end",
-        "b_prime", "b_dagger", "d_prime", "d_dagger",
-        "gamma_b", "gamma_d", "log_gamma_b", "log_gamma_d",
-    )
-
-    def __init__(self, index, start, end, b_prime, b_dagger, d_prime, d_dagger,
-                 gamma_b, gamma_d, log_gamma_b, log_gamma_d):
-        for name, val in (
-            ("index", index), ("start", start), ("end", end),
-            ("b_prime", b_prime), ("b_dagger", b_dagger),
-            ("d_prime", d_prime), ("d_dagger", d_dagger),
-            ("gamma_b", gamma_b), ("gamma_d", gamma_d),
-            ("log_gamma_b", log_gamma_b), ("log_gamma_d", log_gamma_d),
-        ):
-            if isinstance(val, np.ndarray):
-                val.setflags(write=False)
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChunkDecays is immutable")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
+    b_prime: np.ndarray
+    b_dagger: np.ndarray
+    d_prime: np.ndarray
+    d_dagger: np.ndarray
+    log_gamma_b: np.ndarray
+    log_gamma_d: np.ndarray
 
 
 def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
@@ -153,11 +130,11 @@ def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
     log_d[0] = g.log_beta[0]
     for t in range(1, g.L):
         log_d[t] = log_d[t - 1] + g.log_beta[t]
-    return CumulativeDecay(log_b, log_d)
+    return CumulativeDecay(readonly(log_b), readonly(log_d))
 
 
 def _chunk_factors(log_c: np.ndarray, s: int, e: int):
-    """dagger, prime, gamma, log_gamma for one chunk of one log-decay matrix.
+    """dagger, prime, log_gamma for one chunk of one log-decay matrix.
 
     The boundary value just before the chunk is log_c[s-1] (0 for the first
     chunk: empty product).  All exponents are within-chunk differences.
@@ -166,8 +143,7 @@ def _chunk_factors(log_c: np.ndarray, s: int, e: int):
     dagger = np.exp(log_c[s:e] - bnd)
     prime = np.exp(log_c[e - 1] - log_c[s:e])
     log_gamma = log_c[e - 1] - bnd
-    gamma = dagger[-1].copy()  # exp(log_c[e-1] - bnd), already formed
-    return dagger, prime, gamma, log_gamma
+    return readonly(dagger), readonly(prime), readonly(log_gamma)
 
 
 def chunk_relative_decays(cd: CumulativeDecay, plan: ChunkPlan) -> list[ChunkDecays]:
@@ -175,8 +151,8 @@ def chunk_relative_decays(cd: CumulativeDecay, plan: ChunkPlan) -> list[ChunkDec
     if plan.L != cd.L:
         raise ValueError(f"plan covers L={plan.L} but decays have L={cd.L}")
     out = []
-    for i, (s, e) in enumerate(plan.boundaries):
-        b_dag, b_pri, gb, lgb = _chunk_factors(cd.log_b, s, e)
-        d_dag, d_pri, gd, lgd = _chunk_factors(cd.log_d, s, e)
-        out.append(ChunkDecays(i, s, e, b_pri, b_dag, d_pri, d_dag, gb, gd, lgb, lgd))
+    for s, e in plan.boundaries:
+        b_dag, b_pri, lgb = _chunk_factors(cd.log_b, s, e)
+        d_dag, d_pri, lgd = _chunk_factors(cd.log_d, s, e)
+        out.append(ChunkDecays(b_pri, b_dag, d_pri, d_dag, lgb, lgd))
     return out

@@ -17,14 +17,14 @@ analytic backward pass in the package.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .cost import Meter
 from .gates import GateSeq
-from .tensor import SeqTensor, State, mm
+from .tensor import SeqTensor, mm, readonly
 
 __all__ = [
     "GlaInstance",
@@ -37,35 +37,23 @@ __all__ = [
 ]
 
 
-def thread_count() -> int:
-    """Worker cap from GLA_THREADS; 0 or unset means auto (serial here:
-    desk-scale problems are interpreter-bound, threads do not pay off)."""
-    try:
-        n = int(os.environ.get("GLA_THREADS", "0"))
-    except ValueError:
-        n = 0
-    return n if n >= 1 else 1
-
-
+@dataclass(frozen=True, slots=True)
 class GlaInstance:
     """One problem instance: Q, K (L x dk), V (L x dv) plus log-gates."""
 
-    __slots__ = ("Q", "K", "V", "gates")
+    Q: SeqTensor
+    K: SeqTensor
+    V: SeqTensor
+    gates: GateSeq
 
-    def __init__(self, Q: SeqTensor, K: SeqTensor, V: SeqTensor, gates: GateSeq):
-        if not (Q.rows == K.rows == V.rows == gates.L):
+    def __post_init__(self):
+        Q, K, V, gates = self.Q, self.K, self.V, self.gates
+        if not (Q.shape[0] == K.shape[0] == V.shape[0] == gates.L):
             raise ValueError("row counts disagree across Q, K, V, gates")
-        if Q.cols != gates.dk or K.cols != gates.dk:
+        if Q.shape[1] != gates.dk or K.shape[1] != gates.dk:
             raise ValueError("key dims disagree with gates")
-        if V.cols != gates.dv:
+        if V.shape[1] != gates.dv:
             raise ValueError("value dim disagrees with gates")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "gates", gates)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GlaInstance is immutable")
 
     @property
     def L(self) -> int:
@@ -80,33 +68,29 @@ class GlaInstance:
         return self.gates.dv
 
 
-class ForwardTrace:
-    """Forward output O plus, optionally, every state S_1..S_L."""
+class ForwardTrace(NamedTuple):
+    """Forward output O plus, optionally, every state S_1..S_L (read-only)."""
 
-    __slots__ = ("O", "states")
-
-    def __init__(self, O: SeqTensor, states):
-        object.__setattr__(self, "O", O)
-        object.__setattr__(self, "states", states)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ForwardTrace is immutable")
+    O: SeqTensor
+    states: list[np.ndarray] | None
 
 
+@dataclass(frozen=True, slots=True)
 class GradBundle:
-    """All backward outputs: dQ, dK (L x dk), dV (L x dv), dlog_alpha, dlog_beta."""
+    """All backward outputs: dQ, dK (L x dk), dV (L x dv), dlog_alpha, dlog_beta.
 
-    __slots__ = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
+    Each field is given as an array and stored as a SeqTensor.
+    """
 
-    def __init__(self, dQ, dK, dV, dlog_alpha, dlog_beta):
-        object.__setattr__(self, "dQ", SeqTensor(dQ))
-        object.__setattr__(self, "dK", SeqTensor(dK))
-        object.__setattr__(self, "dV", SeqTensor(dV))
-        object.__setattr__(self, "dlog_alpha", SeqTensor(dlog_alpha))
-        object.__setattr__(self, "dlog_beta", SeqTensor(dlog_beta))
+    dQ: SeqTensor
+    dK: SeqTensor
+    dV: SeqTensor
+    dlog_alpha: SeqTensor
+    dlog_beta: SeqTensor
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradBundle is immutable")
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, SeqTensor(getattr(self, f.name)))
 
 
 def _step_gate(la_t: np.ndarray, lb_t: np.ndarray, meter: Meter | None) -> np.ndarray:
@@ -132,7 +116,7 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None
             # gate the state, rank-1 update, sum; then the q S_t matvec
             meter.add_flops(3 * dk * dv + dk * dv + (dk - 1) * dv)
         if keep_states:
-            states.append(S.copy())
+            states.append(readonly(S))  # never written again: the next step rebinds S
     return O, states
 
 
@@ -142,8 +126,7 @@ def forward_recurrent(inst: GlaInstance, keep_states: bool = False,
     O, states = _forward_raw(inst.Q.data, inst.K.data, inst.V.data,
                              inst.gates.log_alpha, inst.gates.log_beta,
                              keep_states=keep_states, meter=meter)
-    wrapped = [State(s) for s in states] if states is not None else None
-    return ForwardTrace(SeqTensor(O), wrapped)
+    return ForwardTrace(SeqTensor(O), states)
 
 
 def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
@@ -178,11 +161,11 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     dS = np.zeros((dk, dv))
     for t in range(L - 1, -1, -1):
         dS = dS + np.multiply.outer(Q[t], dOa[t])  # o_t = q_t S_t path
-        dQ[t] = mm(states[t].data, dOa[t][:, None])[:, 0]
+        dQ[t] = mm(states[t], dOa[t][:, None])[:, 0]
         dK[t] = mm(dS, V[t][:, None])[:, 0]
         dV[t] = mm(K[t][None, :], dS)[0]
         G = _step_gate(la[t], lb[t], None)
-        S_prev = states[t - 1].data if t > 0 else np.zeros((dk, dv))
+        S_prev = states[t - 1] if t > 0 else np.zeros((dk, dv))
         gate_path = G * S_prev * dS
         dla[t] = gate_path.sum(axis=1)
         dlb[t] = gate_path.sum(axis=0)
@@ -207,42 +190,19 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
         raise ValueError("eps must be positive")
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
-    base = {
-        "q": inst.Q.data, "k": inst.K.data, "v": inst.V.data,
-        "la": inst.gates.log_alpha, "lb": inst.gates.log_beta,
-    }
     dOa = dO.data
-    grads = {name: np.empty_like(a) for name, a in base.items()}
-    jobs = [(name, i, j)
-            for name, a in base.items()
-            for i in range(a.shape[0])
-            for j in range(a.shape[1])]
-
-    def run_range(sub):
-        local = {name: a.copy() for name, a in base.items()}
-        out = []
-        for name, i, j in sub:
-            a = local[name]
+    arrs = [a.copy() for a in (inst.Q.data, inst.K.data, inst.V.data,
+                               inst.gates.log_alpha, inst.gates.log_beta)]
+    grads = []
+    for a in arrs:
+        g = np.empty_like(a)
+        for i, j in np.ndindex(a.shape):
             orig = a[i, j]
             a[i, j] = orig + eps
-            lp = _loss_raw(local["q"], local["k"], local["v"], local["la"], local["lb"], dOa)
+            lp = _loss_raw(*arrs, dOa)
             a[i, j] = orig - eps
-            lm = _loss_raw(local["q"], local["k"], local["v"], local["la"], local["lb"], dOa)
+            lm = _loss_raw(*arrs, dOa)
             a[i, j] = orig
-            out.append((lp - lm) / (2.0 * eps))
-        return out
-
-    workers = min(thread_count(), len(jobs))
-    if workers <= 1:
-        values = run_range(jobs)
-    else:
-        shards = [jobs[w::workers] for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_range, shards))
-        values = [None] * len(jobs)
-        for w, part in enumerate(parts):
-            for pos, val in zip(range(w, len(jobs), workers), part):
-                values[pos] = val
-    for (name, i, j), val in zip(jobs, values):
-        grads[name][i, j] = val
-    return GradBundle(grads["q"], grads["k"], grads["v"], grads["la"], grads["lb"])
+            g[i, j] = (lp - lm) / (2.0 * eps)
+        grads.append(g)
+    return GradBundle(*grads)

@@ -1,8 +1,8 @@
 """Dense fp64 array primitives with pinned summation order.
 
 Everything downstream (gates, the three attention forms, the gradient
-oracles) is built on the three operations here.  The important contract is
-determinism: ``matmul`` accumulates strictly in ascending inner-index order,
+oracles) is built on the operations here.  The important contract is
+determinism: ``mm`` accumulates strictly in ascending inner-index order,
 so two code paths that claim "exact equality" actually mean it bit for bit.
 BLAS reorders sums and breaks that claim, which is why the product is done
 by hand here.
@@ -10,9 +10,11 @@ by hand here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-__all__ = ["SeqTensor", "State", "matmul", "hadamard", "suffix_sum"]
+__all__ = ["SeqTensor", "mm", "readonly", "suffix_sum_arr"]
 
 
 def _as_f64(data) -> np.ndarray:
@@ -22,6 +24,13 @@ def _as_f64(data) -> np.ndarray:
     return a
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Clear a's write flag and return it; records carry only read-only arrays."""
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class SeqTensor:
     """A rows x cols fp64 matrix, row-major, finite, immutable.
 
@@ -29,54 +38,19 @@ class SeqTensor:
     their primal shapes.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    data: np.ndarray
 
-    def __init__(self, data):
-        a = _as_f64(data)
+    def __post_init__(self):
+        a = _as_f64(self.data)
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"SeqTensor needs a non-empty 2-D array, got shape {a.shape}")
-        a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "rows", a.shape[0])
-        object.__setattr__(self, "cols", a.shape[1])
-        object.__setattr__(self, "data", a)
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("SeqTensor is immutable")
+        object.__setattr__(self, "data", readonly(np.ascontiguousarray(a)))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def row(self, t: int) -> np.ndarray:
-        return self.data[t]
-
-    def __repr__(self) -> str:
-        return f"SeqTensor({self.rows}x{self.cols})"
-
-
-class State:
-    """The dk x dv recurrent state matrix."""
-
-    __slots__ = ("dk", "dv", "data")
-
-    def __init__(self, data):
-        a = _as_f64(data)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"State needs a non-empty 2-D array, got shape {a.shape}")
-        a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "dk", a.shape[0])
-        object.__setattr__(self, "dv", a.shape[1])
-        object.__setattr__(self, "data", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("State is immutable")
-
-    def __repr__(self) -> str:
-        return f"State({self.dk}x{self.dv})"
+        return self.data.shape
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,20 +68,6 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: SeqTensor, b: SeqTensor) -> SeqTensor:
-    """Exact fp64 dense product of two SeqTensors (ascending-k sums)."""
-    return SeqTensor(mm(a.data, b.data))
-
-
-def hadamard(a: SeqTensor, b: SeqTensor) -> SeqTensor:
-    """Elementwise product; b may be a single row broadcast over a's rows."""
-    if a.shape == b.shape:
-        return SeqTensor(a.data * b.data)
-    if b.rows == 1 and b.cols == a.cols:
-        return SeqTensor(a.data * b.data[0])
-    raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-
-
 def suffix_sum_arr(x: np.ndarray) -> np.ndarray:
     """out[t] = sum_{i >= t} x[i], accumulated back to front."""
     if x.ndim != 2 or x.shape[0] < 1:
@@ -117,8 +77,3 @@ def suffix_sum_arr(x: np.ndarray) -> np.ndarray:
     for t in range(x.shape[0] - 2, -1, -1):
         out[t] = x[t] + out[t + 1]
     return out
-
-
-def suffix_sum(x: SeqTensor) -> SeqTensor:
-    """Per-column suffix sums; row t holds the sum of rows t..L-1."""
-    return SeqTensor(suffix_sum_arr(x.data))

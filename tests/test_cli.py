@@ -73,13 +73,38 @@ def test_run_missing_input_exit_2(tmp_path):
     assert run_cli("run", "--in", tmp_path / "nowhere", "--out", tmp_path / "o") == 2
 
 
-def test_run_parallel_guard_trip_exit_2(tmp_path, capsys):
+def test_run_parallel_heavy_decay_agrees_with_chunkwise(tmp_path):
+    # decay range ~ 900 * |ln 0.05| / 2 ~ 1350: the parallel form still runs
     gen = tmp_path / "gen"
     run_cli("gen", "--L", 900, "--dk", 2, "--dv", 2, "--seed", 2,
             "--gate-floor", 0.05, "--out", gen)
-    assert run_cli("run", "--in", gen, "--out", tmp_path / "o",
-                   "--form", "parallel") == 2
-    assert "use chunkwise" in capsys.readouterr().err
+    outs = {}
+    for form in ("parallel", "chunkwise"):
+        assert run_cli("run", "--in", gen, "--out", tmp_path / form, "--form", form) == 0
+        outs[form] = read_tensor(tmp_path / form / "O.glat")
+    assert rel_err(outs["parallel"], outs["chunkwise"]) <= 1e-9
+
+
+@pytest.mark.parametrize("flags", [("--L", 999, "--dk", 7), ("--seed", 99, "--kind", "vanilla")])
+def test_run_rejects_flags_it_would_ignore(tmp_path, capsys, flags):
+    gen = tmp_path / "gen"
+    run_cli("gen", "--L", 16, "--dk", 2, "--dv", 2, "--seed", 3, "--out", gen)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--in", gen, "--out", tmp_path / "o", *flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_config_disagreeing_with_tensors_exit_2(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run_cli("gen", "--L", 16, "--dk", 2, "--dv", 2, "--seed", 3, "--out", gen)
+    cfg = gen / "config.txt"
+    cfg.write_text(cfg.read_text().replace("L = 16", "L = 40"))
+    assert run_cli("run", "--in", gen, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "L = 40" in err and "L = 16" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_passes(capsys):
@@ -110,12 +135,13 @@ def test_bench_small_table(capsys):
     assert sum(l.startswith("chunkwise") for l in lines) == 1
 
 
-def test_bench_parallel_skip_on_guard(capsys):
-    # tiny gates over a long sequence push the decay range past the guard
+def test_bench_parallel_timed_at_long_L(capsys):
+    # decay range ~ 2048 * |ln 0.5| / 2 ~ 710
     assert run_cli("bench", "--L", 2048, "--dk", 2, "--dv", 2, "--seed", 10,
                    "--chunk", 64, "--gate-floor", 0.5, "--repeats", 3) == 0
-    out = capsys.readouterr().out
-    assert any(l.startswith("parallel") and "SKIP" in l for l in out.splitlines())
+    (row,) = [l.split() for l in capsys.readouterr().out.splitlines()
+              if l.startswith("parallel")]
+    assert row[1] == "2048" and float(row[4]) > 0.0
 
 
 def test_bench_rejects_low_repeats():

@@ -70,7 +70,7 @@ def test_chunk_factors_identity_gates():
     for d in decs:
         for arr in (d.b_prime, d.b_dagger, d.d_prime, d.d_dagger):
             assert np.array_equal(arr, np.ones_like(arr))
-        assert np.array_equal(d.gamma_b, np.ones(2))
+        assert np.array_equal(np.exp(d.log_gamma_b), np.ones(2))
 
 
 def test_chunk_factors_constant_gate():
@@ -81,7 +81,7 @@ def test_chunk_factors_constant_gate():
     (d,) = chunk_relative_decays(cumulative_log_decay(gates), ChunkPlan(2, 2))
     assert np.allclose(d.b_dagger[:, 0], [g, g * g], rtol=1e-15)
     assert np.allclose(d.b_prime[:, 0], [g, 1.0], rtol=1e-15)
-    assert np.allclose(d.gamma_b, [g * g], rtol=1e-15)
+    assert np.allclose(np.exp(d.log_gamma_b), [g * g], rtol=1e-15)
 
 
 def test_prime_times_dagger_telescopes_to_gamma():
@@ -89,9 +89,9 @@ def test_prime_times_dagger_telescopes_to_gamma():
     decs = chunk_relative_decays(cumulative_log_decay(g), ChunkPlan(23, 5))
     for d in decs:
         prod = d.b_prime * d.b_dagger
-        assert np.max(np.abs(prod - d.gamma_b)) <= 1e-12
+        assert np.max(np.abs(prod - np.exp(d.log_gamma_b))) <= 1e-12
         prod = d.d_prime * d.d_dagger
-        assert np.max(np.abs(prod - d.gamma_d)) <= 1e-12
+        assert np.max(np.abs(prod - np.exp(d.log_gamma_d))) <= 1e-12
 
 
 def test_factors_bounded():

@@ -1,13 +1,12 @@
-"""Parallel form: equivalence, guard, closed-form backward identities."""
+"""Parallel form: equivalence at any decay range, closed-form backward identities."""
 
 import numpy as np
 import pytest
 
-from glakit import (DecayRangeError, GateSeq, GlaInstance, ModelKind,
-                    SeqTensor, SplitMix64, backward_parallel,
-                    backward_recurrent_fd, forward_parallel,
-                    forward_recurrent, make_instance, rel_err,
-                    suffix_sum)
+from glakit import (ModelKind, SeqTensor, SplitMix64, backward_parallel,
+                    backward_recurrent_exact, backward_recurrent_fd,
+                    cumulative_log_decay, forward_parallel, forward_recurrent,
+                    make_instance, rel_err, suffix_sum_arr)
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
@@ -39,24 +38,37 @@ def test_matches_recurrent():
                    forward_recurrent(inst).O.data) <= 1e-9
 
 
-def test_exponent_guard_trips():
-    # gate 1e-5 per step over 200 steps: decay range ~ 2300 > 600
-    L, dk, dv = 200, 2, 2
-    rng = SplitMix64(4)
-    la = np.full((L, dk), np.log(1e-5))
-    lb = np.zeros((L, dv))
-    inst = GlaInstance(SeqTensor(rng.fill_pm1(L, dk)), SeqTensor(rng.fill_pm1(L, dk)),
-                       SeqTensor(rng.fill_pm1(L, dv)), GateSeq(la, lb))
-    with pytest.raises(DecayRangeError):
-        forward_parallel(inst)
-    with pytest.raises(DecayRangeError):
-        backward_parallel(inst, rand_dO(L, dv))
-    # a looser bound lets it through
-    forward_parallel(inst, max_exponent=5000.0)
+def decay_range(inst):
+    """Largest log-decay any ratio log_b[t] - log_b[i] (or log_d) spans."""
+    cd = cumulative_log_decay(inst.gates)
+    return max(float(np.max(cd.log_b[0] - cd.log_b[-1])),
+               float(np.max(cd.log_d[0] - cd.log_d[-1])))
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_forward_matches_recurrent_at_huge_decay_range(seed):
+    # Every ratio is <= 1, so a huge range only underflows ratios to 0.
+    inst = make_instance(ModelKind("general"), L=1024, dk=2, dv=2, seed=seed,
+                         gate_floor=1e-300)
+    assert decay_range(inst) >= 1e5
+    assert rel_err(forward_parallel(inst).data,
+                   forward_recurrent(inst).O.data) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_backward_matches_exact_at_large_decay_range(seed):
+    inst = make_instance(ModelKind("general"), L=64, dk=3, dv=3, seed=seed,
+                         gate_floor=1e-12)
+    assert decay_range(inst) > 600
+    dO = rand_dO(64, 3, seed=seed + 100)
+    bp = backward_parallel(inst, dO)
+    be = backward_recurrent_exact(inst, dO)
+    for f in GRAD_FIELDS:
+        assert rel_err(getattr(bp, f).data, getattr(be, f).data) <= 1e-12, f
 
 
 def test_guard_headroom_small_decay():
-    # 256 * |ln 0.99| ~ 2.6, far under the default bound
+    # 256 * |ln 0.99| ~ 2.6: a mild range over a long sequence
     inst = make_instance(ModelKind("general"), L=256, dk=2, dv=2, seed=5,
                          gate_floor=0.99)
     assert rel_err(forward_parallel(inst).data,
@@ -76,7 +88,7 @@ def test_dlogb_identity_definitional():
     b = backward_parallel(inst, dO)
     dlogb = inst.Q.data * b.dQ.data - inst.K.data * b.dK.data
     # dlog_alpha was assembled as the suffix sum of exactly this array
-    assert np.array_equal(suffix_sum(SeqTensor(dlogb)).data, b.dlog_alpha.data)
+    assert np.array_equal(suffix_sum_arr(dlogb), b.dlog_alpha.data)
 
 
 def test_dlogd_identity_definitional():
@@ -85,7 +97,7 @@ def test_dlogd_identity_definitional():
     b = backward_parallel(inst, dO)
     O = forward_parallel(inst).data
     dlogd = O * dO.data - inst.V.data * b.dV.data
-    assert np.array_equal(suffix_sum(SeqTensor(dlogd)).data, b.dlog_beta.data)
+    assert np.array_equal(suffix_sum_arr(dlogd), b.dlog_beta.data)
 
 
 def test_suffix_structure_of_dlog_alpha():

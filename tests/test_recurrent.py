@@ -41,8 +41,8 @@ def test_two_step_hand_unrolled():
     inst = tiny_instance([[1.0], [1.0]], [[1.0], [1.0]], [[1.0], [2.0]],
                          [[0.0], [np.log(0.5)]], [[0.0], [0.0]])
     trace = forward_recurrent(inst, keep_states=True)
-    assert np.allclose(trace.states[0].data, [[1.0]], rtol=1e-15)
-    assert np.allclose(trace.states[1].data, [[2.5]], rtol=1e-15)
+    assert np.allclose(trace.states[0], [[1.0]], rtol=1e-15)
+    assert np.allclose(trace.states[1], [[2.5]], rtol=1e-15)
     assert np.allclose(trace.O.data, [[1.0], [2.5]], rtol=1e-15)
 
 
@@ -57,10 +57,10 @@ def test_state_consistency_with_keep_states():
     trace = forward_recurrent(inst, keep_states=True)
     la, lb = inst.gates.log_alpha, inst.gates.log_beta
     for t in range(inst.L):
-        prev = trace.states[t - 1].data if t > 0 else np.zeros((2, 3))
+        prev = trace.states[t - 1] if t > 0 else np.zeros((2, 3))
         G = np.exp(la[t][:, None] + lb[t][None, :])
         S = G * prev + np.multiply.outer(inst.K.data[t], inst.V.data[t])
-        assert np.array_equal(S, trace.states[t].data)
+        assert np.array_equal(S, trace.states[t])
 
 
 def test_forward_linear_in_q_and_v():
@@ -151,12 +151,3 @@ def test_cost_model_matches_metered_run():
     forward_recurrent(inst, meter=m)
     assert m.flops == recurrent_forward_cost(9, 3, 2)
 
-
-def test_fd_threaded_matches_serial(monkeypatch):
-    inst = make_instance(ModelKind("general"), L=4, dk=2, dv=2, seed=17)
-    dO = rand_dO(4, 2, seed=18)
-    serial = backward_recurrent_fd(inst, dO)
-    monkeypatch.setenv("GLA_THREADS", "3")
-    threaded = backward_recurrent_fd(inst, dO)
-    for f in GRAD_FIELDS:
-        assert np.array_equal(getattr(serial, f).data, getattr(threaded, f).data)

@@ -1,9 +1,14 @@
-"""Array primitives: pinned summation order, validation, suffix sums."""
+"""Array primitives: pinned summation order, validation, suffix sums, frozen records."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from glakit import SeqTensor, hadamard, matmul, suffix_sum
+from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor,
+                    backward_recurrent_exact, chunk_relative_decays,
+                    cumulative_log_decay, forward_chunkwise, forward_recurrent,
+                    make_instance, mm, suffix_sum_arr)
 
 
 def naive_matmul(a, b):
@@ -22,15 +27,14 @@ def naive_matmul(a, b):
 
 def test_matmul_identity():
     rng = np.random.default_rng(0)
-    x = SeqTensor(rng.uniform(-1, 1, (3, 5)))
-    eye = SeqTensor(np.eye(3))
-    assert np.array_equal(matmul(eye, x).data, x.data)
+    x = rng.uniform(-1, 1, (3, 5))
+    assert np.array_equal(mm(np.eye(3), x), x)
 
 
 def test_matmul_hand():
-    a = SeqTensor([[1.0, 2.0], [3.0, 4.0]])
-    b = SeqTensor([[1.0], [1.0]])
-    assert np.array_equal(matmul(a, b).data, [[3.0], [7.0]])
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = np.array([[1.0], [1.0]])
+    assert np.array_equal(mm(a, b), [[3.0], [7.0]])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -38,54 +42,25 @@ def test_matmul_matches_triple_loop_bitwise(seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, (8, 8))
     b = rng.uniform(-1, 1, (8, 8))
-    got = matmul(SeqTensor(a), SeqTensor(b)).data
+    got = mm(a, b)
     assert np.array_equal(got, naive_matmul(a, b))
 
 
 def test_matmul_dim_mismatch():
-    a = SeqTensor(np.ones((2, 3)))
-    b = SeqTensor(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        matmul(a, b)
-
-
-def test_hadamard_ones_and_hand():
-    rng = np.random.default_rng(1)
-    x = SeqTensor(rng.uniform(-1, 1, (4, 3)))
-    ones = SeqTensor(np.ones((4, 3)))
-    assert np.array_equal(hadamard(x, ones).data, x.data)
-    assert np.array_equal(
-        hadamard(SeqTensor([[2.0, 3.0]]), SeqTensor([[4.0, 5.0]])).data,
-        [[8.0, 15.0]])
-
-
-def test_hadamard_associative():
-    rng = np.random.default_rng(2)
-    x, y, z = (SeqTensor(rng.uniform(-1, 1, (5, 4))) for _ in range(3))
-    left = hadamard(hadamard(x, y), z).data
-    right = hadamard(x, hadamard(y, z)).data
-    assert np.allclose(left, right, rtol=1e-15, atol=0)
-
-
-def test_hadamard_row_broadcast():
-    x = SeqTensor([[1.0, 2.0], [3.0, 4.0]])
-    row = SeqTensor([[10.0, 100.0]])
-    assert np.array_equal(hadamard(x, row).data, [[10.0, 200.0], [30.0, 400.0]])
-    with pytest.raises(ValueError):
-        hadamard(x, SeqTensor([[1.0, 2.0, 3.0]]))
+        mm(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_suffix_sum_zero_and_hand():
-    z = SeqTensor(np.zeros((4, 2)))
-    assert np.array_equal(suffix_sum(z).data, np.zeros((4, 2)))
-    x = SeqTensor([[1.0], [2.0], [3.0]])
-    assert np.array_equal(suffix_sum(x).data, [[6.0], [5.0], [3.0]])
+    assert np.array_equal(suffix_sum_arr(np.zeros((4, 2))), np.zeros((4, 2)))
+    assert np.array_equal(suffix_sum_arr(np.array([[1.0], [2.0], [3.0]])),
+                          [[6.0], [5.0], [3.0]])
 
 
 def test_suffix_sum_head_is_column_sum():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (9, 4))
-    out = suffix_sum(SeqTensor(x)).data
+    out = suffix_sum_arr(x)
     assert np.allclose(out[0], x.sum(axis=0), rtol=1e-12, atol=0)
 
 
@@ -93,7 +68,7 @@ def test_suffix_sum_difference_recovers_rows():
     # (a+b)-b is not exact in fp, so the recovery is checked at 1e-12.
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, (16, 3))
-    out = suffix_sum(SeqTensor(x)).data
+    out = suffix_sum_arr(x)
     diff = out[:-1] - out[1:]
     assert np.max(np.abs(diff - x[:-1])) <= 1e-12
 
@@ -107,6 +82,56 @@ def test_constructors_reject_nonfinite():
 def test_seqtensor_immutable():
     x = SeqTensor([[1.0, 2.0]])
     with pytest.raises(AttributeError):
-        x.rows = 5
+        x.data = np.zeros((1, 2))
     with pytest.raises(ValueError):
         x.data[0, 0] = 9.0  # numpy read-only flag
+
+
+def _records():
+    """One instance of every record type, plus chunkwise and recurrent states."""
+    inst = make_instance(ModelKind("general"), L=7, dk=3, dv=2, seed=1)
+    plan = ChunkPlan(7, 3)
+    cd = cumulative_log_decay(inst.gates)
+    trace = forward_recurrent(inst, keep_states=True)
+    _, chunk_states, _ = forward_chunkwise(inst, plan, ChunkPolicy("materialize"))
+    return {
+        "SeqTensor": inst.Q,
+        "GateSeq": inst.gates,
+        "GlaInstance": inst,
+        "CumulativeDecay": cd,
+        "ChunkPlan": plan,
+        "ChunkDecays": chunk_relative_decays(cd, plan)[1],
+        "ForwardTrace": trace,
+        "GradBundle": backward_recurrent_exact(inst, SeqTensor(np.ones((7, 2)))),
+        "chunk_states": chunk_states,
+        "recurrent_states": trace.states,
+    }
+
+
+def _carried_arrays(x):
+    """Every ndarray a record holds, through nested records and state lists."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, (list, tuple)):
+        return [a for v in x for a in _carried_arrays(v)]
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in _carried_arrays(getattr(x, f.name))]
+    return []
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_records_frozen_and_read_only(name):
+    rec = _records()[name]
+    if dataclasses.is_dataclass(rec):
+        names = [f.name for f in dataclasses.fields(rec)]
+    else:
+        names = list(getattr(rec, "_fields", ()))  # NamedTuple; a state list has none
+    for attr in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, None)
+    arrays = _carried_arrays(rec)
+    assert arrays or name == "ChunkPlan"
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
