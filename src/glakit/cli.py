@@ -30,25 +30,29 @@ EXIT_INPUT_ERROR = 2
 TENSOR_FILES = ("Q", "K", "V", "logalpha", "logbeta")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--chunk", type=int)
-    p.add_argument("--policy", choices=("materialize", "recompute"))
-    p.add_argument("--form", choices=("recurrent", "parallel", "chunkwise"))
+_FLAGS = {
+    "config": dict(type=Path, help="key = value config file to start from"),
+    "kind": dict(choices=("vanilla", "retnet", "gla_beta_one", "general")),
+    "gamma": dict(type=float),
+    "L": dict(type=int),
+    "dk": dict(type=int),
+    "dv": dict(type=int),
+    "seed": dict(type=int),
+    "gate_floor": dict(type=float),
+    "chunk": dict(type=int),
+    "policy": dict(choices=("materialize", "recompute")),
+    "form": dict(choices=("recurrent", "parallel", "chunkwise")),
+    "tol": dict(type=float),
+    "grad_tol": dict(type=float),
+    "eps": dict(type=float),
+}
+_INSTANCE = ("kind", "gamma", "L", "dk", "dv", "seed", "gate_floor")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="key = value config file to start from")
-    p.add_argument("--kind", choices=("vanilla", "retnet", "gla_beta_one", "general"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--dk", type=int)
-    p.add_argument("--dv", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gate-floor", dest="gate_floor", type=float)
-    _add_run_flags(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--eps", type=float)
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Each subcommand takes only the flags it reads; a --config file may carry any key."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
 
 
 def _override(cfg: RunConfig, args) -> RunConfig:
@@ -219,33 +223,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate instance tensor files")
-    _add_config_flags(p)
+    _add_flags(p, "config", *_INSTANCE, "chunk", "policy", "form", "tol", "grad_tol", "eps")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("run", help="run one form over tensor files")
     p.add_argument("--in", dest="indir", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_run_flags(p)
+    _add_flags(p, "chunk", "policy", "form")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("check", help="equivalence + causality checks")
-    _add_config_flags(p)
+    _add_flags(p, "config", *_INSTANCE, "chunk", "tol")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gradcheck", help="analytic backward vs finite differences")
-    _add_config_flags(p)
+    _add_flags(p, "config", *_INSTANCE, "chunk", "grad_tol", "eps")
     p.add_argument("--debug-flip-dlogb", action="store_true",
                    help="negate the analytic dlog_alpha to prove the oracle catches it")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="wall-clock + cost-model table")
-    _add_config_flags(p)
+    _add_flags(p, "config", *_INSTANCE, "chunk", "policy")
     p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("cost", help="print the analytic cost model")
-    _add_config_flags(p)
+    _add_flags(p, "config", "L", "dk", "dv", "chunk", "policy")
     p.set_defaults(fn=cmd_cost)
     return ap
 

@@ -21,43 +21,41 @@ from .tensor import SeqTensor
 __all__ = ["ModelKind", "SplitMix64", "make_instance"]
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """splitmix64: 64-bit state, one 64-bit output per step."""
+    """splitmix64 (Steele, Lea & Flood, OOPSLA 2014): 64-bit state, 64-bit outputs.
+
+    Counter-based: draw n = 1, 2, ... is mix(seed + n * gamma mod 2^64), so a
+    block of draws is one wrapping uint64 array computation.
+    """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
+    def _draws(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array; state advances n steps."""
+        z = np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return int(self._draws(1)[0])
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1): top 53 bits scaled by 2^-53."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def uniform_pm1(self) -> float:
-        return 2.0 * self.uniform() - 1.0
+    def _uniform(self, rows: int, cols: int) -> np.ndarray:
+        """rows x cols uniforms in [0, 1), row-major: a draw's top 53 bits times 2^-53."""
+        return (self._draws(rows * cols) >> np.uint64(11)).reshape(rows, cols) * 2.0 ** -53
 
     def fill_pm1(self, rows: int, cols: int) -> np.ndarray:
-        a = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                a[i, j] = self.uniform_pm1()
-        return a
+        return 2.0 * self._uniform(rows, cols) - 1.0
 
     def fill_log_gate(self, rows: int, cols: int, log_floor: float) -> np.ndarray:
-        a = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                a[i, j] = self.uniform() * log_floor
-        return a
+        return self._uniform(rows, cols) * log_floor
 
 
 _KINDS = ("vanilla", "retnet", "gla_beta_one", "general")

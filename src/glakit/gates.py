@@ -121,15 +121,13 @@ class ChunkDecays(NamedTuple):
 
 
 def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
-    """Running log-products of the gates (prefix sums in log space)."""
-    log_b = np.empty_like(g.log_alpha)
-    log_b[0] = g.log_alpha[0]
-    for t in range(1, g.L):
-        log_b[t] = log_b[t - 1] + g.log_alpha[t]
-    log_d = np.empty_like(g.log_beta)
-    log_d[0] = g.log_beta[0]
-    for t in range(1, g.L):
-        log_d[t] = log_d[t - 1] + g.log_beta[t]
+    """Running log-products of the gates (prefix sums in log space).
+
+    Accumulation along axis 0 is sequential: log_b[t] = log_b[t-1] + log_alpha[t].
+    The preallocated out= traces less memory than letting accumulate allocate.
+    """
+    log_b = np.add.accumulate(g.log_alpha, axis=0, out=np.empty_like(g.log_alpha))
+    log_d = np.add.accumulate(g.log_beta, axis=0, out=np.empty_like(g.log_beta))
     return CumulativeDecay(readonly(log_b), readonly(log_d))
 
 

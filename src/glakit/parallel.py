@@ -80,8 +80,7 @@ def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     cd = cumulative_log_decay(inst.gates)
     L, dk, dv = inst.L, inst.dk, inst.dv
 
-    O = forward_parallel(inst).data  # reused by the dlogd identity
-
+    O = np.empty((L, dv))  # the forward's output, for the dlogd identity
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
@@ -89,8 +88,10 @@ def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
         brel = np.exp(cd.log_b[t] - cd.log_b[: t + 1])
         drel = np.exp(cd.log_d[t] - cd.log_d[: t + 1])
         Kb = K[: t + 1] * brel
+        Vd = V[: t + 1] * drel
         w = (Kb * Q[t]).sum(axis=1)                   # A_{t,i}
-        g = (V[: t + 1] * drel * dOa[t]).sum(axis=1)  # <do_t, v_i d_t/d_i>
+        g = (Vd * dOa[t]).sum(axis=1)                 # <do_t, v_i d_t/d_i>
+        O[t] = (w[:, None] * Vd).sum(axis=0)
         dQ[t] = (g[:, None] * Kb).sum(axis=0)
         dK[: t + 1] += g[:, None] * (brel * Q[t])
         dV[: t + 1] += w[:, None] * (drel * dOa[t])

@@ -69,11 +69,9 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def suffix_sum_arr(x: np.ndarray) -> np.ndarray:
-    """out[t] = sum_{i >= t} x[i], accumulated back to front."""
+    """out[t] = sum_{i >= t} x[i], accumulated back to front: out[t] = x[t] + out[t+1]."""
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("suffix_sum needs a non-empty 2-D array")
-    out = np.empty_like(x)
-    out[-1] = x[-1]
-    for t in range(x.shape[0] - 2, -1, -1):
-        out[t] = x[t] + out[t + 1]
+    out = np.empty(x.shape)
+    np.add.accumulate(x[::-1], axis=0, out=out[::-1])
     return out

@@ -96,6 +96,24 @@ def test_run_rejects_flags_it_would_ignore(tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("check", "--policy", "recompute"), ("check", "--form", "parallel"),
+    ("check", "--grad-tol", 1e-3), ("check", "--eps", 1e-4),
+    ("gradcheck", "--tol", 1e-3), ("gradcheck", "--policy", "recompute"),
+    ("gradcheck", "--form", "parallel"),
+    ("bench", "--form", "parallel"), ("bench", "--tol", 1e-3),
+    ("bench", "--grad-tol", 1e-3), ("bench", "--eps", 1e-4),
+    ("cost", "--kind", "vanilla"), ("cost", "--gamma", 0.5), ("cost", "--seed", 3),
+    ("cost", "--gate-floor", 0.1), ("cost", "--form", "parallel"),
+    ("cost", "--tol", 1e-3), ("cost", "--grad-tol", 1e-3), ("cost", "--eps", 1e-4),
+])
+def test_subcommands_reject_flags_they_would_ignore(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--L", 4, "--dk", 2, "--dv", 2, flag, value)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_config_disagreeing_with_tensors_exit_2(tmp_path, capsys):
     gen = tmp_path / "gen"
     run_cli("gen", "--L", 16, "--dk", 2, "--dv", 2, "--seed", 3, "--out", gen)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor,
+from glakit import (ChunkPlan, ChunkPolicy, GateSeq, ModelKind, SeqTensor,
                     backward_recurrent_exact, chunk_relative_decays,
                     cumulative_log_decay, forward_chunkwise, forward_recurrent,
                     make_instance, mm, suffix_sum_arr)
@@ -71,6 +71,36 @@ def test_suffix_sum_difference_recovers_rows():
     out = suffix_sum_arr(x)
     diff = out[:-1] - out[1:]
     assert np.max(np.abs(diff - x[:-1])) <= 1e-12
+
+
+def sequential_prefix(x):
+    """Reference: out[t] = out[t-1] + x[t], one row at a time."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for t in range(1, x.shape[0]):
+        out[t] = out[t - 1] + x[t]
+    return out
+
+
+def wide_range(rng, shape):
+    """Magnitudes from 1e-8 to 1e8: any reordering of a running sum shows in the bits."""
+    return rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+@pytest.mark.parametrize("L", [1, 2, 37, 300])
+def test_prefix_and_suffix_sums_are_sequential_bitwise(L):
+    rng = np.random.default_rng(L)
+    la, lb = -wide_range(rng, (L, 3)), -wide_range(rng, (L, 2))
+    cd = cumulative_log_decay(GateSeq(la, lb))
+    assert cd.log_b.tobytes() == sequential_prefix(la).tobytes()
+    assert cd.log_d.tobytes() == sequential_prefix(lb).tobytes()
+
+    x = wide_range(rng, (L, 4)) * rng.choice([-1.0, 1.0], (L, 4))
+    out = suffix_sum_arr(x)
+    assert out.flags.c_contiguous
+    assert out.tobytes() == sequential_prefix(x[::-1])[::-1].tobytes()
+    if L >= 37:  # the data is order-sensitive, so the pins above discriminate
+        assert not np.array_equal(sequential_prefix(x)[-1], out[0])
 
 
 def test_constructors_reject_nonfinite():
