@@ -1,8 +1,10 @@
 """Reusable verification procedures: equivalence, gradcheck, causality.
 
 Checks measure, they never throw: each returns CheckReport rows so a whole
-suite can run to completion and be summarized.  The comparison metric
-everywhere is
+suite can run to completion and be summarized.  A form whose arithmetic
+fails (a chunk whose decay underflows fp64 yields non-finite values, which
+the result records reject with ValueError) gets a FAIL row with infinite
+error.  The comparison metric everywhere is
 
     rel_err(a, b) = max|a - b| / max(1e-8, max|a|, max|b|).
 """
@@ -53,8 +55,11 @@ class CheckReport:
     elapsed: float
 
     @classmethod
-    def from_arrays(cls, name: str, a: np.ndarray, b: np.ndarray,
+    def from_arrays(cls, name: str, a: np.ndarray | None, b: np.ndarray | None,
                     tol: float, t0: float) -> "CheckReport":
+        """Compare a with b; None stands for a computation that failed."""
+        if a is None or b is None:
+            return cls(name, np.inf, np.inf, tol, False, time.perf_counter() - t0)
         r = rel_err(a, b)
         return cls(name, max_abs(a, b), r, tol, r <= tol, time.perf_counter() - t0)
 
@@ -62,6 +67,18 @@ class CheckReport:
         status = "PASS" if self.passed else "FAIL"
         return (f"{self.name} max_rel_err={self.max_rel_err:.3e} "
                 f"tol={self.tolerance:.1e} {status}")
+
+
+def _measured(fn):
+    """fn(), or None when the arithmetic fails and the result is rejected."""
+    try:
+        return fn()
+    except ValueError:
+        return None
+
+
+def _chunkwise_O(inst: GlaInstance, plan: ChunkPlan, policy: str) -> np.ndarray | None:
+    return _measured(lambda: forward_chunkwise(inst, plan, ChunkPolicy(policy))[0].data)
 
 
 def check_equivalence(inst: GlaInstance, chunk_sizes, tol: float = 1e-9) -> list[CheckReport]:
@@ -79,13 +96,13 @@ def check_equivalence(inst: GlaInstance, chunk_sizes, tol: float = 1e-9) -> list
     for C in chunk_sizes:
         plan = ChunkPlan(inst.L, C)
         t0 = time.perf_counter()
-        om, _, _ = forward_chunkwise(inst, plan, ChunkPolicy("materialize"))
+        om = _chunkwise_O(inst, plan, "materialize")
         reports.append(CheckReport.from_arrays(
-            f"chunkwise_C{C}_vs_recurrent", om.data, ref, tol, t0))
+            f"chunkwise_C{C}_vs_recurrent", om, ref, tol, t0))
         t0 = time.perf_counter()
-        orc, _, _ = forward_chunkwise(inst, plan, ChunkPolicy("recompute"))
+        orc = _chunkwise_O(inst, plan, "recompute")
         reports.append(CheckReport.from_arrays(
-            f"policy_equivalence_C{C}", om.data, orc.data, 0.0, t0))
+            f"policy_equivalence_C{C}", om, orc, 0.0, t0))
     return reports
 
 
@@ -136,10 +153,10 @@ def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
     reports = []
     for impl_name, run in impls.items():
         t0 = time.perf_counter()
-        bundle = run()
+        bundle = _measured(run)
         for field in _GRAD_FIELDS:
-            got = getattr(bundle, field).data
-            if flip_dlogb_sign and field == "dlog_alpha":
+            got = None if bundle is None else getattr(bundle, field).data
+            if flip_dlogb_sign and field == "dlog_alpha" and got is not None:
                 got = -got
             want = getattr(fd, field).data
             reports.append(CheckReport.from_arrays(
@@ -179,13 +196,11 @@ def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
     rng = SplitMix64(seed)
     C = chunk if chunk is not None else max(2, (inst.L + 2) // 3)
     plan = ChunkPlan(inst.L, C)
-    pol = ChunkPolicy("materialize")
 
     t0 = time.perf_counter()
     ref_rec = forward_recurrent(inst).O.data
     ref_par = forward_parallel(inst).data
-    ref_chk, _, _ = forward_chunkwise(inst, plan, pol)
-    ref_chk = ref_chk.data
+    ref_chk = _chunkwise_O(inst, plan, "materialize")
 
     worst_abs = 0.0
     worst_rel = 0.0
@@ -197,8 +212,11 @@ def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
         if not np.array_equal(rec[:cut], ref_rec[:cut]):
             exact_ok = False
         par = forward_parallel(pert).data
-        chk, _, _ = forward_chunkwise(pert, plan, pol)
-        for got, ref in ((par, ref_par), (chk.data, ref_chk)):
+        chk = _chunkwise_O(pert, plan, "materialize")
+        for got, ref in ((par, ref_par), (chk, ref_chk)):
+            if got is None or ref is None:
+                worst_abs = worst_rel = np.inf
+                continue
             worst_abs = max(worst_abs, max_abs(got[:cut], ref[:cut]))
             worst_rel = max(worst_rel, rel_err(got[:cut], ref[:cut]))
     passed = exact_ok and worst_rel <= tol

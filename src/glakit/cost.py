@@ -4,10 +4,12 @@ Counting convention (fixed so every predicted number is bit-reproducible):
 multiply = 1, add/subtract = 1, divide = 1, exp = 1.  Assignments, copies,
 negations and comparisons are free.  A matmul of m x k by k x n costs
 m*n*k multiplies and m*n*(k-1) adds (the first k-slice initialises the
-accumulator).  state_writes / state_reads count whole dk x dv state
-matrices moved to / from the modeled slow memory; the live running state
-is not traffic.  recompute_passes counts chunk state-update evaluations
-replayed during a backward pass.
+accumulator), whatever order the product sums in; entries of a product
+that are later zeroed by assignment are still counted.  state_writes /
+state_reads count whole dk x dv state matrices moved to / from the
+modeled slow memory; the live running state is not traffic.
+recompute_passes counts chunk state-update evaluations replayed during a
+backward pass.
 """
 
 from __future__ import annotations
@@ -50,5 +52,5 @@ class Meter:
 
 
 def mm_flops(m: int, k: int, n: int) -> int:
-    """Cost of the ascending-k dense product: m*n mults per k-slice, adds for all but the first."""
+    """Cost of an m x k by k x n product: m*n mults per k-slice, adds for all but the first."""
     return m * n * k + m * n * (k - 1)

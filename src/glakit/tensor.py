@@ -1,11 +1,15 @@
 """Dense fp64 array primitives with pinned summation order.
 
 Everything downstream (gates, the three attention forms, the gradient
-oracles) is built on the operations here.  The important contract is
-determinism: ``mm`` accumulates strictly in ascending inner-index order,
-so two code paths that claim "exact equality" actually mean it bit for bit.
-BLAS reorders sums and breaks that claim, which is why the product is done
-by hand here.
+oracles) is built on the operations here.  ``mm`` accumulates strictly in
+ascending inner-index order and matches a naive triple loop bit for bit;
+it is the product of the reference forms (recurrent and parallel), whose
+results must not depend on how a BLAS library orders its sums.
+
+The chunkwise form does its products with BLAS instead (``chunkwise.mm``),
+for speed.  Its bitwise promises are narrower and do not need a pinned
+order: the two scheduling policies agree bit for bit, and so does a repeat
+of the same call.  It is checked against the recurrent form by tolerance.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor, SplitMix64,
-                    backward_chunkwise, backward_recurrent_fd,
-                    forward_chunkwise, forward_parallel, forward_recurrent,
-                    make_instance, predict_cost, rel_err)
+                    backward_chunkwise, backward_recurrent_exact,
+                    backward_recurrent_fd, forward_chunkwise, forward_parallel,
+                    forward_recurrent, make_instance, predict_cost, rel_err)
+from glakit.chunkwise import BLOCK
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 MAT = ChunkPolicy("materialize")
@@ -155,14 +158,69 @@ def test_counters_match_predictions_12_config_sweep():
 
 
 def test_frozen_forward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 488
-    # (prefix 28 + decays 136 + transforms 48 + intra 124 + inter 32 +
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 572
+    # (prefix 28 + decays 136 + transforms 48 + intra 208 + inter 32 +
     #  output scale 16 + state updates 104); the closed form must agree.
+    # Intra is one 4-row block per chunk: scores 4x2 by 2x4 (48) and
+    # scores by values 4x4 by 4x2 (56), twice.
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, _, measured = forward_chunkwise(inst, plan, MAT)
-    assert measured.flops == 488
-    assert predict_cost(8, 2, 2, plan, MAT).flops == 488
+    assert measured.flops == 572
+    assert predict_cost(8, 2, 2, plan, MAT).flops == 572
+
+
+def _outputs(o, g):
+    return [o.data] + [getattr(g, f).data for f in GRAD_FIELDS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 80), C=st.integers(1, 40), dk=st.integers(1, 5),
+       dv=st.integers(1, 5), seed=st.integers(0, 2**32))
+@example(L=2 * BLOCK, C=BLOCK - 5, dk=3, dv=2, seed=1)      # c < BLOCK, ragged last chunk
+@example(L=3 * BLOCK, C=BLOCK, dk=2, dv=3, seed=2)          # c == BLOCK
+@example(L=2 * BLOCK + 2, C=BLOCK + 1, dk=4, dv=4, seed=3)  # one-row trailing block
+@example(L=80, C=2 * BLOCK + 7, dk=5, dv=1, seed=4)         # three blocks, ragged last chunk
+@example(L=1, C=1, dk=1, dv=1, seed=5)
+@example(L=1, C=40, dk=2, dv=3, seed=6)
+@example(L=57, C=40, dk=1, dv=1, seed=7)
+def test_row_blocks_match_recurrent_policies_and_counters(L, C, dk, dv, seed):
+    inst = make_instance(ModelKind("general"), L, dk, dv, seed=seed)
+    plan = ChunkPlan(L, C)
+    dO = rand_dO(L, dv, seed=seed + 1)
+    want = [forward_recurrent(inst).O.data] + [
+        getattr(backward_recurrent_exact(inst, dO), f).data for f in GRAD_FIELDS]
+    runs = []
+    for pol in (MAT, REC):
+        o, _, fwd = forward_chunkwise(inst, plan, pol)
+        g, bwd = backward_chunkwise(inst, dO, plan, pol)
+        assert fwd == predict_cost(L, dk, dv, plan, pol, "forward")
+        assert bwd == predict_cost(L, dk, dv, plan, pol, "backward")
+        runs.append(_outputs(o, g))
+        for name, got, ref in zip(("O",) + GRAD_FIELDS, runs[-1], want):
+            if L == 1 and name.startswith("dlog"):
+                # analytically zero; q (.) dq - k (.) dk cancels to a few ulps
+                # of its O(1) terms, which rel_err's 1e-8 floor would inflate
+                assert np.max(np.abs(got)) <= 1e-14 and not ref.any(), (pol.mode, name)
+            else:
+                assert rel_err(got, ref) <= 1e-9, (pol.mode, name)
+    for name, a, b in zip(("O",) + GRAD_FIELDS, *runs):
+        assert np.array_equal(a, b), name
+
+
+def test_repeated_calls_are_byte_identical():
+    # 64 x 64 BLAS products may run threaded; a repeat must still match the
+    # first call byte for byte, so timed repeats can be checked bitwise
+    L, d = 256, 64
+    inst = make_instance(ModelKind("general"), L, d, d, seed=17)
+    plan = ChunkPlan(L, 64)
+    dO = rand_dO(L, d, seed=18)
+    for pol in (MAT, REC):
+        first, again = (_outputs(forward_chunkwise(inst, plan, pol)[0],
+                                 backward_chunkwise(inst, dO, plan, pol)[0])
+                        for _ in range(2))
+        for name, a, b in zip(("O",) + GRAD_FIELDS, first, again):
+            assert a.tobytes() == b.tobytes(), (pol.mode, name)
 
 
 def test_state_write_counts():

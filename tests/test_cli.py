@@ -137,6 +137,22 @@ def test_check_zero_tolerance_fails():
                    "--chunk", 3, "--tol", 0.0) == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_reports_underflowing_chunk_as_fail_exit_1(capsys):
+    # a 64-row chunk at gate floor 1e-12 underflows b_dagger: its rows FAIL
+    # with infinite error and the check still reports every row
+    assert run_cli("check", "--L", 200, "--dk", 2, "--dv", 2, "--seed", 104,
+                   "--gate-floor", 1e-12, "--chunk", 64) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line for line in lines[:-1]}
+    assert rows["chunkwise_C64_vs_recurrent"] == (
+        "chunkwise_C64_vs_recurrent max_rel_err=inf tol=1.0e-09 FAIL")
+    assert rows["parallel_vs_recurrent"].endswith("PASS")
+    assert rows["chunkwise_C1_vs_recurrent"].endswith("PASS")
+    assert rows["causality"].endswith("FAIL")
+    assert lines[-1].startswith("summary:") and len(rows) == len(lines) - 1
+
+
 def test_gradcheck_passes_and_flipped_sign_fails(capsys):
     args = ("gradcheck", "--L", 5, "--dk", 2, "--dv", 2, "--seed", 8, "--chunk", 2)
     assert run_cli(*args) == 0

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from glakit import (ModelKind, check_causality, check_equivalence,
-                    check_gradients, cumulative_log_decay, make_instance)
+from glakit import (ChunkPlan, ChunkPolicy, ModelKind, check_causality,
+                    check_equivalence, check_gradients, cumulative_log_decay,
+                    forward_chunkwise, make_instance)
 
 
 def test_same_seed_bitwise_identical():
@@ -115,3 +116,35 @@ def test_check_causality_needs_two_rows():
     inst = make_instance(ModelKind("general"), L=1, dk=2, dv=2, seed=13)
     with pytest.raises(ValueError):
         check_causality(inst)
+
+
+# At gate floor 1e-300 a chunk of a few dozen rows underflows b_dagger, so
+# the chunkwise form raises on its non-finite output.  The checks measure
+# that as FAIL rows with infinite error; they never throw.
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_causality_reports_underflowing_chunk_as_fail():
+    inst = make_instance(ModelKind("general"), L=64, dk=2, dv=2, seed=14,
+                         gate_floor=1e-300)
+    with pytest.raises(ValueError):  # the default chunk, (64 + 2) // 3 = 22 rows
+        forward_chunkwise(inst, ChunkPlan(64, 22), ChunkPolicy("materialize"))
+    report = check_causality(inst, trials=5, seed=15)
+    assert report.name == "causality" and not report.passed
+    assert report.max_rel_err == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_equivalence_and_gradients_report_underflowing_chunk_as_fail():
+    inst = make_instance(ModelKind("general"), L=24, dk=2, dv=2, seed=16,
+                         gate_floor=1e-300)
+    eq = {r.name: r for r in check_equivalence(inst, chunk_sizes=(1, 24))}
+    assert eq["parallel_vs_recurrent"].passed
+    assert eq["chunkwise_C1_vs_recurrent"].passed  # one-row chunks never underflow
+    for name in ("chunkwise_C24_vs_recurrent", "policy_equivalence_C24"):
+        assert not eq[name].passed and eq[name].max_rel_err == math.inf
+    grads = check_gradients(inst, chunk=24)
+    assert len(grads) == 20
+    for r in grads:
+        chunked = r.name.startswith("grad_chunkwise_")
+        assert r.passed != chunked, r.name
+        assert (r.max_rel_err == math.inf) == chunked, r.name
