@@ -94,24 +94,25 @@ class GradBundle:
 
 
 def _step_gate(la_t: np.ndarray, lb_t: np.ndarray, meter: Meter | None) -> np.ndarray:
-    """G_t[i, j] = exp(log_alpha_t[i] + log_beta_t[j])."""
-    G = np.exp(la_t[:, None] + lb_t[None, :])
+    """G_t[..., i, j] = exp(log_alpha_t[..., i] + log_beta_t[..., j])."""
+    G = np.exp(la_t[..., :, None] + lb_t[..., None, :])
     if meter:
         meter.add_flops(2 * la_t.size * lb_t.size)  # one add + one exp per element
     return G
 
 
 def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None = None):
-    """The recurrence on raw ndarrays; shared by the public forward and the FD oracle."""
-    L, dk = Q.shape
-    dv = V.shape[1]
-    S = np.zeros((dk, dv))
-    O = np.empty((L, dv))
+    """The recurrence on raw ndarrays, leading axes a batch; shared with the FD oracle."""
+    L, dk = Q.shape[-2:]
+    dv = V.shape[-1]
+    batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb)))
+    S = np.zeros((*batch, dk, dv))
+    O = np.empty((*batch, L, dv))
     states = [] if keep_states else None
     for t in range(L):
-        G = _step_gate(la[t], lb[t], meter)
-        S = G * S + np.multiply.outer(K[t], V[t])
-        O[t] = mm(Q[t][None, :], S)[0]
+        G = _step_gate(la[..., t, :], lb[..., t, :], meter)
+        S = G * S + K[..., t, :, None] * V[..., t, None, :]
+        O[..., t, :] = mm(Q[..., t, None, :], S)[..., 0, :]
         if meter:
             # gate the state, rank-1 update, sum; then the q S_t matvec
             meter.add_flops(3 * dk * dv + dk * dv + (dk - 1) * dv)
@@ -173,14 +174,17 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     return GradBundle(dQ, dK, dV, dla, dlb)
 
 
-def _loss_raw(Q, K, V, la, lb, dOa) -> float:
+def _loss_raw(Q, K, V, la, lb, dOa) -> np.ndarray:
+    """<O, dO> per batch element, each summed as one flat row like np.sum(O * dO)."""
     O, _ = _forward_raw(Q, K, V, la, lb)
-    return float(np.sum(O * dOa))
+    return np.sum((O * dOa).reshape(*O.shape[:-2], -1), axis=-1)
 
 
 def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -> GradBundle:
     """Central finite differences on <O, dO>, one scalar input at a time.
 
+    An input row's 2*cols perturbed copies (+eps at column j in copy j, -eps
+    in copy cols + j) run as one batched recurrence; scratch is O(cols*L*d).
     Log-gate entries are perturbed as-is, so the result is directly
     dlog_alpha / dlog_beta with no chain-rule conversion.  The perturbed
     evaluations bypass domain re-validation (a +eps step at log-gate 0
@@ -190,19 +194,17 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
         raise ValueError("eps must be positive")
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
-    dOa = dO.data
-    arrs = [a.copy() for a in (inst.Q.data, inst.K.data, inst.V.data,
-                               inst.gates.log_alpha, inst.gates.log_beta)]
+    arrs = (inst.Q.data, inst.K.data, inst.V.data,
+            inst.gates.log_alpha, inst.gates.log_beta)
     grads = []
-    for a in arrs:
-        g = np.empty_like(a)
-        for i, j in np.ndindex(a.shape):
-            orig = a[i, j]
-            a[i, j] = orig + eps
-            lp = _loss_raw(*arrs, dOa)
-            a[i, j] = orig - eps
-            lm = _loss_raw(*arrs, dOa)
-            a[i, j] = orig
-            g[i, j] = (lp - lm) / (2.0 * eps)
+    for n, a in enumerate(arrs):
+        L, cols = a.shape
+        g, j = np.empty_like(a), np.arange(cols)
+        for i in range(L):
+            P = np.repeat(a[None], 2 * cols, axis=0)
+            P[j, i, j] += eps
+            P[cols + j, i, j] -= eps
+            loss = _loss_raw(*arrs[:n], P, *arrs[n + 1:], dO.data)
+            g[i] = (loss[:cols] - loss[cols:]) / (2.0 * eps)
         grads.append(g)
     return GradBundle(*grads)

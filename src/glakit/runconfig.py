@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["RunConfig", "parse_config", "format_config"]
@@ -32,8 +33,11 @@ class RunConfig:
             raise ValueError("L, dk, dv, chunk must all be >= 1")
         if not (0.0 < self.gate_floor <= 1.0):
             raise ValueError("gate_floor must be in (0, 1]")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        for name in ("tol", "grad_tol"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         return self
 
 

@@ -1,10 +1,10 @@
 """Dense fp64 array primitives with pinned summation order.
 
 Everything downstream (gates, the three attention forms, the gradient
-oracles) is built on the operations here.  ``mm`` accumulates strictly in
-ascending inner-index order and matches a naive triple loop bit for bit;
-it is the product of the reference forms (recurrent and parallel), whose
-results must not depend on how a BLAS library orders its sums.
+oracles) is built on the operations here.  ``mm`` is one sequential
+accumulate over the inner index, batched over leading axes, and matches a
+naive triple loop bit for bit; it is the product of the recurrent form,
+whose results must not depend on how a BLAS library orders its sums.
 
 The chunkwise form does its products with BLAS instead (``chunkwise.mm``),
 for speed.  Its bitwise promises are narrower and do not need a pinned
@@ -58,18 +58,15 @@ class SeqTensor:
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw ndarray product with ascending-k accumulation.
+    """Raw ndarray product with ascending-k accumulation, batched over leading axes.
 
-    out[i, j] = sum_k a[i, k] * b[k, j], the partial sums formed in k order
-    0, 1, 2, ...  Matches a naive triple loop bitwise (multiply then add,
-    no FMA, no reassociation).
+    out[..., i, j] = sum_k a[..., i, k] * b[..., k, j] as r_0 = a_0 b_0,
+    r_k = r_{k-1} + a_k b_k: a naive triple loop, bitwise (no FMA, no
+    reassociation).  Scratch is m*k*n per batch; library callers are matvecs.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = np.multiply.outer(a[:, 0], b[0, :])
-    for k in range(1, a.shape[1]):
-        out += np.multiply.outer(a[:, k], b[k, :])
-    return out
+    return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :]
 
 
 def suffix_sum_arr(x: np.ndarray) -> np.ndarray:

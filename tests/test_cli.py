@@ -137,6 +137,18 @@ def test_check_zero_tolerance_fails():
                    "--chunk", 3, "--tol", 0.0) == 1
 
 
+@pytest.mark.parametrize("command,flag,value,field", [
+    ("check", "--tol", -1, "tol"), ("check", "--tol", "nan", "tol"),
+    ("gradcheck", "--grad-tol", -0.5, "grad_tol"),
+    ("gradcheck", "--grad-tol", "nan", "grad_tol"),
+    ("gradcheck", "--eps", "inf", "eps"), ("gradcheck", "--eps", "nan", "eps"),
+])
+def test_bad_tolerance_or_eps_is_input_error_exit_2(capsys, command, flag, value, field):
+    assert run_cli(command, "--L", 8, "--dk", 2, "--dv", 2, flag, value) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {field} must be")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_check_reports_underflowing_chunk_as_fail_exit_1(capsys):
     # a 64-row chunk at gate floor 1e-12 underflows b_dagger: its rows FAIL

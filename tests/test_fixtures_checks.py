@@ -81,8 +81,9 @@ def test_check_equivalence_zero_tolerance_fails():
     assert any(not r.passed for r in reports)
 
 
-def test_check_gradients_general():
-    inst = make_instance(ModelKind("general"), L=6, dk=3, dv=3, seed=8)
+@pytest.mark.parametrize("L,d", [(6, 3), (64, 16)])
+def test_check_gradients_general(L, d):
+    inst = make_instance(ModelKind("general"), L=L, dk=d, dv=d, seed=8)
     reports = check_gradients(inst, eps=1e-5, tol=1e-6)
     assert len(reports) == 20  # 4 implementations x 5 tensors
     assert all(r.passed for r in reports)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glakit import (GateSeq, GlaInstance, ModelKind, SeqTensor, SplitMix64,
                     backward_recurrent_exact, backward_recurrent_fd,
                     forward_recurrent, make_instance, rel_err)
+from glakit.recurrent import _forward_raw
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
@@ -134,6 +137,46 @@ def test_causality_bitwise():
     pert = GlaInstance(SeqTensor(pert_Q), inst.K, inst.V, inst.gates)
     got = forward_recurrent(pert).O.data
     assert np.array_equal(got[:5], ref[:5])
+
+
+def scalar_fd(inst, dO, eps):
+    """Reference oracle: one unbatched recurrence per perturbed entry, save/perturb/restore."""
+    arrs = [a.copy() for a in (inst.Q.data, inst.K.data, inst.V.data,
+                               inst.gates.log_alpha, inst.gates.log_beta)]
+
+    def loss():
+        O, _ = _forward_raw(*arrs)
+        return float(np.sum(O * dO.data))
+
+    grads = []
+    for a in arrs:
+        g = np.empty_like(a)
+        for i, j in np.ndindex(a.shape):
+            orig = a[i, j]
+            a[i, j] = orig + eps
+            lp = loss()
+            a[i, j] = orig - eps
+            lm = loss()
+            a[i, j] = orig
+            g[i, j] = (lp - lm) / (2.0 * eps)
+        grads.append(g)
+    return grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 8), dk=st.integers(1, 3), dv=st.integers(1, 3),
+       kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       floor=st.sampled_from([0.5, 1e-12, 1e-300]),
+       eps=st.sampled_from([1e-3, 1e-5, 1e-7]), seed=st.integers(0, 2**32))
+@example(L=1, dk=1, dv=1, kind="general", floor=0.5, eps=1e-5, seed=1)
+@example(L=1, dk=3, dv=2, kind="general", floor=1e-300, eps=1e-7, seed=2)
+@example(L=5, dk=2, dv=3, kind="vanilla", floor=0.5, eps=1e-5, seed=3)  # log gates at 0
+def test_batched_fd_matches_scalar_reference_bitwise(L, dk, dv, kind, floor, eps, seed):
+    inst = make_instance(ModelKind(kind), L, dk, dv, seed, gate_floor=floor)
+    dO = rand_dO(L, dv, seed=seed + 1)
+    fd = backward_recurrent_fd(inst, dO, eps)
+    for f, want in zip(GRAD_FIELDS, scalar_fd(inst, dO, eps)):
+        assert getattr(fd, f).data.tobytes() == want.tobytes(), f
 
 
 def test_fd_rejects_bad_eps():

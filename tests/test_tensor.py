@@ -37,18 +37,31 @@ def test_matmul_hand():
     assert np.array_equal(mm(a, b), [[3.0], [7.0]])
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_matmul_matches_triple_loop_bitwise(seed):
+@pytest.mark.parametrize("seed,shape_a,shape_b", [
+    *(pytest.param(s, (8, 8), (8, 8), id=str(s)) for s in range(5)),
+    pytest.param(5, (1, 7), (7, 6), id="row-vector"),      # q_t S_t in the recurrence
+    pytest.param(6, (7, 6), (6, 1), id="column-vector"),   # the exact backward's matvecs
+    pytest.param(7, (4, 1), (1, 3), id="k1"),
+    pytest.param(8, (3, 9), (9, 5), id="non-square"),
+    pytest.param(9, (4, 1, 6), (4, 6, 5), id="batch"),
+    pytest.param(10, (4, 1, 6), (6, 5), id="batch-broadcast"),
+])
+def test_matmul_matches_triple_loop_bitwise(seed, shape_a, shape_b):
     rng = np.random.default_rng(seed)
-    a = rng.uniform(-1, 1, (8, 8))
-    b = rng.uniform(-1, 1, (8, 8))
+    a = rng.uniform(-1, 1, shape_a)
+    b = rng.uniform(-1, 1, shape_b)
     got = mm(a, b)
-    assert np.array_equal(got, naive_matmul(a, b))
+    batch = got.shape[:-2]
+    A, B = np.broadcast_to(a, batch + shape_a[-2:]), np.broadcast_to(b, batch + shape_b[-2:])
+    for idx in np.ndindex(batch):  # each batch element against the 2-D loop
+        assert np.array_equal(got[idx], naive_matmul(A[idx], B[idx]))
 
 
 def test_matmul_dim_mismatch():
     with pytest.raises(ValueError):
         mm(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        mm(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
 
 
 def test_suffix_sum_zero_and_hand():
