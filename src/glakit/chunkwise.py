@@ -18,13 +18,14 @@ are scored against the chunk prefix [:n] with one product
 (``Qt[j0:n] Kt[:n]^T``), the strict upper triangle of the block's own
 diagonal square is zeroed by assignment (never by multiplying with a mask,
 which would turn an inf score into NaN rather than 0), and one more product
-applies the scores to ``Vt[:n]``.  The backward does the same with
-``dOt Vt^T`` and accumulates ``dk += G^T Qt`` and ``dv += W^T dOt``.  The
-block size trades the upper-triangle work a block computes and throws away
-against the number of Python-level products: at L=4096, d=64, C=64 the
-forward counts 113.1 M flops at ``BLOCK = 16``, under the recurrent form's
-117.2 M, while 32-row blocks (121.4 M) and whole-chunk squares (138.1 M)
-would count more than the recurrence they are meant to beat.
+applies the scores to ``Vt[:n]``.  The backward forms the same score
+blocks, adds ``dOt Vt^T`` and accumulates ``dk += G^T Qt`` and
+``dv += W^T dOt``.  The block size trades the upper-triangle work a block
+computes and throws away against the number of Python-level products: at
+L=4096, d=64, C=64 the forward counts 113.1 M flops at ``BLOCK = 16``,
+under the recurrent form's 117.2 M, while 32-row blocks (121.4 M) and
+whole-chunk squares (138.1 M) would count more than the recurrence they
+are meant to beat.
 
 Every product, intra-chunk and state alike, goes through ``mm``, one
 2-D BLAS product.  BLAS may sum in any order, so these products are not
@@ -33,13 +34,19 @@ deterministic for equal shapes and inputs, which is what the chunkwise
 bitwise promises rest on: the two policies agree bit for bit, and so do
 repeated calls.
 
-Two scheduling policies are modeled: ``materialize`` records every chunk
-state to slow memory so the backward can read them back (chunk-parallel
-backward); ``recompute`` stores nothing and replays the state recurrence
-during the backward instead.  Both produce identical numbers; they differ
-only in the CostReport.  Every executed array op is metered at its call
-site with the exact flop convention from ``cost``; ``predict_cost`` mirrors
-the implementation in closed form and must agree integer-for-integer.
+The backward is a state pass plus two sweeps and never replays the
+forward: the output O that the value-gate identity needs is re-formed
+chunk by chunk from the score blocks the backward builds anyway, bit for
+bit the forward's.  Two scheduling policies are modeled: ``materialize``
+records every chunk state to slow memory in the state pass, so the
+backward reads them back (chunk-parallel backward); ``recompute`` stores
+nothing and replays the state recurrence in its forward-order sweep
+instead.  Either way the backward runs the recurrence once, so both count
+the same flops and produce identical numbers; they differ only in the
+state traffic of the CostReport.  Every executed array op is metered at
+its call site with the exact flop convention from ``cost``;
+``predict_cost`` mirrors the implementation in closed form and must agree
+integer-for-integer.
 """
 
 from __future__ import annotations
@@ -136,28 +143,32 @@ def _intra(Qt, Kt, Vt, meter: Meter) -> np.ndarray:
 
 
 def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
-    """Cotangents (dqt, dkt, dvt) of _intra given the transformed dO.
+    """Cotangents (dqt, dkt, dvt) of _intra given the transformed dO, plus _intra itself.
 
-    A helper so the last block's scores are freed before the gate-gradient
-    assembly, where the backward's traced memory peaks.
+    The fourth result is the forward's within-chunk sum, bit for bit: each
+    block's scores are the forward's, so one more product with ``Vt`` gives
+    what ``_intra`` gives, and the backward never replays the forward.
     """
     c, dk = Qt.shape
     dv = Vt.shape[1]
     dqt = np.empty((c, dk))
     dkt = np.zeros((c, dk))
     dvt = np.zeros((c, dv))
+    acc = np.empty((c, dv))
     for j0, n in _row_blocks(c):
         b = n - j0
         W = _causal(mm(Qt[j0:n], Kt[:n].T), j0)
         G = _causal(mm(dOt[j0:n], Vt[:n].T), j0)
         meter.add_flops(mm_flops(b, dk, n) + mm_flops(b, dv, n))
+        acc[j0:n] = mm(W, Vt[:n])
+        meter.add_flops(mm_flops(b, n, dv))
         dqt[j0:n] = mm(G, Kt[:n])
         meter.add_flops(mm_flops(b, n, dk))
         dkt[:n] += mm(G.T, Qt[j0:n])
         meter.add_flops(mm_flops(n, b, dk) + n * dk)
         dvt[:n] += mm(W.T, dOt[j0:n])
         meter.add_flops(mm_flops(n, b, dv) + n * dv)
-    return dqt, dkt, dvt
+    return dqt, dkt, dvt, acc
 
 
 def _gamma_outer(dec, meter: Meter, dk: int, dv: int) -> np.ndarray:
@@ -183,13 +194,15 @@ def _state_update(dec, Kc, Vc, S, first: bool, meter: Meter) -> np.ndarray:
     return Gm * S + T
 
 
-def _run_forward(inst: GlaInstance, plan: ChunkPlan, decs, collect: bool, meter: Meter):
-    """Forward sweep given precomputed decays.  Returns (O, states or None)."""
+def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
+    """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     dk, dv = inst.dk, inst.dv
+    meter = Meter()
+    decs = _decays(inst, plan, meter)
     O = np.empty((inst.L, dv))
     S = np.zeros((dk, dv))
-    states = [] if collect else None
+    states = [] if policy.materialize else None
     for i, (s, e) in enumerate(plan.boundaries):
         dec = decs[i]
         c = e - s
@@ -206,17 +219,9 @@ def _run_forward(inst: GlaInstance, plan: ChunkPlan, decs, collect: bool, meter:
         O[s:e] = acc * dec.d_dagger
         meter.add_flops(c * dv)
         S = _state_update(dec, K[s:e], V[s:e], S, i == 0, meter)
-        if collect:
+        if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
             meter.state_writes += 1
-    return O, states
-
-
-def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
-    """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
-    meter = Meter()
-    decs = _decays(inst, plan, meter)
-    O, states = _run_forward(inst, plan, decs, policy.materialize, meter)
     return SeqTensor(O), states, meter.report()
 
 
@@ -224,15 +229,20 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
                        policy: ChunkPolicy):
     """Gradients of <O, dO> computed chunk by chunk.  Returns (GradBundle, CostReport).
 
-    Three sweeps: (A) the forward, which supplies O for the value-gate
-    identity and, under materialize, the stored chunk states; (B) a
-    forward-order sweep accumulating the state-to-output gradient pieces,
-    with chunk states read back or replayed per the policy; (C) a reverse
-    sweep carrying the state cotangent and accumulating everything else.
-    Gate gradients are assembled from the identities
-    dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv followed by
-    suffix sums (query term positive; the finite-difference oracle pins
-    the sign).
+    A state pass and two sweeps; no full-length array is allocated besides
+    the five gradients.  Under materialize the state pass records every
+    chunk state (one slow-memory write each).  (B) A forward-order sweep
+    takes the pieces that need S_{i-1}, read back under materialize or
+    replayed under recompute, and parks the inter-chunk output term
+    ``Qt S_{i-1}`` in the rows of the dlog_beta buffer.  (C) A reverse sweep
+    carries the state cotangent, accumulates everything else, and re-forms
+    each chunk's output O from its score blocks and the parked term, bit
+    for bit the forward's; the forward is never replayed.  Once a chunk's
+    rows are final it assembles the gate gradients from the identities
+    dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
+    positive; the finite-difference oracle pins the sign) as suffix sums
+    continued from the next chunk, equal to whole-array suffix sums bit
+    for bit.
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
@@ -243,17 +253,24 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
 
     meter = Meter()
     decs = _decays(inst, plan, meter)
-    O, states = _run_forward(inst, plan, decs, policy.materialize, meter)
+
+    states = None
+    if policy.materialize:
+        states, S = [], None
+        for i, (s, e) in enumerate(plan.boundaries):
+            S = readonly(_state_update(decs[i], K[s:e], V[s:e], S, i == 0, meter))
+            states.append(S)
+            meter.state_writes += 1
 
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
+    dla = np.empty((L, dk))
+    dlb = np.empty((L, dv))  # holds Qt S_{i-1} per chunk until sweep C reads it
 
-    # Sweep B: pieces needing S_{i-1}, in forward order.  materialize reads
-    # back the states the forward recorded (one slow-memory read each);
-    # recompute replays the inter-chunk recurrence chunk by chunk, storing
-    # nothing beyond the live running state.
-    S_run = np.zeros((dk, dv))
+    # Sweep B: pieces needing S_{i-1}, in forward order.  recompute replays
+    # the inter-chunk recurrence, storing nothing beyond the live state.
+    S_prev = None
     for i, (s, e) in enumerate(plan.boundaries):
         dec = decs[i]
         c = e - s
@@ -261,19 +278,21 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             if states is not None:
                 S_prev = states[i - 1]
                 meter.state_reads += 1
-            else:
-                S_prev = S_run
+            Qt = Q[s:e] * dec.b_dagger
             dOt = dOa[s:e] * dec.d_dagger
-            meter.add_flops(c * dv)
+            meter.add_flops(c * dk + c * dv)
+            dlb[s:e] = mm(Qt, S_prev)
+            meter.add_flops(mm_flops(c, dk, dv))
             dq_inter = mm(dOt, S_prev.T)
             meter.add_flops(mm_flops(c, dv, dk))
             dQ[s:e] += dq_inter * dec.b_dagger
             meter.add_flops(2 * c * dk)
         if states is None:
-            S_run = _state_update(dec, K[s:e], V[s:e], S_run, i == 0, meter)
+            S_prev = _state_update(dec, K[s:e], V[s:e], S_prev, i == 0, meter)
             meter.recompute_passes += 1
 
-    # Sweep C: intra-chunk pieces, state-path pieces, cotangent carry.
+    # Sweep C: intra-chunk pieces, state-path pieces, cotangent carry, and
+    # the gate gradients of each chunk once its rows are final.
     dS = np.zeros((dk, dv))
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
@@ -286,7 +305,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         dOt = dOa[s:e] * dec.d_dagger
         meter.add_flops(c * dv)
 
-        dqt, dkt, dvt = _intra_backward(Qt, Kt, Vt, dOt, meter)
+        dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
         dQ[s:e] += dqt * dec.b_dagger
         meter.add_flops(2 * c * dk)
         dK[s:e] += dkt / dec.b_dagger
@@ -313,14 +332,24 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
                 meter.add_flops(2 * dk * dv)
             else:
                 dS = dS_out
+            Oc += dlb[s:e]
+            meter.add_flops(c * dv)
+        Oc *= dec.d_dagger  # the forward's O rows, bit for bit: + and * commute
+        meter.add_flops(c * dv)
 
-    dlogb = Q * dQ - K * dK
-    meter.add_flops(3 * L * dk)
-    dlogd = O * dOa - V * dV
-    meter.add_flops(3 * L * dv)
-    dla = suffix_sum_arr(dlogb)
-    dlb = suffix_sum_arr(dlogd)
-    meter.add_flops((L - 1) * (dk + dv))
+        # Gate gradients as suffix sums continued from the next chunk:
+        # folding its first row into this chunk's last row is the
+        # whole-array accumulate's own next step.
+        dla[s:e] = Q[s:e] * dQ[s:e] - K[s:e] * dK[s:e]
+        dlb[s:e] = Oc * dOa[s:e] - V[s:e] * dV[s:e]
+        meter.add_flops(3 * c * dk + 3 * c * dv)
+        if i < N - 1:
+            dla[e - 1] += dla[e]
+            dlb[e - 1] += dlb[e]
+            meter.add_flops(dk + dv)
+        dla[s:e] = suffix_sum_arr(dla[s:e])
+        dlb[s:e] = suffix_sum_arr(dlb[s:e])
+        meter.add_flops((c - 1) * (dk + dv))
     return GradBundle(dQ, dK, dV, dla, dlb), meter.report()
 
 
@@ -338,8 +367,10 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     instrumented runs must reproduce these numbers exactly.  Per chunk of
     c rows with A = _block_area(c), the row blocks' products sum to
     A(2dk-1) + (2A-c)dv in the forward (scores, then scores x values) and
-    to A(6dk+4dv-2) - c*dk in sweep C (two score products, dq, and the
-    accumulated dk and dv products with their adds).
+    to A(6dk+6dv-2) - c(dk+dv) in sweep C (two score products, scores x
+    values, dq, and the accumulated dk and dv products with their adds).
+    The backward runs the state recurrence once under either policy, so
+    both policies count the same flops.
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")
@@ -355,26 +386,27 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         c = e - s
         flops += 4 * c * (dk + dv) + (dk + dv)
 
-    def state_update_flops(c: int, first: bool) -> int:
-        f = c * dk + c * dv + mm_flops(dk, c, dv)
-        if not first:
-            f += 4 * dk * dv  # gamma outer (add+exp) + gate + add
-        return f
-
-    # forward sweep
+    # state recurrence: the forward's updates, the backward's state pass
+    # (materialize) or sweep B replay (recompute)
     for i, (s, e) in enumerate(plan.boundaries):
         c = e - s
-        A = _block_area(c)
-        flops += 2 * c * dk + c * dv  # transforms
-        flops += A * (2 * dk - 1) + (2 * A - c) * dv  # row blocks
+        flops += c * dk + c * dv + mm_flops(dk, c, dv)
         if i > 0:
-            flops += mm_flops(c, dk, dv) + c * dv
-        flops += c * dv  # output scale
-        flops += state_update_flops(c, i == 0)
+            flops += 4 * dk * dv  # gamma outer (add+exp) + gate + add
         if policy.materialize:
             writes += 1
+        elif pass_ == "backward":
+            passes += 1
 
     if pass_ == "forward":
+        for i, (s, e) in enumerate(plan.boundaries):
+            c = e - s
+            A = _block_area(c)
+            flops += 2 * c * dk + c * dv  # transforms
+            flops += A * (2 * dk - 1) + (2 * A - c) * dv  # row blocks
+            if i > 0:
+                flops += mm_flops(c, dk, dv) + c * dv
+            flops += c * dv  # output scale
         return CostReport(flops, writes, reads, passes)
 
     # sweep B
@@ -383,10 +415,8 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         if i > 0:
             if policy.materialize:
                 reads += 1
-            flops += c * dv + mm_flops(c, dv, dk) + 2 * c * dk
-        if not policy.materialize:
-            flops += state_update_flops(c, i == 0)
-            passes += 1
+            flops += c * dk + c * dv  # Qt, dOt
+            flops += mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + 2 * c * dk
 
     # sweep C
     for i in range(N - 1, -1, -1):
@@ -394,17 +424,18 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         c = e - s
         flops += 2 * c * dk + c * dv  # transforms
         flops += c * dv               # dOt
-        flops += _block_area(c) * (6 * dk + 4 * dv - 2) - c * dk  # row blocks
+        flops += _block_area(c) * (6 * dk + 6 * dv - 2) - c * (dk + dv)  # row blocks
         flops += 2 * c * dk + 2 * c * dk + 2 * c * dv
         if i < N - 1:
             flops += c * dk + c * dv
             flops += mm_flops(c, dv, dk) + 2 * c * dk
             flops += mm_flops(c, dk, dv) + 2 * c * dv
         if i > 0:
-            flops += mm_flops(dk, c, dv)
+            flops += mm_flops(dk, c, dv) + c * dv  # dS_out; inter + intra
             if i < N - 1:
                 flops += 2 * dk * dv + 2 * dk * dv
+        flops += c * dv  # output scale
 
-    # gate-gradient assembly
+    # gate-gradient assembly, chunk by chunk
     flops += 3 * L * dk + 3 * L * dv + (L - 1) * (dk + dv)
     return CostReport(flops, writes, reads, passes)

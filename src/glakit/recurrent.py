@@ -190,8 +190,8 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
     evaluations bypass domain re-validation (a +eps step at log-gate 0
     briefly leaves (0, 1]; the recurrence itself is smooth there).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
     arrs = (inst.Q.data, inst.K.data, inst.V.data,

@@ -1,5 +1,7 @@
 """Chunkwise form: equivalence across C, policies, counters, reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor, SplitMix64,
                     backward_recurrent_fd, forward_chunkwise, forward_parallel,
                     forward_recurrent, make_instance, predict_cost, rel_err)
 from glakit.chunkwise import BLOCK
+from glakit.tensor import suffix_sum_arr
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 MAT = ChunkPolicy("materialize")
@@ -221,6 +224,56 @@ def test_repeated_calls_are_byte_identical():
                         for _ in range(2))
         for name, a, b in zip(("O",) + GRAD_FIELDS, first, again):
             assert a.tobytes() == b.tobytes(), (pol.mode, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 70), C=st.integers(1, 40), dk=st.integers(1, 4),
+       dv=st.integers(1, 4), seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       floor=st.sampled_from([0.5, 0.05]))
+@example(L=1, C=1, dk=2, dv=3, seed=1, kind="general", floor=0.5)       # L=1
+@example(L=9, C=1, dk=2, dv=2, seed=2, kind="general", floor=0.5)       # C=1
+@example(L=9, C=9, dk=3, dv=2, seed=3, kind="general", floor=0.05)      # C == L
+@example(L=9, C=40, dk=2, dv=3, seed=4, kind="gla_beta_one", floor=0.5)  # C > L
+@example(L=20, C=6, dk=1, dv=1, seed=5, kind="general", floor=0.5)      # dk=dv=1
+@example(L=2 * BLOCK + 3, C=BLOCK + 1, dk=3, dv=4, seed=6, kind="general",
+         floor=0.5)                                                      # ragged last chunk
+def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed,
+                                                              kind, floor):
+    # the backward assembles each chunk's suffix sums continued from the
+    # next chunk; they must be the whole-array identities bit for bit, with
+    # O from the forward (the backward never replays it)
+    inst = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor)
+    plan = ChunkPlan(L, C)
+    dO = rand_dO(L, dv, seed=seed + 1)
+    Q, K, V = inst.Q.data, inst.K.data, inst.V.data
+    for pol in (MAT, REC):
+        O = forward_chunkwise(inst, plan, pol)[0].data
+        g, _ = backward_chunkwise(inst, dO, plan, pol)
+        want_a = suffix_sum_arr(Q * g.dQ.data - K * g.dK.data)
+        want_b = suffix_sum_arr(O * dO.data - V * g.dV.data)
+        assert g.dlog_alpha.data.tobytes() == want_a.tobytes(), pol.mode
+        assert g.dlog_beta.data.tobytes() == want_b.tobytes(), pol.mode
+
+
+@pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
+def test_backward_allocates_no_full_length_temporaries(pol):
+    # full-length arrays: the five gradients and the four chunk decay
+    # factors (9 L*d); chunk-local temporaries, the recorded states and the
+    # gradient records' finiteness checks fill the rest.  A backward that
+    # replays the forward and assembles whole-array identities traces 13+.
+    L, d = 1024, 16
+    inst = make_instance(ModelKind("general"), L, d, d, seed=20)
+    plan = ChunkPlan(L, 64)
+    dO = rand_dO(L, d, seed=21)
+    backward_chunkwise(inst, dO, plan, pol)  # fill the mask cache outside the trace
+    tracemalloc.start()
+    try:
+        backward_chunkwise(inst, dO, plan, pol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * L * d * 8, peak / (L * d * 8)
 
 
 def test_state_write_counts():

@@ -179,10 +179,13 @@ def test_batched_fd_matches_scalar_reference_bitwise(L, dk, dv, kind, floor, eps
         assert getattr(fd, f).data.tobytes() == want.tobytes(), f
 
 
-def test_fd_rejects_bad_eps():
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_fd_rejects_bad_eps(eps):
+    # a NaN step would otherwise surface later as the gradient record's
+    # generic non-finite error, which does not say what was wrong
     inst = make_instance(ModelKind("general"), L=2, dk=1, dv=1, seed=16)
-    with pytest.raises(ValueError):
-        backward_recurrent_fd(inst, rand_dO(2, 1), eps=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        backward_recurrent_fd(inst, rand_dO(2, 1), eps=eps)
 
 
 def test_cost_model_matches_metered_run():
