@@ -28,11 +28,11 @@ whole-chunk squares (138.1 M) would count more than the recurrence they
 are meant to beat.
 
 Every product, intra-chunk and state alike, goes through ``mm``, one
-2-D BLAS product.  BLAS may sum in any order, so these products are not
-the pinned ascending-k ``tensor.mm`` of the reference forms; they are
-deterministic for equal shapes and inputs, which is what the chunkwise
-bitwise promises rest on: the two policies agree bit for bit, and so do
-repeated calls.
+2-D BLAS product that meters itself from its operand shapes.  BLAS may
+sum in any order, so these products are not the pinned ascending-k
+``tensor.mm`` of the reference forms; they are deterministic for equal
+shapes and inputs, which is what the chunkwise bitwise promises rest on:
+the two policies agree bit for bit, and so do repeated calls.
 
 The backward is a state pass plus two sweeps and never replays the
 forward: the output O that the value-gate identity needs is re-formed
@@ -43,10 +43,11 @@ backward reads them back (chunk-parallel backward); ``recompute`` stores
 nothing and replays the state recurrence in its forward-order sweep
 instead.  Either way the backward runs the recurrence once, so both count
 the same flops and produce identical numbers; they differ only in the
-state traffic of the CostReport.  Every executed array op is metered at
-its call site with the exact flop convention from ``cost``;
-``predict_cost`` mirrors the implementation in closed form and must agree
-integer-for-integer.
+state traffic of the CostReport.  Every executed array op is metered with
+the exact flop convention from ``cost``: products inside ``mm``, the
+rest at their call sites.  ``predict_cost`` mirrors the implementation in
+one pass over the chunk plan, with the state traffic in closed form, and
+must agree integer-for-integer.
 """
 
 from __future__ import annotations
@@ -75,12 +76,14 @@ _MODES = ("materialize", "recompute")
 BLOCK = 16  # rows per intra-chunk block; see the module docstring for why 16
 
 
-def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def mm(a: np.ndarray, b: np.ndarray, meter: Meter) -> np.ndarray:
     """The chunk kernel's 2-D product, done by BLAS (numpy's matmul).
 
-    Every chunkwise product, and only those, goes through this name, so a
-    profiler can time them all by rebinding it.
+    Adds the product's flops to ``meter`` from the operand shapes, so no
+    call site restates them.  Every chunkwise product, and only those, goes
+    through this name, so a profiler can time them all by rebinding it.
     """
+    meter.add_flops(mm_flops(a.shape[0], a.shape[1], b.shape[1]))
     return np.matmul(a, b)
 
 
@@ -118,27 +121,22 @@ def _decays(inst: GlaInstance, plan: ChunkPlan, meter: Meter):
     """Cumulative log decays + per-chunk factors, metered."""
     if plan.L != inst.L:
         raise ValueError(f"plan covers L={plan.L} but instance has L={inst.L}")
-    dk, dv = inst.dk, inst.dv
+    d = inst.dk + inst.dv
     cd = cumulative_log_decay(inst.gates)
-    meter.add_flops((inst.L - 1) * (dk + dv))  # prefix sums
+    meter.add_flops((inst.L - 1) * d)  # prefix sums
     decs = chunk_relative_decays(cd, plan)
-    for s, e in plan.boundaries:
-        c = e - s
-        meter.add_flops(2 * c * (dk + dv))  # dagger/prime log diffs
-        meter.add_flops(2 * c * (dk + dv))  # dagger/prime exps
-        meter.add_flops(dk + dv)            # log_gamma diffs
+    # per row: dagger/prime log diffs and exps; per chunk: log_gamma diffs
+    meter.add_flops((4 * inst.L + plan.num_chunks) * d)
     return decs
 
 
 def _intra(Qt, Kt, Vt, meter: Meter) -> np.ndarray:
     """Within-chunk sums of the transformed output, one row block at a time."""
-    c, dk = Qt.shape
-    dv = Vt.shape[1]
-    acc = np.empty((c, dv))
+    c = Qt.shape[0]
+    acc = np.empty((c, Vt.shape[1]))
     for j0, n in _row_blocks(c):
-        W = _causal(mm(Qt[j0:n], Kt[:n].T), j0)
-        acc[j0:n] = mm(W, Vt[:n])
-        meter.add_flops(mm_flops(n - j0, dk, n) + mm_flops(n - j0, n, dv))
+        W = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
+        acc[j0:n] = mm(W, Vt[:n], meter)
     return acc
 
 
@@ -156,41 +154,33 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     dvt = np.zeros((c, dv))
     acc = np.empty((c, dv))
     for j0, n in _row_blocks(c):
-        b = n - j0
-        W = _causal(mm(Qt[j0:n], Kt[:n].T), j0)
-        G = _causal(mm(dOt[j0:n], Vt[:n].T), j0)
-        meter.add_flops(mm_flops(b, dk, n) + mm_flops(b, dv, n))
-        acc[j0:n] = mm(W, Vt[:n])
-        meter.add_flops(mm_flops(b, n, dv))
-        dqt[j0:n] = mm(G, Kt[:n])
-        meter.add_flops(mm_flops(b, n, dk))
-        dkt[:n] += mm(G.T, Qt[j0:n])
-        meter.add_flops(mm_flops(n, b, dk) + n * dk)
-        dvt[:n] += mm(W.T, dOt[j0:n])
-        meter.add_flops(mm_flops(n, b, dv) + n * dv)
+        W = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
+        G = _causal(mm(dOt[j0:n], Vt[:n].T, meter), j0)
+        acc[j0:n] = mm(W, Vt[:n], meter)
+        dqt[j0:n] = mm(G, Kt[:n], meter)
+        dkt[:n] += mm(G.T, Qt[j0:n], meter)
+        dvt[:n] += mm(W.T, dOt[j0:n], meter)
+        meter.add_flops(n * (dk + dv))  # the two accumulating adds
     return dqt, dkt, dvt, acc
 
 
-def _gamma_outer(dec, meter: Meter, dk: int, dv: int) -> np.ndarray:
+def _gamma_outer(dec, meter: Meter) -> np.ndarray:
     """Whole-chunk decay matrix, exp of the summed log-gammas (one exp per element)."""
     g = np.exp(dec.log_gamma_b[:, None] + dec.log_gamma_d[None, :])
-    meter.add_flops(2 * dk * dv)
+    meter.add_flops(2 * g.size)
     return g
 
 
 def _state_update(dec, Kc, Vc, S, first: bool, meter: Meter) -> np.ndarray:
     """S_new = (gamma_b^T gamma_d) (.) S + (Bpri (.) K)^T (Dpri (.) V)."""
-    c, dk = Kc.shape
-    dv = Vc.shape[1]
     KB = dec.b_prime * Kc
     VD = dec.d_prime * Vc
-    meter.add_flops(c * dk + c * dv)
-    T = mm(KB.T, VD)
-    meter.add_flops(mm_flops(dk, c, dv))
+    meter.add_flops(KB.size + VD.size)
+    T = mm(KB.T, VD, meter)
     if first:
         return T
-    Gm = _gamma_outer(dec, meter, dk, dv)
-    meter.add_flops(2 * dk * dv)  # gate the carried state, add the chunk term
+    Gm = _gamma_outer(dec, meter)
+    meter.add_flops(2 * T.size)  # gate the carried state, add the chunk term
     return Gm * S + T
 
 
@@ -212,9 +202,7 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
         meter.add_flops(2 * c * dk + c * dv)
         acc = _intra(Qt, Kt, Vt, meter)
         if i > 0:
-            inter = mm(Qt, S)
-            meter.add_flops(mm_flops(c, dk, dv))
-            acc = inter + acc
+            acc = mm(Qt, S, meter) + acc
             meter.add_flops(c * dv)
         O[s:e] = acc * dec.d_dagger
         meter.add_flops(c * dv)
@@ -281,11 +269,8 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             Qt = Q[s:e] * dec.b_dagger
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dk + c * dv)
-            dlb[s:e] = mm(Qt, S_prev)
-            meter.add_flops(mm_flops(c, dk, dv))
-            dq_inter = mm(dOt, S_prev.T)
-            meter.add_flops(mm_flops(c, dv, dk))
-            dQ[s:e] += dq_inter * dec.b_dagger
+            dlb[s:e] = mm(Qt, S_prev, meter)
+            dQ[s:e] += mm(dOt, S_prev.T, meter) * dec.b_dagger
             meter.add_flops(2 * c * dk)
         if states is None:
             S_prev = _state_update(dec, K[s:e], V[s:e], S_prev, i == 0, meter)
@@ -318,16 +303,14 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             KB = dec.b_prime * K[s:e]
             VD = dec.d_prime * V[s:e]
             meter.add_flops(c * dk + c * dv)
-            dK[s:e] += mm(VD, dS.T) * dec.b_prime
-            meter.add_flops(mm_flops(c, dv, dk) + 2 * c * dk)
-            dV[s:e] += mm(KB, dS) * dec.d_prime
-            meter.add_flops(mm_flops(c, dk, dv) + 2 * c * dv)
+            dK[s:e] += mm(VD, dS.T, meter) * dec.b_prime
+            dV[s:e] += mm(KB, dS, meter) * dec.d_prime
+            meter.add_flops(2 * c * dk + 2 * c * dv)
 
         if i > 0:
-            dS_out = mm(Qt.T, dOt)
-            meter.add_flops(mm_flops(dk, c, dv))
+            dS_out = mm(Qt.T, dOt, meter)
             if i < N - 1:
-                Gm = _gamma_outer(dec, meter, dk, dv)
+                Gm = _gamma_outer(dec, meter)
                 dS = Gm * dS + dS_out
                 meter.add_flops(2 * dk * dv)
             else:
@@ -364,78 +347,54 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     """Closed-form counters for forward_chunkwise / backward_chunkwise.
 
     Pure arithmetic over the plan; never executes the kernels.  The
-    instrumented runs must reproduce these numbers exactly.  Per chunk of
-    c rows with A = _block_area(c), the row blocks' products sum to
-    A(2dk-1) + (2A-c)dv in the forward (scores, then scores x values) and
-    to A(6dk+6dv-2) - c(dk+dv) in sweep C (two score products, scores x
+    instrumented runs must reproduce these numbers exactly.  One pass over
+    the chunks sums each phase's flops.  Per chunk of c rows with
+    A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
+    in the forward (scores, then scores x values) and to
+    A(6dk+6dv-2) - c(dk+dv) in sweep C (two score products, scores x
     values, dq, and the accumulated dk and dv products with their adds).
     The backward runs the state recurrence once under either policy, so
-    both policies count the same flops.
+    both policies count the same flops.  State traffic over N chunks is
+    closed form: materialize writes N states in either pass and the
+    backward reads N-1 of them back; recompute writes none and its
+    backward replays N state updates.
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")
     if plan.L != L:
         raise ValueError(f"plan covers L={plan.L}, expected {L}")
     N = plan.num_chunks
-    flops = 0
-    writes = reads = passes = 0
+    backward = pass_ == "backward"
+    d = dk + dv
 
-    # decays
-    flops += (L - 1) * (dk + dv)
-    for s, e in plan.boundaries:
-        c = e - s
-        flops += 4 * c * (dk + dv) + (dk + dv)
-
-    # state recurrence: the forward's updates, the backward's state pass
-    # (materialize) or sweep B replay (recompute)
+    flops = (5 * L - 1 + N) * d  # decays: prefix sums, per-row factors, log_gammas
     for i, (s, e) in enumerate(plan.boundaries):
         c = e - s
-        flops += c * dk + c * dv + mm_flops(dk, c, dv)
-        if i > 0:
-            flops += 4 * dk * dv  # gamma outer (add+exp) + gate + add
-        if policy.materialize:
-            writes += 1
-        elif pass_ == "backward":
-            passes += 1
+        A = _block_area(c)
+        first, last = i == 0, i == N - 1
+        # state update: the forward's, the backward's state pass or its replay;
+        # after the first chunk, the gamma outer (add+exp), gate and add
+        flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)
+        if not backward:
+            # forward: transforms, row blocks, inter term and its add, output scale
+            flops += 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
+            flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
+            continue
+        # sweep B: Qt and dOt, Qt S_prev, dq's scaled inter term
+        if not first:
+            flops += c * d + mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + 2 * c * dk
+        # sweep C: transforms and dOt, row blocks, dq/dk/dv scaled back, output scale
+        flops += 2 * c * d + A * (6 * dk + 6 * dv - 2) - c * d
+        flops += 4 * c * dk + 2 * c * dv + c * dv
+        if not last:  # the chunk's own K/V term of S_i under the carried cotangent
+            flops += c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv) + 2 * c * d
+        if not first:  # dS_out, the inter + intra add, and (not last) the cotangent carry
+            flops += mm_flops(dk, c, dv) + c * dv + (0 if last else 4 * dk * dv)
+        # gate-gradient assembly: identities, suffix sums, and (not last) the
+        # carry from the next chunk
+        flops += (3 * c + c - 1 + (0 if last else 1)) * d
 
-    if pass_ == "forward":
-        for i, (s, e) in enumerate(plan.boundaries):
-            c = e - s
-            A = _block_area(c)
-            flops += 2 * c * dk + c * dv  # transforms
-            flops += A * (2 * dk - 1) + (2 * A - c) * dv  # row blocks
-            if i > 0:
-                flops += mm_flops(c, dk, dv) + c * dv
-            flops += c * dv  # output scale
-        return CostReport(flops, writes, reads, passes)
-
-    # sweep B
-    for i, (s, e) in enumerate(plan.boundaries):
-        c = e - s
-        if i > 0:
-            if policy.materialize:
-                reads += 1
-            flops += c * dk + c * dv  # Qt, dOt
-            flops += mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + 2 * c * dk
-
-    # sweep C
-    for i in range(N - 1, -1, -1):
-        s, e = plan.boundaries[i]
-        c = e - s
-        flops += 2 * c * dk + c * dv  # transforms
-        flops += c * dv               # dOt
-        flops += _block_area(c) * (6 * dk + 6 * dv - 2) - c * (dk + dv)  # row blocks
-        flops += 2 * c * dk + 2 * c * dk + 2 * c * dv
-        if i < N - 1:
-            flops += c * dk + c * dv
-            flops += mm_flops(c, dv, dk) + 2 * c * dk
-            flops += mm_flops(c, dk, dv) + 2 * c * dv
-        if i > 0:
-            flops += mm_flops(dk, c, dv) + c * dv  # dS_out; inter + intra
-            if i < N - 1:
-                flops += 2 * dk * dv + 2 * dk * dv
-        flops += c * dv  # output scale
-
-    # gate-gradient assembly, chunk by chunk
-    flops += 3 * L * dk + 3 * L * dv + (L - 1) * (dk + dv)
+    writes = N if policy.materialize else 0
+    reads = N - 1 if backward and policy.materialize else 0
+    passes = N if backward and not policy.materialize else 0
     return CostReport(flops, writes, reads, passes)

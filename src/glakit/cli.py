@@ -7,19 +7,20 @@ Output is line-oriented and grep-friendly; no interactive UI.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import statistics
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
-from .chunkwise import ChunkPolicy, forward_chunkwise, predict_cost
+from .chunkwise import _MODES, ChunkPolicy, forward_chunkwise, predict_cost
 from .checks import check_causality, check_equivalence, check_gradients
-from .fixtures import ModelKind, make_instance
+from .fixtures import _KINDS, ModelKind, make_instance
 from .gates import ChunkPlan, GateSeq
 from .parallel import forward_parallel, parallel_forward_cost
 from .recurrent import GlaInstance, forward_recurrent, recurrent_forward_cost
-from .runconfig import RunConfig, format_config, parse_config
+from .runconfig import _FORMS, RunConfig, format_config, parse_config
 from .tensor import SeqTensor
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 
@@ -32,7 +33,7 @@ TENSOR_FILES = ("Q", "K", "V", "logalpha", "logbeta")
 
 _FLAGS = {
     "config": dict(type=Path, help="key = value config file to start from"),
-    "kind": dict(choices=("vanilla", "retnet", "gla_beta_one", "general")),
+    "kind": dict(choices=_KINDS),
     "gamma": dict(type=float),
     "L": dict(type=int),
     "dk": dict(type=int),
@@ -40,8 +41,8 @@ _FLAGS = {
     "seed": dict(type=int),
     "gate_floor": dict(type=float),
     "chunk": dict(type=int),
-    "policy": dict(choices=("materialize", "recompute")),
-    "form": dict(choices=("recurrent", "parallel", "chunkwise")),
+    "policy": dict(choices=_MODES),
+    "form": dict(choices=_FORMS),
     "tol": dict(type=float),
     "grad_tol": dict(type=float),
     "eps": dict(type=float),
@@ -128,6 +129,12 @@ def cmd_run(args) -> int:
     cfg = _override(cfg, args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    # a reused --out keeps nothing of an earlier run: drop every file run writes
+    sdir = out / "states"
+    for old in (out / "O.glat", out / "cost.txt", *sdir.glob("S_*.glat")):
+        old.unlink(missing_ok=True)
+    with contextlib.suppress(OSError):  # absent, or holding files run did not write
+        sdir.rmdir()
     cost = None
     if cfg.form == "recurrent":
         O = forward_recurrent(inst).O
@@ -138,7 +145,6 @@ def cmd_run(args) -> int:
         policy = ChunkPolicy(cfg.policy)
         O, states, cost = forward_chunkwise(inst, plan, policy)
         if states is not None:
-            sdir = out / "states"
             sdir.mkdir(exist_ok=True)
             for i, st in enumerate(states, start=1):
                 write_tensor(sdir / f"S_{i:04d}.glat", st)

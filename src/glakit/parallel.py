@@ -50,15 +50,13 @@ def forward_parallel(inst: GlaInstance, meter: Meter | None = None) -> SeqTensor
 
 
 def parallel_forward_cost(L: int, dk: int, dv: int) -> int:
-    """Closed-form flop count of forward_parallel under the package convention."""
-    total = 0
-    for t in range(L):
-        n = t + 1
-        total += 2 * n * dk + 2 * n * dv        # log diffs + exps for brel, drel
-        total += 2 * n * dk + n * (dk - 1)      # weights: two mult passes + row sums
-        total += n * dv                          # value decay V * drel
-        total += n * dv + (n - 1) * dv           # weighted value sum
-    return total
+    """Closed-form flop count of forward_parallel under the package convention.
+
+    Row t sees n = t+1 positions and costs n(5dk+5dv-1) - dv: the decay
+    ratios 2n(dk+dv), the weights 2n*dk + n(dk-1), the value decay n*dv and
+    the weighted sum n*dv + (n-1)dv.  Summed over n = 1..L.
+    """
+    return (5 * dk + 5 * dv - 1) * (L * (L + 1) // 2) - L * dv
 
 
 def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .chunkwise import ChunkPolicy
+from .fixtures import ModelKind
+
 __all__ = ["RunConfig", "parse_config", "format_config"]
 
 _FORMS = ("recurrent", "parallel", "chunkwise")
@@ -27,6 +30,8 @@ class RunConfig:
     eps: float = 1e-5
 
     def validate(self) -> "RunConfig":
+        ModelKind(self.kind, self.gamma)
+        ChunkPolicy(self.policy)
         if self.form not in _FORMS:
             raise ValueError(f"form must be one of {_FORMS}, got {self.form!r}")
         if self.L < 1 or self.dk < 1 or self.dv < 1 or self.chunk < 1:

@@ -213,3 +213,30 @@ def test_bad_config_key_exit_2(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("LL = 7\n")
     assert run_cli("check", "--config", p) == 2
+
+
+@pytest.mark.parametrize("command,line,field", [
+    ("gen", "policy = bar", "policy"), ("cost", "kind = foo", "kind"),
+    ("check", "form = fast", "form"),
+])
+def test_bad_config_name_exit_2_naming_field(tmp_path, capsys, command, line, field):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"L = 6\ndk = 2\ndv = 2\n{line}\n")
+    extra = ("--out", tmp_path / "g") if command == "gen" else ()
+    assert run_cli(command, "--config", p, *extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and field in err
+    assert not (tmp_path / "g").exists()
+
+
+def test_run_reusing_out_keeps_only_its_own_outputs(tmp_path):
+    gen, out = tmp_path / "gen", tmp_path / "run"
+    run_cli("gen", "--L", 16, "--dk", 2, "--dv", 2, "--seed", 4, "--out", gen)
+    for chunk, n_states in ((2, 8), (8, 2)):
+        assert run_cli("run", "--in", gen, "--out", out, "--chunk", chunk,
+                       "--policy", "materialize") == 0
+        assert len(list((out / "states").glob("S_*.glat"))) == n_states
+        assert f"state_writes = {n_states}" in (out / "cost.txt").read_text()
+    (out / "notes.txt").write_text("kept")
+    assert run_cli("run", "--in", gen, "--out", out, "--form", "recurrent") == 0
+    assert sorted(p.name for p in out.iterdir()) == ["O.glat", "notes.txt"]

@@ -117,14 +117,15 @@ def test_backward_matches_fd():
         assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
 
 
-def test_cost_model_matches_metered_run():
+@pytest.mark.parametrize("L", (1, 2, 11, 40))
+def test_cost_model_matches_metered_run(L):
     from glakit import parallel_forward_cost
     from glakit.cost import Meter
 
-    inst = make_instance(ModelKind("general"), L=11, dk=3, dv=2, seed=20)
+    inst = make_instance(ModelKind("general"), L=L, dk=3, dv=2, seed=20)
     m = Meter()
     forward_parallel(inst, meter=m)
-    assert m.flops == parallel_forward_cost(11, 3, 2)
+    assert m.flops == parallel_forward_cost(L, 3, 2)
 
 
 def test_gradient_causality_dv_ignores_earlier_rows():
