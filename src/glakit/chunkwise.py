@@ -34,16 +34,17 @@ sum in any order, so these products are not the pinned ascending-k
 shapes and inputs, which is what the chunkwise bitwise promises rest on:
 the two policies agree bit for bit, and so do repeated calls.
 
-The backward is a state pass plus two sweeps and never replays the
-forward: the output O that the value-gate identity needs is re-formed
-chunk by chunk from the score blocks the backward builds anyway, bit for
-bit the forward's.  Two scheduling policies are modeled: ``materialize``
-records every chunk state to slow memory in the state pass, so the
-backward reads them back (chunk-parallel backward); ``recompute`` stores
-nothing and replays the state recurrence in its forward-order sweep
-instead.  Either way the backward runs the recurrence once, so both count
-the same flops and produce identical numbers; they differ only in the
-state traffic of the CostReport.  Every executed array op is metered with
+The backward is two sweeps, as in the GLA paper: chunk states in forward
+order, state cotangents in reverse order.  It never replays the forward:
+the output O that the value-gate identity needs is re-formed chunk by
+chunk from the score blocks the backward builds anyway, bit for bit the
+forward's.  Two scheduling policies are modeled: ``materialize`` records
+every chunk state to slow memory in the forward-order sweep and reads
+S_{i-1} back from the record (chunk-parallel backward); ``recompute``
+stores nothing and uses the live state of that sweep's recurrence.
+Either way the backward runs the recurrence once, so both count the same
+flops and produce identical numbers; they differ only in the state
+traffic of the CostReport.  Every executed array op is metered with
 the exact flop convention from ``cost``: products inside ``mm``, the
 rest at their call sites.  ``predict_cost`` mirrors the implementation in
 one pass over the chunk plan, with the state traffic in closed form, and
@@ -58,7 +59,7 @@ from functools import cache
 import numpy as np
 
 from .cost import CostReport, Meter, mm_flops
-from .gates import ChunkPlan, chunk_relative_decays, cumulative_log_decay
+from .gates import ChunkPlan, chunk_relative_decays, cumulative_log_decay, outer_gate
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, readonly, suffix_sum_arr
 
@@ -164,49 +165,48 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     return dqt, dkt, dvt, acc
 
 
-def _gamma_outer(dec, meter: Meter) -> np.ndarray:
-    """Whole-chunk decay matrix, exp of the summed log-gammas (one exp per element)."""
-    g = np.exp(dec.log_gamma_b[:, None] + dec.log_gamma_d[None, :])
-    meter.add_flops(2 * g.size)
-    return g
+def _transforms(dec, Qc, Kc, Vc, meter: Meter):
+    """One chunk's Qt = Q (.) Bdag, Kt = K / Bdag and Vt = V / Ddag, metered."""
+    Qt = Qc * dec.b_dagger
+    Kt = Kc / dec.b_dagger
+    Vt = Vc / dec.d_dagger
+    meter.add_flops(Qt.size + Kt.size + Vt.size)
+    return Qt, Kt, Vt
 
 
-def _state_update(dec, Kc, Vc, S, first: bool, meter: Meter) -> np.ndarray:
-    """S_new = (gamma_b^T gamma_d) (.) S + (Bpri (.) K)^T (Dpri (.) V)."""
+def _state_update(dec, Kc, Vc, S, meter: Meter) -> np.ndarray:
+    """S_new = (gamma_b^T gamma_d) (.) S + (Bpri (.) K)^T (Dpri (.) V); S None is chunk 0."""
     KB = dec.b_prime * Kc
     VD = dec.d_prime * Vc
     meter.add_flops(KB.size + VD.size)
     T = mm(KB.T, VD, meter)
-    if first:
+    if S is None:
         return T
-    Gm = _gamma_outer(dec, meter)
-    meter.add_flops(2 * T.size)  # gate the carried state, add the chunk term
+    Gm = outer_gate(dec.log_gamma_b, dec.log_gamma_d)
+    meter.add_flops(2 * Gm.size + 2 * T.size)  # Gm's add + exp, gate the state, add T
     return Gm * S + T
 
 
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
-    dk, dv = inst.dk, inst.dv
+    dv = inst.dv
     meter = Meter()
     decs = _decays(inst, plan, meter)
     O = np.empty((inst.L, dv))
-    S = np.zeros((dk, dv))
+    S = None
     states = [] if policy.materialize else None
     for i, (s, e) in enumerate(plan.boundaries):
         dec = decs[i]
         c = e - s
-        Qt = Q[s:e] * dec.b_dagger
-        Kt = K[s:e] / dec.b_dagger
-        Vt = V[s:e] / dec.d_dagger
-        meter.add_flops(2 * c * dk + c * dv)
+        Qt, Kt, Vt = _transforms(dec, Q[s:e], K[s:e], V[s:e], meter)
         acc = _intra(Qt, Kt, Vt, meter)
         if i > 0:
             acc = mm(Qt, S, meter) + acc
             meter.add_flops(c * dv)
         O[s:e] = acc * dec.d_dagger
         meter.add_flops(c * dv)
-        S = _state_update(dec, K[s:e], V[s:e], S, i == 0, meter)
+        S = _state_update(dec, K[s:e], V[s:e], S, meter)
         if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
             meter.state_writes += 1
@@ -217,16 +217,19 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
                        policy: ChunkPolicy):
     """Gradients of <O, dO> computed chunk by chunk.  Returns (GradBundle, CostReport).
 
-    A state pass and two sweeps; no full-length array is allocated besides
-    the five gradients.  Under materialize the state pass records every
-    chunk state (one slow-memory write each).  (B) A forward-order sweep
-    takes the pieces that need S_{i-1}, read back under materialize or
-    replayed under recompute, and parks the inter-chunk output term
-    ``Qt S_{i-1}`` in the rows of the dlog_beta buffer.  (C) A reverse sweep
-    carries the state cotangent, accumulates everything else, and re-forms
-    each chunk's output O from its score blocks and the parked term, bit
-    for bit the forward's; the forward is never replayed.  Once a chunk's
-    rows are final it assembles the gate gradients from the identities
+    Two sweeps, as in the GLA paper's chunkwise backward; no full-length
+    array is allocated besides the five gradients.  (F) A forward-order
+    sweep runs the state recurrence once and does everything that needs
+    S_{i-1} or only the chunk itself: the intra-chunk cotangents, the
+    inter-chunk dq term, the scale-backs of dq, dk and dv, and the chunk's
+    output rows O, bit for bit the forward's and re-formed from the score
+    blocks rather than by replaying the forward.  O is parked in the rows
+    of the dlog_beta buffer.  Under materialize the sweep records every
+    chunk state (one slow-memory write each) and reads S_{i-1} back from
+    the record; under recompute it uses the live state and stores nothing.
+    (R) A reverse sweep does only what needs the state cotangent dS: each
+    chunk's K/V path through dS and the carry of dS.  Once a chunk's rows
+    are final it assembles the gate gradients from the identities
     dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
     positive; the finite-difference oracle pins the sign) as suffix sums
     continued from the next chunk, equal to whole-array suffix sums bit
@@ -241,90 +244,74 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
 
     meter = Meter()
     decs = _decays(inst, plan, meter)
-
-    states = None
-    if policy.materialize:
-        states, S = [], None
-        for i, (s, e) in enumerate(plan.boundaries):
-            S = readonly(_state_update(decs[i], K[s:e], V[s:e], S, i == 0, meter))
-            states.append(S)
-            meter.state_writes += 1
-
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
     dla = np.empty((L, dk))
-    dlb = np.empty((L, dv))  # holds Qt S_{i-1} per chunk until sweep C reads it
+    dlb = np.empty((L, dv))  # holds each chunk's O rows until sweep R reads them
 
-    # Sweep B: pieces needing S_{i-1}, in forward order.  recompute replays
-    # the inter-chunk recurrence, storing nothing beyond the live state.
-    S_prev = None
+    # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
+    # only the chunk itself, in forward order.
+    states = [] if policy.materialize else None
+    S = None
     for i, (s, e) in enumerate(plan.boundaries):
         dec = decs[i]
         c = e - s
-        if i > 0:
+        Qt, Kt, Vt = _transforms(dec, Q[s:e], K[s:e], V[s:e], meter)
+        dOt = dOa[s:e] * dec.d_dagger
+        meter.add_flops(c * dv)
+        dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
+        if i > 0:  # the inter-chunk terms; dq takes them before its intra term
             if states is not None:
-                S_prev = states[i - 1]
+                S = states[i - 1]
                 meter.state_reads += 1
-            Qt = Q[s:e] * dec.b_dagger
-            dOt = dOa[s:e] * dec.d_dagger
-            meter.add_flops(c * dk + c * dv)
-            dlb[s:e] = mm(Qt, S_prev, meter)
-            dQ[s:e] += mm(dOt, S_prev.T, meter) * dec.b_dagger
-            meter.add_flops(2 * c * dk)
-        if states is None:
-            S_prev = _state_update(dec, K[s:e], V[s:e], S_prev, i == 0, meter)
+            dQ[s:e] += mm(dOt, S.T, meter) * dec.b_dagger
+            Oc += mm(Qt, S, meter)
+            meter.add_flops(2 * c * dk + c * dv)
+        dQ[s:e] += dqt * dec.b_dagger
+        dK[s:e] += dkt / dec.b_dagger
+        dV[s:e] += dvt / dec.d_dagger
+        meter.add_flops(4 * c * dk + 2 * c * dv)
+        dlb[s:e] = Oc * dec.d_dagger  # the forward's O rows, bit for bit
+        meter.add_flops(c * dv)
+        S = _state_update(dec, K[s:e], V[s:e], S, meter)
+        if states is not None:
+            states.append(readonly(S))
+            meter.state_writes += 1
+        else:
             meter.recompute_passes += 1
 
-    # Sweep C: intra-chunk pieces, state-path pieces, cotangent carry, and
-    # the gate gradients of each chunk once its rows are final.
-    dS = np.zeros((dk, dv))
+    # Sweep R: the state-cotangent path and its carry, and the gate
+    # gradients of each chunk once its rows are final, in reverse order.
+    dS = None
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
         dec = decs[i]
         c = e - s
-        Qt = Q[s:e] * dec.b_dagger
-        Kt = K[s:e] / dec.b_dagger
-        Vt = V[s:e] / dec.d_dagger
-        meter.add_flops(2 * c * dk + c * dv)
-        dOt = dOa[s:e] * dec.d_dagger
-        meter.add_flops(c * dv)
-
-        dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
-        dQ[s:e] += dqt * dec.b_dagger
-        meter.add_flops(2 * c * dk)
-        dK[s:e] += dkt / dec.b_dagger
-        meter.add_flops(2 * c * dk)
-        dV[s:e] += dvt / dec.d_dagger
-        meter.add_flops(2 * c * dv)
-
-        if i < N - 1:
+        if dS is not None:
             # chunk i's own K/V contribution to S_i, weighted by the carried cotangent
             KB = dec.b_prime * K[s:e]
             VD = dec.d_prime * V[s:e]
-            meter.add_flops(c * dk + c * dv)
             dK[s:e] += mm(VD, dS.T, meter) * dec.b_prime
             dV[s:e] += mm(KB, dS, meter) * dec.d_prime
-            meter.add_flops(2 * c * dk + 2 * c * dv)
-
+            meter.add_flops(3 * c * dk + 3 * c * dv)
         if i > 0:
+            Qt = Q[s:e] * dec.b_dagger
+            dOt = dOa[s:e] * dec.d_dagger
+            meter.add_flops(c * dk + c * dv)
             dS_out = mm(Qt.T, dOt, meter)
-            if i < N - 1:
-                Gm = _gamma_outer(dec, meter)
-                dS = Gm * dS + dS_out
-                meter.add_flops(2 * dk * dv)
-            else:
+            if dS is None:
                 dS = dS_out
-            Oc += dlb[s:e]
-            meter.add_flops(c * dv)
-        Oc *= dec.d_dagger  # the forward's O rows, bit for bit: + and * commute
-        meter.add_flops(c * dv)
+            else:
+                Gm = outer_gate(dec.log_gamma_b, dec.log_gamma_d)
+                dS = Gm * dS + dS_out
+                meter.add_flops(2 * Gm.size + 2 * dk * dv)  # Gm's add + exp, gate, add
 
         # Gate gradients as suffix sums continued from the next chunk:
         # folding its first row into this chunk's last row is the
         # whole-array accumulate's own next step.
         dla[s:e] = Q[s:e] * dQ[s:e] - K[s:e] * dK[s:e]
-        dlb[s:e] = Oc * dOa[s:e] - V[s:e] * dV[s:e]
+        dlb[s:e] = dlb[s:e] * dOa[s:e] - V[s:e] * dV[s:e]
         meter.add_flops(3 * c * dk + 3 * c * dv)
         if i < N - 1:
             dla[e - 1] += dla[e]
@@ -351,7 +338,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     the chunks sums each phase's flops.  Per chunk of c rows with
     A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
     in the forward (scores, then scores x values) and to
-    A(6dk+6dv-2) - c(dk+dv) in sweep C (two score products, scores x
+    A(6dk+6dv-2) - c(dk+dv) in the backward (two score products, scores x
     values, dq, and the accumulated dk and dv products with their adds).
     The backward runs the state recurrence once under either policy, so
     both policies count the same flops.  State traffic over N chunks is
@@ -372,7 +359,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         c = e - s
         A = _block_area(c)
         first, last = i == 0, i == N - 1
-        # state update: the forward's, the backward's state pass or its replay;
+        # state update, in the forward or the backward's forward-order sweep;
         # after the first chunk, the gamma outer (add+exp), gate and add
         flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)
         if not backward:
@@ -380,10 +367,10 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
             flops += 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
             flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
             continue
-        # sweep B: Qt and dOt, Qt S_prev, dq's scaled inter term
+        # sweep R's re-formed Qt and dOt; sweep F's Qt S_prev and dq's scaled inter term
         if not first:
             flops += c * d + mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + 2 * c * dk
-        # sweep C: transforms and dOt, row blocks, dq/dk/dv scaled back, output scale
+        # sweep F: transforms and dOt, row blocks, dq/dk/dv scaled back, output scale
         flops += 2 * c * d + A * (6 * dk + 6 * dv - 2) - c * d
         flops += 4 * c * dk + 2 * c * dv + c * dv
         if not last:  # the chunk's own K/V term of S_i under the carried cotangent

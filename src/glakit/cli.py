@@ -80,7 +80,7 @@ def _chunk_sweep(cfg: RunConfig) -> list[int]:
         if cfg.L % c:
             sweep.add(c)
             break
-    return sorted(c for c in sweep if c >= 1)
+    return sorted(sweep)
 
 
 def _emit_reports(reports) -> int:

@@ -24,6 +24,7 @@ __all__ = [
     "ChunkDecays",
     "cumulative_log_decay",
     "chunk_relative_decays",
+    "outer_gate",
 ]
 
 
@@ -154,3 +155,13 @@ def chunk_relative_decays(cd: CumulativeDecay, plan: ChunkPlan) -> list[ChunkDec
         d_dag, d_pri, lgd = _chunk_factors(cd.log_d, s, e)
         out.append(ChunkDecays(b_pri, b_dag, d_pri, d_dag, lgb, lgd))
     return out
+
+
+def outer_gate(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """G[..., i, j] = exp(la[..., i] + lb[..., j]), batched over leading axes.
+
+    The gate matrix is formed in log space, one add and one exp per element:
+    exactly one rounding between log accumulator and factor.  Callers meter
+    the 2 * G.size flops.
+    """
+    return np.exp(la[..., :, None] + lb[..., None, :])

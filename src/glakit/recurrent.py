@@ -6,8 +6,9 @@ The step-by-step recurrence
 
 is the reference every other form is validated against.  The per-step gate
 matrix is formed directly in log space, exp(log_alpha[i] + log_beta[j]),
-one exp per element: the same rule used for every decay factor in the
-library (exactly one rounding between log accumulator and factor).
+one exp per element (``gates.outer_gate``): the same rule used for every
+decay factor in the library (exactly one rounding between log
+accumulator and factor).
 
 Gradients come in two independent flavours: an exact reverse-mode sweep
 through the stored states, and central finite differences on the scalar
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cost import Meter
-from .gates import GateSeq
+from .gates import GateSeq, outer_gate
 from .tensor import SeqTensor, mm, readonly
 
 __all__ = [
@@ -93,14 +94,6 @@ class GradBundle:
             object.__setattr__(self, f.name, SeqTensor(getattr(self, f.name)))
 
 
-def _step_gate(la_t: np.ndarray, lb_t: np.ndarray, meter: Meter | None) -> np.ndarray:
-    """G_t[..., i, j] = exp(log_alpha_t[..., i] + log_beta_t[..., j])."""
-    G = np.exp(la_t[..., :, None] + lb_t[..., None, :])
-    if meter:
-        meter.add_flops(2 * la_t.size * lb_t.size)  # one add + one exp per element
-    return G
-
-
 def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None = None):
     """The recurrence on raw ndarrays, leading axes a batch; shared with the FD oracle."""
     L, dk = Q.shape[-2:]
@@ -110,12 +103,12 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None
     O = np.empty((*batch, L, dv))
     states = [] if keep_states else None
     for t in range(L):
-        G = _step_gate(la[..., t, :], lb[..., t, :], meter)
+        G = outer_gate(la[..., t, :], lb[..., t, :])
         S = G * S + K[..., t, :, None] * V[..., t, None, :]
         O[..., t, :] = mm(Q[..., t, None, :], S)[..., 0, :]
         if meter:
-            # gate the state, rank-1 update, sum; then the q S_t matvec
-            meter.add_flops(3 * dk * dv + dk * dv + (dk - 1) * dv)
+            # the gate (add + exp), gate the state, rank-1 update, sum; then q S_t
+            meter.add_flops(2 * dk * dv + 3 * dk * dv + dk * dv + (dk - 1) * dv)
         if keep_states:
             states.append(readonly(S))  # never written again: the next step rebinds S
     return O, states
@@ -165,7 +158,7 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
         dQ[t] = mm(states[t], dOa[t][:, None])[:, 0]
         dK[t] = mm(dS, V[t][:, None])[:, 0]
         dV[t] = mm(K[t][None, :], dS)[0]
-        G = _step_gate(la[t], lb[t], None)
+        G = outer_gate(la[t], lb[t])
         S_prev = states[t - 1] if t > 0 else np.zeros((dk, dv))
         gate_path = G * S_prev * dS
         dla[t] = gate_path.sum(axis=1)

@@ -66,5 +66,10 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in types:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, casts[types[key]](value))
+        cast = casts[types[key]]
+        try:
+            setattr(cfg, key, cast(value))
+        except ValueError:
+            kind = "an int" if cast is int else "a float"
+            raise ValueError(f"config line {lineno}: {key} = {value!r} is not {kind}") from None
     return cfg.validate()

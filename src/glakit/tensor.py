@@ -46,8 +46,6 @@ class SeqTensor:
 
     def __post_init__(self):
         a = _as_f64(self.data)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"SeqTensor needs a non-empty 2-D array, got shape {a.shape}")
         object.__setattr__(self, "data", readonly(np.ascontiguousarray(a)))

@@ -187,6 +187,8 @@ def _outputs(o, g):
 @example(L=1, C=1, dk=1, dv=1, seed=5)
 @example(L=1, C=40, dk=2, dv=3, seed=6)
 @example(L=57, C=40, dk=1, dv=1, seed=7)
+@example(L=41, C=40, dk=2, dv=3, seed=8)                    # one-row last chunk
+@example(L=2, C=1, dk=3, dv=2, seed=9)                      # two one-row chunks
 def test_row_blocks_match_recurrent_policies_and_counters(L, C, dk, dv, seed):
     inst = make_instance(ModelKind("general"), L, dk, dv, seed=seed)
     plan = ChunkPlan(L, C)

@@ -217,7 +217,8 @@ def test_bad_config_key_exit_2(tmp_path):
 
 @pytest.mark.parametrize("command,line,field", [
     ("gen", "policy = bar", "policy"), ("cost", "kind = foo", "kind"),
-    ("check", "form = fast", "form"),
+    ("check", "form = fast", "form"), ("check", "dk = 3.5", "dk"),
+    ("gen", "gate_floor = abc", "gate_floor"), ("cost", "seed =", "seed"),
 ])
 def test_bad_config_name_exit_2_naming_field(tmp_path, capsys, command, line, field):
     p = tmp_path / "cfg.txt"

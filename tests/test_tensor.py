@@ -122,6 +122,12 @@ def test_constructors_reject_nonfinite():
             SeqTensor([[1.0, bad]])
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 3)])
+def test_seqtensor_rejects_non_matrix_shapes(shape):
+    with pytest.raises(ValueError, match="non-empty 2-D array"):
+        SeqTensor(np.zeros(shape))
+
+
 def test_seqtensor_immutable():
     x = SeqTensor([[1.0, 2.0]])
     with pytest.raises(AttributeError):
