@@ -3,9 +3,9 @@
 The sequence is split into chunks.  A dk x dv state is carried across
 chunk boundaries exactly as in the recurrent form (amortizing the
 elementwise state gating over whole chunks), while positions inside a
-chunk are handled by masked weighted sums whose decay ratios only ever
-span the chunk, keeping every exponent bounded regardless of sequence
-length.  Output for chunk rows t in [s, e):
+chunk are handled by masked weighted sums whose decay factors are exps of
+sums over the chunk's own log-gates, so neither an exponent nor its
+rounding grows with the sequence length.  Output for chunk rows t in [s, e):
 
     o_t = [ (q_t (.) Bdag_t) S_prev  +  sum_{s<=i<=t} <q_t (.) Bdag_t, k_i / Bdag_i> (v_i / Ddag_i) ] (.) Ddag_t
 
@@ -22,9 +22,9 @@ applies the scores to ``Vt[:n]``.  The backward forms the same score
 blocks, adds ``dOt Vt^T`` and accumulates ``dk += G^T Qt`` and
 ``dv += W^T dOt``.  The block size trades the upper-triangle work a block
 computes and throws away against the number of Python-level products: at
-L=4096, d=64, C=64 the forward counts 113.1 M flops at ``BLOCK = 16``,
-under the recurrent form's 117.2 M, while 32-row blocks (121.4 M) and
-whole-chunk squares (138.1 M) would count more than the recurrence they
+L=4096, d=64, C=64 the forward counts 112.5 M flops at ``BLOCK = 16``,
+under the recurrent form's 117.2 M, while 32-row blocks (120.9 M) and
+whole-chunk squares (137.6 M) would count more than the recurrence they
 are meant to beat.
 
 Every product, intra-chunk and state alike, goes through ``mm``, one
@@ -59,7 +59,8 @@ from functools import cache
 import numpy as np
 
 from .cost import CostReport, Meter, mm_flops
-from .gates import ChunkPlan, chunk_relative_decays, cumulative_log_decay, outer_gate
+from .gates import ChunkPlan, chunk_relative_decays, outer_gate
+from .gates import cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds it
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, readonly, suffix_sum_arr
 
@@ -119,15 +120,10 @@ class ChunkPolicy:
 
 
 def _decays(inst: GlaInstance, plan: ChunkPlan, meter: Meter):
-    """Cumulative log decays + per-chunk factors, metered."""
-    if plan.L != inst.L:
-        raise ValueError(f"plan covers L={plan.L} but instance has L={inst.L}")
-    d = inst.dk + inst.dv
-    cd = cumulative_log_decay(inst.gates)
-    meter.add_flops((inst.L - 1) * d)  # prefix sums
-    decs = chunk_relative_decays(cd, plan)
-    # per row: dagger/prime log diffs and exps; per chunk: log_gamma diffs
-    meter.add_flops((4 * inst.L + plan.num_chunks) * d)
+    """Per-chunk decay factors from each chunk's own log-gates, metered."""
+    decs = chunk_relative_decays(inst.gates, plan)
+    # per chunk: prefix sums (c-1)d, dagger exps cd, prime subtracts and exps 2cd
+    meter.add_flops((4 * inst.L - plan.num_chunks) * (inst.dk + inst.dv))
     return decs
 
 
@@ -354,7 +350,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     backward = pass_ == "backward"
     d = dk + dv
 
-    flops = (5 * L - 1 + N) * d  # decays: prefix sums, per-row factors, log_gammas
+    flops = (4 * L - N) * d  # decays: within-chunk prefix sums, dagger and prime
     for i, (s, e) in enumerate(plan.boundaries):
         c = e - s
         A = _block_area(c)

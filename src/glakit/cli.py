@@ -114,9 +114,15 @@ def _load_instance(indir: Path) -> tuple[RunConfig, GlaInstance]:
     cfg = parse_config(cfg_path.read_text())
     arrs = {}
     for name in TENSOR_FILES:
-        arrs[name] = read_tensor(indir / f"{name}.glat")
-    inst = GlaInstance(SeqTensor(arrs["Q"]), SeqTensor(arrs["K"]), SeqTensor(arrs["V"]),
-                       GateSeq(arrs["logalpha"], arrs["logbeta"]))
+        path = indir / f"{name}.glat"
+        a = arrs[name] = read_tensor(path)
+        if a.ndim != 2 or 0 in a.shape:
+            raise TensorFileError(f"{path}: needs a non-empty 2-D matrix, got shape {a.shape}")
+    try:
+        inst = GlaInstance(SeqTensor(arrs["Q"]), SeqTensor(arrs["K"]), SeqTensor(arrs["V"]),
+                           GateSeq(arrs["logalpha"], arrs["logbeta"]))
+    except ValueError as exc:
+        raise ValueError(f"{indir}: {exc}") from exc
     for name in ("L", "dk", "dv"):
         if getattr(cfg, name) != getattr(inst, name):
             raise ValueError(f"{cfg_path}: {name} = {getattr(cfg, name)} but the tensors "

@@ -26,11 +26,6 @@ class CostReport:
     state_reads: int = 0
     recompute_passes: int = 0
 
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if v < 0:
-                raise ValueError(f"negative counter {name}={v}")
-
 
 class Meter:
     """Mutable counter accumulated at the call sites of executed array ops."""

@@ -1,11 +1,11 @@
 """Log-space gates, cumulative decays and chunk-relative decay factors.
 
-Gates live in (0, 1] and are stored as log-gates (<= 0).  Cumulative decay
-products underflow fp64 long before useful sequence lengths, so cumulative
-quantities are kept as prefix sums of logs and every concrete decay factor
-is formed as exp() of a difference of those sums.  Within a chunk the
-differences are bounded by the chunk's own decay range, at most
-C * |ln gate_floor|: independent of the sequence length, but not of C.
+Gates live in (0, 1] and are stored as log-gates (<= 0).  Decay products
+underflow fp64 long before useful sequence lengths, so every decay factor
+is exp() of a sum of logs.  The parallel form differences whole-sequence
+prefix sums; the chunk factors sum only the chunk's own log-gates, so
+their exponents stay within C * |ln gate_floor| and their rounding does
+not grow with the position in the sequence.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ class GateSeq:
     def __post_init__(self):
         la = _as_f64(self.log_alpha)
         lb = _as_f64(self.log_beta)
-        if la.ndim != 2 or lb.ndim != 2 or la.shape[0] != lb.shape[0]:
+        if la.ndim != 2 or lb.ndim != 2:
+            raise ValueError(f"log-gates must be 2-D, got shapes {la.shape} and {lb.shape}")
+        if la.shape[0] != lb.shape[0]:
             raise ValueError(
                 f"log-gate shapes disagree on L: {la.shape} vs {lb.shape}"
             )
@@ -71,10 +73,6 @@ class CumulativeDecay(NamedTuple):
     log_b: np.ndarray
     log_d: np.ndarray
 
-    @property
-    def L(self) -> int:
-        return self.log_b.shape[0]
-
 
 @dataclass(frozen=True, slots=True)
 class ChunkPlan:
@@ -101,16 +99,14 @@ class ChunkPlan:
 
 
 class ChunkDecays(NamedTuple):
-    """Decay factors for one chunk [s, e), all in (0, 1].
+    """Decay factors for one chunk [s, e), all in [0, 1].
 
-    b_dagger[j]: decay accumulated from just before the chunk up to s+j
-                 (propagates the incoming state to position s+j).
-    b_prime[j]:  decay from position s+j to the chunk's last position e-1
-                 (carries position s+j's contribution into the outgoing state).
-    log_gamma_b: log of the whole-chunk decay, b_prime[j] * b_dagger[j] for
-                 every j; kept in log space so consumers can exponentiate
-                 sums rather than multiply exponentials.
-    d_* mirror these on the value side.
+    With lc the running sum of the chunk's own log_alpha rows:
+    b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j;
+    b_prime[j] = exp(lc[-1] - lc[j]) carries position s+j's contribution
+    into the outgoing state; log_gamma_b = lc[-1] is the log of the
+    whole-chunk decay, kept in log space so consumers can exponentiate
+    sums rather than multiply exponentials.  d_* mirror these with log_beta.
     """
 
     b_prime: np.ndarray
@@ -132,27 +128,28 @@ def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
     return CumulativeDecay(readonly(log_b), readonly(log_d))
 
 
-def _chunk_factors(log_c: np.ndarray, s: int, e: int):
-    """dagger, prime, log_gamma for one chunk of one log-decay matrix.
+def _chunk_factors(lg: np.ndarray):
+    """dagger, prime, log_gamma from one chunk's log-gate rows.
 
-    The boundary value just before the chunk is log_c[s-1] (0 for the first
-    chunk: empty product).  All exponents are within-chunk differences.
+    Every exponent is a sum over the chunk's own rows; prime's differences
+    are <= 0 exactly, since adding a log-gate never rounds a sum upwards.
+    As in cumulative_log_decay, the preallocated out= traces less memory.
     """
-    bnd = log_c[s - 1] if s > 0 else np.zeros(log_c.shape[1])
-    dagger = np.exp(log_c[s:e] - bnd)
-    prime = np.exp(log_c[e - 1] - log_c[s:e])
-    log_gamma = log_c[e - 1] - bnd
+    lc = np.add.accumulate(lg, axis=0, out=np.empty_like(lg))
+    log_gamma = lc[-1].copy()  # not a view: dagger's exp overwrites lc in place
+    prime = np.exp(log_gamma - lc)
+    dagger = np.exp(lc, out=lc)
     return readonly(dagger), readonly(prime), readonly(log_gamma)
 
 
-def chunk_relative_decays(cd: CumulativeDecay, plan: ChunkPlan) -> list[ChunkDecays]:
-    """Per-chunk decay factors for every chunk of the plan."""
-    if plan.L != cd.L:
-        raise ValueError(f"plan covers L={plan.L} but decays have L={cd.L}")
+def chunk_relative_decays(g: GateSeq, plan: ChunkPlan) -> list[ChunkDecays]:
+    """Per-chunk decay factors for every chunk of the plan, each from its own rows."""
+    if plan.L != g.L:
+        raise ValueError(f"plan covers L={plan.L} but gates have L={g.L}")
     out = []
     for s, e in plan.boundaries:
-        b_dag, b_pri, lgb = _chunk_factors(cd.log_b, s, e)
-        d_dag, d_pri, lgd = _chunk_factors(cd.log_d, s, e)
+        b_dag, b_pri, lgb = _chunk_factors(g.log_alpha[s:e])
+        d_dag, d_pri, lgd = _chunk_factors(g.log_beta[s:e])
         out.append(ChunkDecays(b_pri, b_dag, d_pri, d_dag, lgb, lgd))
     return out
 

@@ -49,12 +49,9 @@ class GlaInstance:
 
     def __post_init__(self):
         Q, K, V, gates = self.Q, self.K, self.V, self.gates
-        if not (Q.shape[0] == K.shape[0] == V.shape[0] == gates.L):
-            raise ValueError("row counts disagree across Q, K, V, gates")
-        if Q.shape[1] != gates.dk or K.shape[1] != gates.dk:
-            raise ValueError("key dims disagree with gates")
-        if V.shape[1] != gates.dv:
-            raise ValueError("value dim disagrees with gates")
+        if not (Q.shape == K.shape == (gates.L, gates.dk) and V.shape == (gates.L, gates.dv)):
+            raise ValueError(f"shapes disagree: Q {Q.shape}, K {K.shape}, V {V.shape}, log_alpha "
+                             f"{gates.log_alpha.shape}, log_beta {gates.log_beta.shape}")
 
     @property
     def L(self) -> int:

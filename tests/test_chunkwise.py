@@ -134,6 +134,24 @@ def test_heavy_decay_stays_stable():
         assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
 
 
+@pytest.mark.parametrize("C", [16, 64])
+def test_long_sequence_error_does_not_grow_with_position(C):
+    # chunk factors are exps of within-chunk sums, so their rounding is that
+    # of one chunk wherever the chunk sits (max 8.6e-15 here); differences of
+    # whole-sequence prefix sums, which reach -1569 here, measure 8.7e-14
+    L, d = 1024, 8
+    inst = make_instance(ModelKind("general"), L, d, d, seed=60, gate_floor=0.05)
+    dO = rand_dO(L, d, seed=61)
+    want = [forward_recurrent(inst).O.data] + [
+        getattr(backward_recurrent_exact(inst, dO), f).data for f in GRAD_FIELDS]
+    plan = ChunkPlan(L, C)
+    for pol in (MAT, REC):
+        got = _outputs(forward_chunkwise(inst, plan, pol)[0],
+                       backward_chunkwise(inst, dO, plan, pol)[0])
+        for name, a, b in zip(("O",) + GRAD_FIELDS, got, want):
+            assert rel_err(a, b) <= 2e-14, (pol.mode, name, rel_err(a, b))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="b_dagger underflows to 0 across a 64-row chunk at gate floor "
@@ -161,16 +179,16 @@ def test_counters_match_predictions_12_config_sweep():
 
 
 def test_frozen_forward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 572
-    # (prefix 28 + decays 136 + transforms 48 + intra 208 + inter 32 +
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 528
+    # (within-chunk decays 120 + transforms 48 + intra 208 + inter 32 +
     #  output scale 16 + state updates 104); the closed form must agree.
     # Intra is one 4-row block per chunk: scores 4x2 by 2x4 (48) and
     # scores by values 4x4 by 4x2 (56), twice.
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, _, measured = forward_chunkwise(inst, plan, MAT)
-    assert measured.flops == 572
-    assert predict_cost(8, 2, 2, plan, MAT).flops == 572
+    assert measured.flops == 528
+    assert predict_cost(8, 2, 2, plan, MAT).flops == 528
 
 
 def _outputs(o, g):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from glakit import read_tensor, rel_err
+from glakit import read_tensor, rel_err, write_tensor
 from glakit.cli import main
 
 
@@ -122,6 +122,26 @@ def test_run_config_disagreeing_with_tensors_exit_2(tmp_path, capsys):
     assert run_cli("run", "--in", gen, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "L = 40" in err and "L = 16" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_wrong_rank_tensor_names_file_exit_2(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run_cli("gen", "--L", 4, "--dk", 2, "--dv", 2, "--seed", 3, "--out", gen)
+    write_tensor(gen / "Q.glat", np.zeros((4, 2, 1)))
+    assert run_cli("run", "--in", gen, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "Q.glat" in err and "(4, 2, 1)" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_dims_disagreeing_across_files_names_dir_exit_2(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run_cli("gen", "--L", 4, "--dk", 2, "--dv", 2, "--seed", 3, "--out", gen)
+    write_tensor(gen / "Q.glat", np.zeros((4, 3)))
+    assert run_cli("run", "--in", gen, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert str(gen) in err and "(4, 3)" in err and "(4, 2)" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from glakit import ChunkPlan, GateSeq, chunk_relative_decays, cumulative_log_decay
+from glakit import (ChunkPlan, GateSeq, ModelKind, chunk_relative_decays,
+                    cumulative_log_decay, make_instance)
 
 
 def make_gates(la, lb):
@@ -22,6 +25,16 @@ def random_gates(L, dk, dv, seed, floor=0.5):
 def test_rejects_positive_log_gates():
     with pytest.raises(ValueError):
         make_gates([[0.1]], [[0.0]])
+
+
+@pytest.mark.parametrize("la,lb,match", [
+    (np.zeros(3), np.zeros(3), r"must be 2-D, got shapes \(3,\) and \(3,\)"),
+    (np.zeros((2, 3, 1)), np.zeros((2, 3)), r"must be 2-D, got shapes \(2, 3, 1\) and \(2, 3\)"),
+    (np.zeros((3, 2)), np.zeros((4, 2)), r"disagree on L: \(3, 2\) vs \(4, 2\)"),
+])
+def test_gate_shape_errors_name_the_fault(la, lb, match):
+    with pytest.raises(ValueError, match=match):
+        GateSeq(la, lb)
 
 
 def test_cumulative_identity_gates():
@@ -66,7 +79,7 @@ def test_chunk_plan_coverage(L, C, expected):
 
 def test_chunk_factors_identity_gates():
     g = make_gates(np.zeros((6, 2)), np.zeros((6, 2)))
-    decs = chunk_relative_decays(cumulative_log_decay(g), ChunkPlan(6, 4))
+    decs = chunk_relative_decays(g, ChunkPlan(6, 4))
     for d in decs:
         for arr in (d.b_prime, d.b_dagger, d.d_prime, d.d_dagger):
             assert np.array_equal(arr, np.ones_like(arr))
@@ -78,7 +91,7 @@ def test_chunk_factors_constant_gate():
     # dagger = (g, g^2), prime = (g, 1), gamma = g^2
     g = 0.5
     gates = make_gates([[math.log(g)]] * 2, [[0.0]] * 2)
-    (d,) = chunk_relative_decays(cumulative_log_decay(gates), ChunkPlan(2, 2))
+    (d,) = chunk_relative_decays(gates, ChunkPlan(2, 2))
     assert np.allclose(d.b_dagger[:, 0], [g, g * g], rtol=1e-15)
     assert np.allclose(d.b_prime[:, 0], [g, 1.0], rtol=1e-15)
     assert np.allclose(np.exp(d.log_gamma_b), [g * g], rtol=1e-15)
@@ -86,7 +99,7 @@ def test_chunk_factors_constant_gate():
 
 def test_prime_times_dagger_telescopes_to_gamma():
     g = random_gates(23, 3, 2, seed=2)
-    decs = chunk_relative_decays(cumulative_log_decay(g), ChunkPlan(23, 5))
+    decs = chunk_relative_decays(g, ChunkPlan(23, 5))
     for d in decs:
         prod = d.b_prime * d.b_dagger
         assert np.max(np.abs(prod - np.exp(d.log_gamma_b))) <= 1e-12
@@ -96,7 +109,7 @@ def test_prime_times_dagger_telescopes_to_gamma():
 
 def test_factors_bounded():
     g = random_gates(17, 2, 3, seed=3, floor=0.25)
-    decs = chunk_relative_decays(cumulative_log_decay(g), ChunkPlan(17, 4))
+    decs = chunk_relative_decays(g, ChunkPlan(17, 4))
     for d in decs:
         for arr in (d.b_prime, d.b_dagger, d.d_prime, d.d_dagger):
             assert np.all(arr > 0.0)
@@ -106,4 +119,30 @@ def test_factors_bounded():
 def test_plan_mismatch_rejected():
     g = random_gates(8, 2, 2, seed=4)
     with pytest.raises(ValueError):
-        chunk_relative_decays(cumulative_log_decay(g), ChunkPlan(9, 3))
+        chunk_relative_decays(g, ChunkPlan(9, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 60), C=st.integers(1, 25), dk=st.integers(1, 4),
+       dv=st.integers(1, 4), seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       floor=st.sampled_from([0.5, 1e-12]))
+@example(L=1, C=1, dk=2, dv=3, seed=1, kind="general", floor=0.5)     # L=1
+@example(L=7, C=1, dk=2, dv=2, seed=2, kind="general", floor=1e-12)   # C=1
+@example(L=23, C=5, dk=3, dv=1, seed=3, kind="general", floor=1e-12)  # ragged last chunk
+def test_chunk_factors_are_exps_of_within_chunk_sums(L, C, dk, dv, seed, kind, floor):
+    # each chunk's factors come from its own rows only, never from a
+    # difference of whole-sequence prefix sums, and stay <= 1 exactly
+    g = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor).gates
+    plan = ChunkPlan(L, C)
+    decs = chunk_relative_decays(g, plan)
+    assert len(decs) == plan.num_chunks
+    for (s, e), d in zip(plan.boundaries, decs):
+        for lg, dagger, prime, log_gamma in (
+                (g.log_alpha, d.b_dagger, d.b_prime, d.log_gamma_b),
+                (g.log_beta, d.d_dagger, d.d_prime, d.log_gamma_d)):
+            lc = np.add.accumulate(lg[s:e], axis=0)
+            assert dagger.tobytes() == np.exp(lc).tobytes()
+            assert prime.tobytes() == np.exp(lc[-1] - lc).tobytes()
+            assert log_gamma.tobytes() == lc[-1].tobytes()
+            assert np.all(dagger <= 1.0) and np.all(prime <= 1.0)

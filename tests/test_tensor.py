@@ -149,7 +149,7 @@ def _records():
         "GlaInstance": inst,
         "CumulativeDecay": cd,
         "ChunkPlan": plan,
-        "ChunkDecays": chunk_relative_decays(cd, plan)[1],
+        "ChunkDecays": chunk_relative_decays(inst.gates, plan)[1],
         "ForwardTrace": trace,
         "GradBundle": backward_recurrent_exact(inst, SeqTensor(np.ones((7, 2)))),
         "chunk_states": chunk_states,
