@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import statistics
 import sys
 import time
@@ -230,6 +231,7 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gla", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

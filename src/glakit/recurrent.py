@@ -91,15 +91,27 @@ class GradBundle:
             object.__setattr__(self, f.name, SeqTensor(getattr(self, f.name)))
 
 
-def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None = None):
-    """The recurrence on raw ndarrays, leading axes a batch; shared with the FD oracle."""
+def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None = None,
+                 head=None):
+    """The recurrence on raw ndarrays, leading axes a batch; shared with the FD oracle.
+
+    head = (O_head, S) resumes a run whose first start = len(O_head) rows are
+    known: they are copied into O (broadcast over the batch) and the loop
+    runs steps start..L-1 from S = S_{start-1}.  S is only read, and the
+    steps give the bits a run from S_0 = 0 would.
+    """
     L, dk = Q.shape[-2:]
     dv = V.shape[-1]
     batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb)))
-    S = np.zeros((*batch, dk, dv))
     O = np.empty((*batch, L, dv))
+    if head is None:
+        start, S = 0, np.zeros((*batch, dk, dv))
+    else:
+        O_head, S = head
+        start = len(O_head)
+        O[..., :start, :] = O_head
     states = [] if keep_states else None
-    for t in range(L):
+    for t in range(start, L):
         G = outer_gate(la[..., t, :], lb[..., t, :])
         S = G * S + K[..., t, :, None] * V[..., t, None, :]
         O[..., t, :] = mm(Q[..., t, None, :], S)[..., 0, :]
@@ -164,9 +176,9 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     return GradBundle(dQ, dK, dV, dla, dlb)
 
 
-def _loss_raw(Q, K, V, la, lb, dOa) -> np.ndarray:
+def _loss_raw(Q, K, V, la, lb, dOa, head=None) -> np.ndarray:
     """<O, dO> per batch element, each summed as one flat row like np.sum(O * dO)."""
-    O, _ = _forward_raw(Q, K, V, la, lb)
+    O, _ = _forward_raw(Q, K, V, la, lb, head=head)
     return np.sum((O * dOa).reshape(*O.shape[:-2], -1), axis=-1)
 
 
@@ -175,6 +187,11 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
 
     An input row's 2*cols perturbed copies (+eps at column j in copy j, -eps
     in copy cols + j) run as one batched recurrence; scratch is O(cols*L*d).
+    A perturbation at row i moves neither S_0..S_{i-1} nor the O rows before
+    i, so row i's batch starts from the unperturbed S_{i-1} (recorded once)
+    with those O rows copied in, and runs only the L - i steps from i on:
+    L(L+1)/2 batched steps per input instead of L^2.  The loss still sums
+    the full flat O row, so it has the bits of a run from S_0 = 0.
     Log-gate entries are perturbed as-is, so the result is directly
     dlog_alpha / dlog_beta with no chain-rule conversion.  The perturbed
     evaluations bypass domain re-validation (a +eps step at log-gate 0
@@ -186,6 +203,7 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
     arrs = (inst.Q.data, inst.K.data, inst.V.data,
             inst.gates.log_alpha, inst.gates.log_beta)
+    O_base, states = _forward_raw(*arrs, keep_states=True)
     grads = []
     for n, a in enumerate(arrs):
         L, cols = a.shape
@@ -194,7 +212,8 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
             P = np.repeat(a[None], 2 * cols, axis=0)
             P[j, i, j] += eps
             P[cols + j, i, j] -= eps
-            loss = _loss_raw(*arrs[:n], P, *arrs[n + 1:], dO.data)
+            head = (O_base[:i], states[i - 1]) if i else None
+            loss = _loss_raw(*arrs[:n], P, *arrs[n + 1:], dO.data, head=head)
             g[i] = (loss[:cols] - loss[cols:]) / (2.0 * eps)
         grads.append(g)
     return GradBundle(*grads)

@@ -1,10 +1,17 @@
 """CLI harness: determinism, exit codes, file outputs, report formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from glakit import read_tensor, rel_err, write_tensor
 from glakit.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -169,7 +176,6 @@ def test_bad_tolerance_or_eps_is_input_error_exit_2(capsys, command, flag, value
     assert out == "" and err.startswith(f"error: {field} must be")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_check_reports_underflowing_chunk_as_fail_exit_1(capsys):
     # a 64-row chunk at gate floor 1e-12 underflows b_dagger: its rows FAIL
     # with infinite error and the check still reports every row
@@ -183,6 +189,19 @@ def test_check_reports_underflowing_chunk_as_fail_exit_1(capsys):
     assert rows["chunkwise_C1_vs_recurrent"].endswith("PASS")
     assert rows["causality"].endswith("FAIL")
     assert lines[-1].startswith("summary:") and len(rows) == len(lines) - 1
+
+
+def test_check_of_underflowing_chunk_keeps_stderr_empty():
+    # the same run as a separate process: its FAIL rows are the whole report,
+    # with no RuntimeWarning on stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    r = subprocess.run([sys.executable, "-m", "glakit.cli", "check", "--L", "200", "--dk", "2",
+                        "--dv", "2", "--seed", "104", "--gate-floor", "1e-12", "--chunk", "64"],
+                       capture_output=True, text=True, env=env, check=False)
+    lines = r.stdout.splitlines()
+    assert (r.returncode, r.stderr) == (1, "")
+    assert len(lines) == 13 and lines[-1] == "summary: passed=5 failed=7 total=12"
 
 
 def test_gradcheck_passes_and_flipped_sign_fails(capsys):

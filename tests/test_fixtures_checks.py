@@ -1,6 +1,8 @@
 """Instance generation determinism and the packaged check procedures."""
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +136,6 @@ def test_check_causality_reports_underflowing_chunk_as_fail():
     assert report.max_rel_err == math.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_equivalence_and_gradients_report_underflowing_chunk_as_fail():
     inst = make_instance(ModelKind("general"), L=24, dk=2, dv=2, seed=16,
                          gate_floor=1e-300)
@@ -149,3 +150,28 @@ def test_equivalence_and_gradients_report_underflowing_chunk_as_fail():
         chunked = r.name.startswith("grad_chunkwise_")
         assert r.passed != chunked, r.name
         assert (r.max_rel_err == math.inf) == chunked, r.name
+
+
+def _check_rows(inst, C):
+    reports = [*check_equivalence(inst, chunk_sizes=(1, C)), *check_gradients(inst, chunk=C),
+               check_causality(inst, trials=5, seed=15, chunk=C)]
+    return [(r.name, r.max_abs_err, r.max_rel_err, r.tolerance, r.passed) for r in reports]
+
+
+@contextlib.contextmanager
+def _warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.parametrize("strict", [_warnings_as_errors, lambda: np.errstate(all="raise")],
+                         ids=["warnings_as_errors", "errstate_raise"])
+def test_checks_own_their_floating_point_state(strict):
+    # the underflowing chunk overflows, divides by zero and makes NaNs inside
+    # the checks; the caller's warning filters and numpy error state must not
+    # turn that into an exception or change a row
+    inst = make_instance(ModelKind("general"), L=24, dk=2, dv=2, seed=16, gate_floor=1e-300)
+    want = _check_rows(inst, 24)
+    with strict():
+        assert _check_rows(inst, 24) == want

@@ -171,12 +171,38 @@ def scalar_fd(inst, dO, eps):
 @example(L=1, dk=1, dv=1, kind="general", floor=0.5, eps=1e-5, seed=1)
 @example(L=1, dk=3, dv=2, kind="general", floor=1e-300, eps=1e-7, seed=2)
 @example(L=5, dk=2, dv=3, kind="vanilla", floor=0.5, eps=1e-5, seed=3)  # log gates at 0
+@example(L=2, dk=1, dv=1, kind="general", floor=0.5, eps=1e-5, seed=4)  # a one-step tail
+@example(L=8, dk=2, dv=2, kind="gla_beta_one", floor=1e-300, eps=1e-5, seed=5)
+@example(L=8, dk=3, dv=1, kind="vanilla", floor=0.5, eps=1e-5, seed=6)  # log gates at 0
 def test_batched_fd_matches_scalar_reference_bitwise(L, dk, dv, kind, floor, eps, seed):
     inst = make_instance(ModelKind(kind), L, dk, dv, seed, gate_floor=floor)
     dO = rand_dO(L, dv, seed=seed + 1)
     fd = backward_recurrent_fd(inst, dO, eps)
     for f, want in zip(GRAD_FIELDS, scalar_fd(inst, dO, eps)):
         assert getattr(fd, f).data.tobytes() == want.tobytes(), f
+
+
+def test_fd_starts_each_batch_at_the_prefix_state(monkeypatch):
+    # a perturbation at row i cannot move S_0..S_{i-1}: one unperturbed run
+    # of L steps, then per input one batch of L - i steps for each row i
+    import glakit.recurrent as rec
+
+    calls = {"outer_gate": 0, "_loss_raw": 0}
+
+    def counted(name):
+        fn = getattr(rec, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(rec, name, wrapper)
+
+    counted("outer_gate")
+    counted("_loss_raw")
+    L = 8
+    backward_recurrent_fd(make_instance(ModelKind("general"), L, 3, 2, seed=21), rand_dO(L, 2))
+    assert calls["outer_gate"] == L + 5 * L * (L + 1) // 2 == 188  # not 5 * L**2 = 320
+    assert calls["_loss_raw"] == 5 * L  # one batched loss per input row
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])
