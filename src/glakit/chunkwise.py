@@ -5,7 +5,9 @@ chunk boundaries exactly as in the recurrent form (amortizing the
 elementwise state gating over whole chunks), while positions inside a
 chunk are handled by masked weighted sums whose decay factors are exps of
 sums over the chunk's own log-gates, so neither an exponent nor its
-rounding grows with the sequence length.  Output for chunk rows t in [s, e):
+rounding grows with the sequence length.  Each pass forms a chunk's factors
+when it reaches the chunk and drops them with it; no pass holds a table of
+every chunk's factors.  Output for chunk rows t in [s, e):
 
     o_t = [ (q_t (.) Bdag_t) S_prev  +  sum_{s<=i<=t} <q_t (.) Bdag_t, k_i / Bdag_i> (v_i / Ddag_i) ] (.) Ddag_t
 
@@ -59,8 +61,8 @@ from functools import cache
 import numpy as np
 
 from .cost import CostReport, Meter, mm_flops
-from .gates import ChunkPlan, chunk_relative_decays, outer_gate
-from .gates import cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds it
+from .gates import ChunkDecays, ChunkPlan, chunk_factors, outer_gate
+from .gates import chunk_relative_decays, cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds them
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, readonly, suffix_sum_arr
 
@@ -119,12 +121,39 @@ class ChunkPolicy:
         return self.mode == "materialize"
 
 
-def _decays(inst: GlaInstance, plan: ChunkPlan, meter: Meter):
-    """Per-chunk decay factors from each chunk's own log-gates, metered."""
-    decs = chunk_relative_decays(inst.gates, plan)
-    # per chunk: prefix sums (c-1)d, dagger exps cd, prime subtracts and exps 2cd
-    meter.add_flops((4 * inst.L - plan.num_chunks) * (inst.dk + inst.dv))
-    return decs
+def _decays(inst: GlaInstance, s: int, e: int, meter: Meter) -> ChunkDecays:
+    """Chunk [s, e)'s decay factors, formed when a sweep reaches it, metered."""
+    # prefix sums (c-1)d, dagger exps cd, prime subtracts and exps 2cd
+    meter.add_flops((4 * (e - s) - 1) * (inst.dk + inst.dv))
+    return chunk_factors(inst.gates, s, e)
+
+
+def _check_plan(inst: GlaInstance, plan: ChunkPlan) -> None:
+    if plan.L != inst.L:
+        raise ValueError(f"plan covers L={plan.L} but the instance has L={inst.L}")
+
+
+_LN_DBL_MAX = float(np.log(np.finfo(np.float64).max))  # 709.78
+
+
+def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> None:
+    """Raise a ValueError naming the first chunk with a non-finite row in ``rows``.
+
+    Called only once a result record has rejected non-finite data.  A
+    chunk whose whole-chunk log-decay falls below -ln(DBL_MAX) overflows
+    its within-chunk ratios K / Bdag or V / Ddag to inf; the carried state
+    then spreads the damage to every later chunk, so the first bad chunk is
+    where it started.
+    """
+    for i, (s, e) in enumerate(plan.boundaries):
+        if all(np.isfinite(a[s:e]).all() for a in rows):
+            continue
+        dec = chunk_factors(inst.gates, s, e)
+        raise ValueError(
+            f"non-finite values from chunk {i} (rows {s}..{e - 1}): its whole-chunk "
+            f"log-decay reaches {dec.log_gamma_b.min():.2f} on the key side and "
+            f"{dec.log_gamma_d.min():.2f} on the value side, against "
+            f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
 def _intra(Qt, Kt, Vt, meter: Meter) -> np.ndarray:
@@ -185,15 +214,15 @@ def _state_update(dec, Kc, Vc, S, meter: Meter) -> np.ndarray:
 
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
+    _check_plan(inst, plan)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     dv = inst.dv
     meter = Meter()
-    decs = _decays(inst, plan, meter)
     O = np.empty((inst.L, dv))
     S = None
     states = [] if policy.materialize else None
     for i, (s, e) in enumerate(plan.boundaries):
-        dec = decs[i]
+        dec = _decays(inst, s, e, meter)
         c = e - s
         Qt, Kt, Vt = _transforms(dec, Q[s:e], K[s:e], V[s:e], meter)
         acc = _intra(Qt, Kt, Vt, meter)
@@ -206,7 +235,12 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
         if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
             meter.state_writes += 1
-    return SeqTensor(O), states, meter.report()
+    try:
+        O = SeqTensor(O)
+    except ValueError:
+        _name_bad_chunk(inst, plan, O)
+        raise
+    return O, states, meter.report()
 
 
 def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
@@ -214,7 +248,10 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     """Gradients of <O, dO> computed chunk by chunk.  Returns (GradBundle, CostReport).
 
     Two sweeps, as in the GLA paper's chunkwise backward; no full-length
-    array is allocated besides the five gradients.  (F) A forward-order
+    array is allocated besides the five gradients, and each sweep forms a
+    chunk's decay factors when it reaches the chunk rather than holding
+    them for the whole pass (sweep R forms them a second time, except for
+    the last chunk, whose factors sweep F ended with).  (F) A forward-order
     sweep runs the state recurrence once and does everything that needs
     S_{i-1} or only the chunk itself: the intra-chunk cotangents, the
     inter-chunk dq term, the scale-backs of dq, dk and dv, and the chunk's
@@ -233,17 +270,16 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
+    _check_plan(inst, plan)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     dOa = dO.data
     L, dk, dv = inst.L, inst.dk, inst.dv
     N = plan.num_chunks
 
     meter = Meter()
-    decs = _decays(inst, plan, meter)
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
-    dla = np.empty((L, dk))
     dlb = np.empty((L, dv))  # holds each chunk's O rows until sweep R reads them
 
     # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
@@ -251,7 +287,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     states = [] if policy.materialize else None
     S = None
     for i, (s, e) in enumerate(plan.boundaries):
-        dec = decs[i]
+        dec = _decays(inst, s, e, meter)
         c = e - s
         Qt, Kt, Vt = _transforms(dec, Q[s:e], K[s:e], V[s:e], meter)
         dOt = dOa[s:e] * dec.d_dagger
@@ -277,12 +313,19 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         else:
             meter.recompute_passes += 1
 
+    # Sweep R needs neither the recorded states nor sweep F's chunk
+    # temporaries; it starts from the last chunk's factors, which sweep F
+    # ended with, and forms every other chunk's again.
+    del states, S, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc
+
     # Sweep R: the state-cotangent path and its carry, and the gate
     # gradients of each chunk once its rows are final, in reverse order.
+    dla = np.empty((L, dk))
     dS = None
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
-        dec = decs[i]
+        if i < N - 1:
+            dec = _decays(inst, s, e, meter)
         c = e - s
         if dS is not None:
             # chunk i's own K/V contribution to S_i, weighted by the carried cotangent
@@ -316,7 +359,13 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         dla[s:e] = suffix_sum_arr(dla[s:e])
         dlb[s:e] = suffix_sum_arr(dlb[s:e])
         meter.add_flops((c - 1) * (dk + dv))
-    return GradBundle(dQ, dK, dV, dla, dlb), meter.report()
+    try:
+        grads = GradBundle(dQ, dK, dV, dla, dlb)
+    except ValueError:
+        # not the gate gradients: their suffix sums carry a bad chunk back to row 0
+        _name_bad_chunk(inst, plan, dQ, dK, dV)
+        raise
+    return grads, meter.report()
 
 
 def _block_area(c: int) -> int:
@@ -331,7 +380,9 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
 
     Pure arithmetic over the plan; never executes the kernels.  The
     instrumented runs must reproduce these numbers exactly.  One pass over
-    the chunks sums each phase's flops.  Per chunk of c rows with
+    the chunks sums each phase's flops.  A chunk's decay factors cost
+    (4c-1)(dk+dv) each time a pass forms them: once in the forward, and in
+    the backward twice for every chunk but the last.  Per chunk of c rows with
     A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
     in the forward (scores, then scores x values) and to
     A(6dk+6dv-2) - c(dk+dv) in the backward (two score products, scores x
@@ -350,11 +401,14 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     backward = pass_ == "backward"
     d = dk + dv
 
-    flops = (4 * L - N) * d  # decays: within-chunk prefix sums, dagger and prime
+    flops = 0
     for i, (s, e) in enumerate(plan.boundaries):
         c = e - s
         A = _block_area(c)
         first, last = i == 0, i == N - 1
+        # decays: within-chunk prefix sums, dagger and prime, formed when a
+        # pass reaches the chunk; sweep R forms them again for all but the last
+        flops += (4 * c - 1) * d * (2 if backward and not last else 1)
         # state update, in the forward or the backward's forward-order sweep;
         # after the first chunk, the gamma outer (add+exp), gate and add
         flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)

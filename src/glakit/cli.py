@@ -15,6 +15,8 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .chunkwise import _MODES, ChunkPolicy, forward_chunkwise, predict_cost
 from .checks import check_causality, check_equivalence, check_gradients
 from .fixtures import _KINDS, ModelKind, make_instance
@@ -142,20 +144,22 @@ def cmd_run(args) -> int:
         old.unlink(missing_ok=True)
     with contextlib.suppress(OSError):  # absent, or holding files run did not write
         sdir.rmdir()
-    cost = None
-    if cfg.form == "recurrent":
-        O = forward_recurrent(inst).O
-    elif cfg.form == "parallel":
-        O = forward_parallel(inst)
-    else:
-        plan = ChunkPlan(inst.L, cfg.chunk)
-        policy = ChunkPolicy(cfg.policy)
-        O, states, cost = forward_chunkwise(inst, plan, policy)
-        if states is not None:
-            sdir.mkdir(exist_ok=True)
-            for i, st in enumerate(states, start=1):
-                write_tensor(sdir / f"S_{i:04d}.glat", st)
-            print(f"wrote {len(states)} chunk states to {sdir}")
+    cost = states = None
+    # an fp64 overflow is data the result record rejects (exit 2), not a
+    # warning or an exception the caller's numpy or warnings settings decide
+    with np.errstate(all="ignore"):
+        if cfg.form == "recurrent":
+            O = forward_recurrent(inst).O
+        elif cfg.form == "parallel":
+            O = forward_parallel(inst)
+        else:
+            plan = ChunkPlan(inst.L, cfg.chunk)
+            O, states, cost = forward_chunkwise(inst, plan, ChunkPolicy(cfg.policy))
+    if states is not None:
+        sdir.mkdir(exist_ok=True)
+        for i, st in enumerate(states, start=1):
+            write_tensor(sdir / f"S_{i:04d}.glat", st)
+        print(f"wrote {len(states)} chunk states to {sdir}")
     write_tensor(out / "O.glat", O.data)
     if cost is not None:
         (out / "cost.txt").write_text(

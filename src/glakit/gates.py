@@ -23,6 +23,7 @@ __all__ = [
     "ChunkPlan",
     "ChunkDecays",
     "cumulative_log_decay",
+    "chunk_factors",
     "chunk_relative_decays",
     "outer_gate",
 ]
@@ -142,16 +143,18 @@ def _chunk_factors(lg: np.ndarray):
     return readonly(dagger), readonly(prime), readonly(log_gamma)
 
 
+def chunk_factors(g: GateSeq, s: int, e: int) -> ChunkDecays:
+    """Decay factors of the chunk [s, e), from its own log-gate rows only."""
+    b_dag, b_pri, lgb = _chunk_factors(g.log_alpha[s:e])
+    d_dag, d_pri, lgd = _chunk_factors(g.log_beta[s:e])
+    return ChunkDecays(b_pri, b_dag, d_pri, d_dag, lgb, lgd)
+
+
 def chunk_relative_decays(g: GateSeq, plan: ChunkPlan) -> list[ChunkDecays]:
-    """Per-chunk decay factors for every chunk of the plan, each from its own rows."""
+    """chunk_factors for every chunk of the plan."""
     if plan.L != g.L:
         raise ValueError(f"plan covers L={plan.L} but gates have L={g.L}")
-    out = []
-    for s, e in plan.boundaries:
-        b_dag, b_pri, lgb = _chunk_factors(g.log_alpha[s:e])
-        d_dag, d_pri, lgd = _chunk_factors(g.log_beta[s:e])
-        out.append(ChunkDecays(b_pri, b_dag, d_pri, d_dag, lgb, lgd))
-    return out
+    return [chunk_factors(g, s, e) for s, e in plan.boundaries]
 
 
 def outer_gate(la: np.ndarray, lb: np.ndarray) -> np.ndarray:

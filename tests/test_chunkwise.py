@@ -1,5 +1,6 @@
 """Chunkwise form: equivalence across C, policies, counters, reductions."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -278,10 +279,10 @@ def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed
 
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
 def test_backward_allocates_no_full_length_temporaries(pol):
-    # full-length arrays: the five gradients and the four chunk decay
-    # factors (9 L*d); chunk-local temporaries, the recorded states and the
-    # gradient records' finiteness checks fill the rest.  A backward that
-    # replays the forward and assembles whole-array identities traces 13+.
+    # full-length arrays: the five gradients (5 L*d); chunk-local
+    # temporaries, the recorded states and the gradient records' finiteness
+    # checks fill the rest.  A backward that replays the forward and
+    # assembles whole-array identities traces 13+.
     L, d = 1024, 16
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
     plan = ChunkPlan(L, 64)
@@ -294,6 +295,60 @@ def test_backward_allocates_no_full_length_temporaries(pol):
     finally:
         tracemalloc.stop()
     assert peak <= 11.5 * L * d * 8, peak / (L * d * 8)
+
+
+def _traced_peak(fn):
+    fn()  # fill the mask cache outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
+def test_passes_hold_no_decay_table(pol):
+    # each sweep forms a chunk's decay factors when it reaches the chunk, so
+    # neither pass holds 4 L*d of them: the forward holds O (and the
+    # states), the backward the five gradients plus chunk-local scratch
+    L, d = 1024, 16
+    inst = make_instance(ModelKind("general"), L, d, d, seed=20)
+    plan = ChunkPlan(L, 64)
+    dO = rand_dO(L, d, seed=21)
+    fwd = _traced_peak(lambda: forward_chunkwise(inst, plan, pol))
+    bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
+    assert fwd <= 2.5 * L * d * 8, fwd / (L * d * 8)
+    assert bwd <= 6.5 * L * d * 8, bwd / (L * d * 8)
+
+
+@pytest.mark.parametrize("L, C, dk, seed, floor, chunk", [
+    (200, 64, 3, 104, 1e-12, 0),  # the strict xfail's instance
+    (24, 2, 2, 4, 1e-300, 1),     # chunk 0 stays finite
+])
+def test_non_finite_output_names_its_chunk(L, C, dk, seed, floor, chunk):
+    inst = make_instance(ModelKind("general"), L, dk, dk, seed=seed, gate_floor=floor)
+    plan = ChunkPlan(L, C)
+    dO = rand_dO(L, dk, seed=seed + 1)
+    s, e = plan.boundaries[chunk]
+    la, lb = inst.gates.log_alpha, inst.gates.log_beta
+    for s0, e0 in plan.boundaries[:chunk]:  # earlier chunks stay above the bound
+        assert min(la[s0:e0].sum(axis=0).min(), lb[s0:e0].sum(axis=0).min()) > -709.78
+    runs = [lambda p=p: forward_chunkwise(inst, plan, p) for p in (MAT, REC)]
+    runs += [lambda p=p: backward_chunkwise(inst, dO, plan, p) for p in (MAT, REC)]
+    for run in runs:
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+            run()
+        m = re.fullmatch(
+            rf"non-finite values from chunk {chunk} \(rows {s}\.\.{e - 1}\): its "
+            r"whole-chunk log-decay reaches (\S+) on the key side and (\S+) on the "
+            r"value side, against -ln\(DBL_MAX\) = -709\.78, below which 1/decay "
+            r"overflows", str(exc.value))
+        assert m, str(exc.value)
+        key, value = float(m[1]), float(m[2])
+        assert key == pytest.approx(la[s:e].sum(axis=0).min(), abs=0.005)
+        assert value == pytest.approx(lb[s:e].sum(axis=0).min(), abs=0.005)
+        assert min(key, value) < -709.78
 
 
 def test_state_write_counts():
@@ -333,6 +388,8 @@ def test_plan_mismatch_rejected():
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=16)
     with pytest.raises(ValueError):
         forward_chunkwise(inst, ChunkPlan(9, 3), MAT)
+    with pytest.raises(ValueError):
+        backward_chunkwise(inst, rand_dO(8, 2), ChunkPlan(7, 3), REC)
     with pytest.raises(ValueError):
         predict_cost(8, 2, 2, ChunkPlan(9, 3), MAT)
 

@@ -191,17 +191,36 @@ def test_check_reports_underflowing_chunk_as_fail_exit_1(capsys):
     assert lines[-1].startswith("summary:") and len(rows) == len(lines) - 1
 
 
+def gla_process(*argv, python_flags=()):
+    """Run the CLI as a separate process; returns its CompletedProcess."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *python_flags, "-m", "glakit.cli",
+                           *(str(a) for a in argv)],
+                          capture_output=True, text=True, env=env, check=False)
+
+
 def test_check_of_underflowing_chunk_keeps_stderr_empty():
     # the same run as a separate process: its FAIL rows are the whole report,
     # with no RuntimeWarning on stderr
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    r = subprocess.run([sys.executable, "-m", "glakit.cli", "check", "--L", "200", "--dk", "2",
-                        "--dv", "2", "--seed", "104", "--gate-floor", "1e-12", "--chunk", "64"],
-                       capture_output=True, text=True, env=env, check=False)
+    r = gla_process("check", "--L", 200, "--dk", 2, "--dv", 2, "--seed", 104,
+                    "--gate-floor", 1e-12, "--chunk", 64)
     lines = r.stdout.splitlines()
     assert (r.returncode, r.stderr) == (1, "")
     assert len(lines) == 13 and lines[-1] == "summary: passed=5 failed=7 total=12"
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-W", "error")], ids=["default", "W_error"])
+def test_run_of_underflowing_chunk_is_one_input_error(tmp_path, python_flags):
+    # the forward's non-finite output is an input error naming its chunk:
+    # one error line and exit 2, whatever the interpreter's warning filters
+    assert run_cli("gen", "--L", 200, "--dk", 2, "--dv", 2, "--seed", 104,
+                   "--gate-floor", 1e-12, "--out", tmp_path / "in") == 0
+    r = gla_process("run", "--in", tmp_path / "in", "--out", tmp_path / "out",
+                    "--form", "chunkwise", "--chunk", 64, python_flags=python_flags)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: non-finite values from chunk 0 (rows 0..63)")
+    assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
 def test_gradcheck_passes_and_flipped_sign_fails(capsys):
