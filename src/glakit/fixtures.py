@@ -5,6 +5,9 @@ generator is a splitmix64 stream, documented here so any implementation in
 any language can reproduce the exact same bytes.  Draw order: Q row-major,
 then K, then V (all uniform in [-1, 1]), then log_alpha, then log_beta
 (uniform in [ln gate_floor, 0] where sampled).
+
+That spec is the whole contract.  Internally a tensor is filled in place,
+a fixed block of draws at a time; the block size changes no byte.
 """
 
 from __future__ import annotations
@@ -16,12 +19,17 @@ import numpy as np
 
 from .gates import GateSeq
 from .recurrent import GlaInstance
-from .tensor import SeqTensor
+from .tensor import SeqTensor, readonly
 
 __all__ = ["ModelKind", "SplitMix64", "make_instance"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+_BLOCK = 16384  # draws mixed per block: 128 KiB of scratch, cache-resident
+_STEPS = readonly(np.uint64(_GAMMA) * np.arange(1, _BLOCK + 1, dtype=np.uint64))  # gamma*[1..BLOCK]
 
 
 class SplitMix64:
@@ -36,26 +44,49 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def _draws(self, n: int) -> np.ndarray:
-        """The next n outputs as a uint64 array; state advances n steps."""
-        z = np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
-        self.state = (self.state + n * _GAMMA) & _MASK
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
     def next_u64(self) -> int:
-        return int(self._draws(1)[0])
+        self.state = z = (self.state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return z ^ (z >> 31)
 
-    def _uniform(self, rows: int, cols: int) -> np.ndarray:
-        """rows x cols uniforms in [0, 1), row-major: a draw's top 53 bits times 2^-53."""
-        return (self._draws(rows * cols) >> np.uint64(11)).reshape(rows, cols) * 2.0 ** -53
+    def _fill(self, rows: int, cols: int, scale: float, shift: float | None) -> np.ndarray:
+        """rows x cols of u * scale (+ shift), row-major, where u in [0, 1) is
+        a draw's top 53 bits times 2^-53; state advances rows * cols steps.
+
+        Each block of draws is mixed in a uint64 scratch, with the output
+        block's own bytes as the second operand, then scaled into place.
+        """
+        out = np.empty((rows, cols))
+        flat = out.reshape(-1)
+        n = flat.size
+        z = np.empty(min(n, _BLOCK), dtype=np.uint64)
+        for s in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - s)
+            zb, o = z[:m], flat[s:s + m]
+            t = o.view(np.uint64)
+            np.add(_STEPS[:m], np.uint64((self.state + s * _GAMMA) & _MASK), out=zb)
+            np.right_shift(zb, 30, out=t)
+            zb ^= t
+            zb *= _MIX1
+            np.right_shift(zb, 27, out=t)
+            zb ^= t
+            zb *= _MIX2
+            np.right_shift(zb, 31, out=t)
+            zb ^= t
+            zb >>= 11
+            np.multiply(zb, 2.0 ** -53, out=o)
+            o *= scale
+            if shift is not None:
+                o += shift
+        self.state = (self.state + n * _GAMMA) & _MASK
+        return out
 
     def fill_pm1(self, rows: int, cols: int) -> np.ndarray:
-        return 2.0 * self._uniform(rows, cols) - 1.0
+        return self._fill(rows, cols, 2.0, -1.0)
 
     def fill_log_gate(self, rows: int, cols: int, log_floor: float) -> np.ndarray:
-        return self._uniform(rows, cols) * log_floor
+        return self._fill(rows, cols, log_floor, None)
 
 
 _KINDS = ("vanilla", "retnet", "gla_beta_one", "general")

@@ -8,6 +8,8 @@ cross-language comparisons and CLI determinism tests compare raw bytes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -25,43 +27,50 @@ class TensorFileError(Exception):
 
 
 def write_tensor(path, arr) -> None:
-    a = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
-    header = struct.pack("<4sII", MAGIC, VERSION, a.ndim)
-    header += struct.pack(f"<{a.ndim}I", *a.shape)
-    header += struct.pack("<I", DTYPE_F64)
-    Path(path).write_bytes(header + a.tobytes())
+    """Write the header, then the array's own contiguous <f8 buffer (no payload copy)."""
+    a = np.ascontiguousarray(arr, dtype="<f8")
+    header = struct.pack(f"<4sII{a.ndim}II", MAGIC, VERSION, a.ndim, *a.shape, DTYPE_F64)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(a)
 
 
 def read_tensor(path) -> np.ndarray:
+    """Parse the header, check the file size against it, then read the
+    payload straight into the returned array."""
     p = Path(path)
     try:
-        buf = p.read_bytes()
+        with open(p, "rb") as f:
+            return _read_open(p, f)
     except OSError as exc:
         raise TensorFileError(f"{p}: {exc}") from exc
 
-    def take(fmt: str, offset: int):
-        size = struct.calcsize(fmt)
-        if offset + size > len(buf):
-            raise TensorFileError(f"{p}: truncated header")
-        return struct.unpack_from(fmt, buf, offset), offset + size
 
-    (magic, version, ndim), off = take("<4sII", 0)
+def _read_open(p: Path, f) -> np.ndarray:
+    def take(fmt: str):
+        size = struct.calcsize(fmt)
+        raw = f.read(size)
+        if len(raw) != size:
+            raise TensorFileError(f"{p}: truncated header")
+        return struct.unpack(fmt, raw)
+
+    magic, version, ndim = take("<4sII")
     if magic != MAGIC:
         raise TensorFileError(f"{p}: bad magic {magic!r}")
     if version != VERSION:
         raise TensorFileError(f"{p}: unsupported version {version}")
     if ndim < 1 or ndim > 8:
         raise TensorFileError(f"{p}: implausible ndim {ndim}")
-    dims, off = take(f"<{ndim}I", off)
-    (dtype,), off = take("<I", off)
+    dims = take(f"<{ndim}I")
+    (dtype,) = take("<I")
     if dtype != DTYPE_F64:
         raise TensorFileError(f"{p}: unsupported dtype code {dtype}")
-    count = 1
-    for d in dims:
-        count *= d
-    expected = off + 8 * count
-    if len(buf) != expected:
-        raise TensorFileError(
-            f"{p}: payload is {len(buf) - off} bytes, expected {8 * count}")
-    a = np.frombuffer(buf, dtype="<f8", count=count, offset=off).reshape(dims)
-    return a.copy()
+    payload = os.fstat(f.fileno()).st_size - f.tell()
+    expected = 8 * math.prod(dims)
+    if payload != expected:
+        raise TensorFileError(f"{p}: payload is {payload} bytes, expected {expected}")
+    a = np.empty(dims, dtype="<f8")
+    got = f.readinto(a)
+    if got != expected:
+        raise TensorFileError(f"{p}: short read, {got} of {expected} payload bytes")
+    return a

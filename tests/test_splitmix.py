@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glakit import ModelKind, SplitMix64, make_instance
+from glakit.fixtures import _BLOCK
 
 MASK = (1 << 64) - 1
 
@@ -77,8 +79,20 @@ def test_block_draws_match_scalar_reference(seed, calls):
         assert lib.state == ref.state
 
 
+def test_fills_spanning_blocks_match_scalar_reference():
+    # several whole blocks and a ragged last one, then a stream that
+    # continues from a mid-block state
+    rows, cols = 3, _BLOCK + 1
+    lib, ref = SplitMix64(2**63 + 5), ScalarSplitMix64(2**63 + 5)
+    assert same_bytes(lib.fill_pm1(rows, cols), ref.fill_pm1(rows, cols))
+    assert same_bytes(lib.fill_log_gate(cols, 2, -3.5), ref.fill_log_gate(cols, 2, -3.5))
+    assert lib.next_u64() == ref.next_u64()
+    assert lib.state == ref.state
+
+
 # sha256 over Q, K, V, log_alpha, log_beta bytes, recorded from the scalar
-# generator before the block draw replaced it.
+# generator before the block draw replaced it; the last three, which span
+# many fill blocks, from the whole-array draw before fills went in place.
 PINNED = [
     (("general", 33, 5, 3, 2025, 0.05),
      "e2f923cd2392d40c41902becdeddb633d7f7ed31438bfa86a723e8183ca31ff6"),
@@ -90,6 +104,12 @@ PINNED = [
      "2f7b8c77c45f225ad1190c99b4d2726f0313bf5a4236944401d96081ffd49386"),
     (("general", 64, 16, 8, 2**64 - 1, 1e-12),
      "24589cf15714aebbe2b2fb2c6ea561c08b7731d45768d3e3c86ecd398ec422c1"),
+    (("general", 1237, 29, 31, 99, 0.05),
+     "5243327d2053719f31a45914d63f2111cad1e13be1ab3772a5ad923770a1eb88"),
+    (("general", 4096, 64, 64, 1, 0.5),
+     "8d0153091d53f64d6060f3bae77434bca28bba46ecb6251619129ce9f5a44cde"),
+    (("gla_beta_one", 3001, 7, 5, 2**64 - 1, 1e-300),
+     "a05bd0b735c5f25e59381eaeca900ee3f5db2ff60423c9b84905f794879a1a12"),
 ]
 
 
@@ -102,3 +122,19 @@ def test_make_instance_bytes_pinned(case, digest):
               inst.gates.log_alpha, inst.gates.log_beta):
         h.update(a.tobytes())
     assert h.hexdigest() == digest
+
+
+def test_make_instance_allocates_only_its_outputs():
+    # draws are mixed in a block-sized scratch and written into the five
+    # returned arrays; the budget leaves room for that scratch and the
+    # records' finiteness checks, not for full-length temporaries
+    L, d = 4096, 64
+    outputs = 5 * L * d * 8
+    make_instance(ModelKind("general"), L, d, d, seed=1)
+    tracemalloc.start()
+    try:
+        make_instance(ModelKind("general"), L, d, d, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs + 0.5 * 2**20, (peak - outputs) / 2**20

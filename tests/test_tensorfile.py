@@ -1,6 +1,8 @@
 """Binary tensor format: bitwise round trips and format validation."""
 
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,3 +84,107 @@ def test_truncated_payload(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(TensorFileError):
         read_tensor(tmp_path / "absent.glat")
+
+
+def test_trailing_bytes(tmp_path):
+    p = tmp_path / "long.glat"
+    write_tensor(p, np.ones((3, 3)))
+    with open(p, "ab") as f:
+        f.write(b"\0")
+    with pytest.raises(TensorFileError, match="long.glat.*payload"):
+        read_tensor(p)
+
+
+@pytest.mark.parametrize("keep", [0, 3, 12, 19, 23])
+def test_truncated_header(tmp_path, keep):
+    p = tmp_path / "head.glat"
+    write_tensor(p, np.ones((2, 2)))
+    p.write_bytes(p.read_bytes()[:keep])
+    with pytest.raises(TensorFileError, match="head.glat.*truncated header"):
+        read_tensor(p)
+
+
+def test_directory_path(tmp_path):
+    d = tmp_path / "dir.glat"
+    d.mkdir()
+    with pytest.raises(TensorFileError, match="dir.glat"):
+        read_tensor(d)
+
+
+def test_huge_dims_rejected_before_allocating(tmp_path):
+    # 28 bytes whose header claims (2^31-1)^2 doubles: the size check must
+    # fire before the 2^65-byte array is asked for
+    p = tmp_path / "huge.glat"
+    dim = 2**31 - 1
+    p.write_bytes(struct.pack("<4sIIIII", MAGIC, VERSION, 2, dim, dim, DTYPE_F64) + bytes(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorFileError, match="huge.glat.*payload"):
+            read_tensor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_short_read(tmp_path, monkeypatch):
+    # the file shrinks between the size check and the payload read
+    p = tmp_path / "shrunk.glat"
+    write_tensor(p, np.ones((3, 3)))
+    p.write_bytes(p.read_bytes()[:-8])
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        tuple(v + 8 if i == 6 else v for i, v in enumerate(real(fd)))))
+    with pytest.raises(TensorFileError, match="shrunk.glat.*short read"):
+        read_tensor(p)
+
+
+def test_read_returns_owned_writable_array(tmp_path):
+    _, b = roundtrip(tmp_path, np.arange(12.0).reshape(3, 4))
+    assert b.flags.writeable and b.flags.owndata and b.flags.c_contiguous
+    assert b.base is None
+    b[0, 0] = -1.0
+
+
+def _header(shape):
+    return struct.pack(f"<4sII{len(shape)}II", MAGIC, VERSION, len(shape), *shape, DTYPE_F64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, ::2],
+    lambda a: np.asfortranarray(a),
+    lambda a: a.astype(np.float32),
+    lambda a: a.astype(">f8"),
+], ids=["strided", "fortran", "float32", "big-endian"])
+def test_awkward_inputs_write_canonical_bytes(tmp_path, make):
+    a = make(np.random.default_rng(3).uniform(-1, 1, (5, 6)))
+    p = tmp_path / "a.glat"
+    write_tensor(p, a)
+    assert p.read_bytes() == _header(a.shape) + np.ascontiguousarray(a, "<f8").tobytes()
+
+
+L_BIG, D_BIG = 4096, 64
+PAYLOAD = L_BIG * D_BIG * 8
+
+
+def _warm_peak(fn):
+    fn()  # one-time allocations outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_streams_from_the_array(tmp_path):
+    a = np.random.default_rng(4).uniform(-1, 1, (L_BIG, D_BIG))
+    peak = _warm_peak(lambda: write_tensor(tmp_path / "w.glat", a))
+    assert peak <= 0.05 * PAYLOAD, peak / PAYLOAD
+
+
+def test_read_streams_into_the_array(tmp_path):
+    p = tmp_path / "r.glat"
+    write_tensor(p, np.random.default_rng(5).uniform(-1, 1, (L_BIG, D_BIG)))
+    peak = _warm_peak(lambda: read_tensor(p))
+    assert peak <= 1.05 * PAYLOAD, peak / PAYLOAD
