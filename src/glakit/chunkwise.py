@@ -40,15 +40,16 @@ The backward is two sweeps, as in the GLA paper: chunk states in forward
 order, state cotangents in reverse order.  It never replays the forward:
 the output O that the value-gate identity needs is re-formed chunk by
 chunk from the score blocks the backward builds anyway, bit for bit the
-forward's.  Two scheduling policies are modeled: ``materialize`` records
-every chunk state to slow memory in the forward-order sweep and reads
-S_{i-1} back from the record (chunk-parallel backward); ``recompute``
-stores nothing and uses the live state of that sweep's recurrence.
-Either way the backward runs the recurrence once, so both count the same
-flops and produce identical numbers; they differ only in the state
-traffic of the CostReport.  Every executed array op is metered with
-the exact flop convention from ``cost``: products inside ``mm``, the
-rest at their call sites.  ``predict_cost`` mirrors the implementation in
+forward's.  The two policies of the GLA paper's chunkwise training (its
+section 4) decide only whether the forward returns its chunk states
+(``materialize``) or not (``recompute``), and which state traffic the
+CostReport books.  The backward keeps no record and runs the state
+recurrence once under either policy, so both count the same flops and
+give identical numbers; the materialize counters model the paper's
+chunk-parallel backward, which reads S_{i-1} from the forward's record
+and does not run here yet.  Every executed array op is metered with the
+exact flop convention from ``cost``: products inside ``mm``, the rest at
+their call sites.  ``predict_cost`` mirrors the implementation in
 one pass over the chunk plan, with the state traffic in closed form, and
 must agree integer-for-integer.
 """
@@ -110,6 +111,8 @@ def _causal(W: np.ndarray, j0: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChunkPolicy:
+    """Whether the forward returns its chunk states, and which traffic a CostReport books."""
+
     mode: str
 
     def __post_init__(self):
@@ -257,16 +260,16 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     inter-chunk dq term, the scale-backs of dq, dk and dv, and the chunk's
     output rows O, bit for bit the forward's and re-formed from the score
     blocks rather than by replaying the forward.  O is parked in the rows
-    of the dlog_beta buffer.  Under materialize the sweep records every
-    chunk state (one slow-memory write each) and reads S_{i-1} back from
-    the record; under recompute it uses the live state and stores nothing.
-    (R) A reverse sweep does only what needs the state cotangent dS: each
-    chunk's K/V path through dS and the carry of dS.  Once a chunk's rows
-    are final it assembles the gate gradients from the identities
-    dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
-    positive; the finite-difference oracle pins the sign) as suffix sums
-    continued from the next chunk, equal to whole-array suffix sums bit
-    for bit.
+    of the dlog_beta buffer.  It keeps no record of the states under
+    either policy; ``policy`` only picks the traffic booked per chunk: the
+    modeled write of S_i and read of S_{i-1} under materialize, one
+    state-update replay under recompute.  (R) A reverse sweep does only
+    what needs the state cotangent dS: each chunk's K/V path through dS
+    and the carry of dS.  Once a chunk's rows are final it assembles the
+    gate gradients from the identities dlogb = q (.) dq - k (.) dk and
+    dlogd = o (.) do - v (.) dv (query term positive; the finite-difference
+    oracle pins the sign) as suffix sums continued from the next chunk,
+    equal to whole-array suffix sums bit for bit.
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
@@ -284,7 +287,6 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
 
     # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
     # only the chunk itself, in forward order.
-    states = [] if policy.materialize else None
     S = None
     for i, (s, e) in enumerate(plan.boundaries):
         dec = _decays(inst, s, e, meter)
@@ -294,9 +296,6 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         meter.add_flops(c * dv)
         dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
         if i > 0:  # the inter-chunk terms; dq takes them before its intra term
-            if states is not None:
-                S = states[i - 1]
-                meter.state_reads += 1
             dQ[s:e] += mm(dOt, S.T, meter) * dec.b_dagger
             Oc += mm(Qt, S, meter)
             meter.add_flops(2 * c * dk + c * dv)
@@ -307,16 +306,16 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         dlb[s:e] = Oc * dec.d_dagger  # the forward's O rows, bit for bit
         meter.add_flops(c * dv)
         S = _state_update(dec, K[s:e], V[s:e], S, meter)
-        if states is not None:
-            states.append(readonly(S))
+        if policy.materialize:  # modeled: S_i written, S_{i-1} read back
             meter.state_writes += 1
+            meter.state_reads += i > 0
         else:
             meter.recompute_passes += 1
 
-    # Sweep R needs neither the recorded states nor sweep F's chunk
-    # temporaries; it starts from the last chunk's factors, which sweep F
-    # ended with, and forms every other chunk's again.
-    del states, S, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc
+    # Sweep R needs none of sweep F's chunk temporaries; it starts from the
+    # last chunk's factors, which sweep F ended with, and forms every other
+    # chunk's again.
+    del S, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc
 
     # Sweep R: the state-cotangent path and its carry, and the gate
     # gradients of each chunk once its rows are final, in reverse order.
@@ -390,8 +389,9 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     The backward runs the state recurrence once under either policy, so
     both policies count the same flops.  State traffic over N chunks is
     closed form: materialize writes N states in either pass and the
-    backward reads N-1 of them back; recompute writes none and its
-    backward replays N state updates.
+    backward reads N-1 of them back, the traffic of the GLA paper's
+    chunk-parallel backward, modeled rather than run; recompute writes
+    none and its backward replays N state updates.
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")

@@ -9,7 +9,10 @@ that are later zeroed by assignment are still counted.  state_writes /
 state_reads count whole dk x dv state matrices moved to / from the
 modeled slow memory; the live running state is not traffic.
 recompute_passes counts chunk state-update evaluations replayed during a
-backward pass.
+backward pass.  The chunkwise backward runs the state recurrence once
+under either policy: its materialize counters model the chunk-parallel
+backward of the GLA paper (section 4), which reads each S_{i-1} back from
+the forward's record, and its recompute counters count the replays it runs.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import _as_f64, readonly
+from .tensor import _as_f64, _check_finite, readonly
 
 __all__ = [
     "GateSeq",
@@ -50,10 +50,12 @@ class GateSeq:
             )
         if la.shape[0] < 1 or la.shape[1] < 1 or lb.shape[1] < 1:
             raise ValueError("empty gate sequence")
-        if np.any(la > 0.0) or np.any(lb > 0.0):
+        _check_finite(la)
+        _check_finite(lb)
+        if la.max() > 0.0 or lb.max() > 0.0:
             raise ValueError("log-gates must be <= 0 (gates in (0, 1])")
-        object.__setattr__(self, "log_alpha", readonly(np.ascontiguousarray(la)))
-        object.__setattr__(self, "log_beta", readonly(np.ascontiguousarray(lb)))
+        object.__setattr__(self, "log_alpha", readonly(la))
+        object.__setattr__(self, "log_beta", readonly(lb))
 
     @property
     def L(self) -> int:

@@ -14,6 +14,7 @@ of the same call.  It is checked against the recurrent form by tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,22 @@ __all__ = ["SeqTensor", "mm", "readonly", "suffix_sum_arr"]
 
 
 def _as_f64(data) -> np.ndarray:
+    """data as a C-contiguous fp64 array that owns its data.
+
+    An input that does not own its data is copied, so a caller's writable
+    base cannot change the record it goes into.
+    """
     a = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    return np.ascontiguousarray(a) if a.flags.owndata else a.copy()
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """Reject NaN and +-inf in a non-empty array, with no full-size temporary.
+
+    NaN carries through min and max, and an infinity is one of them.
+    """
+    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
         raise ValueError("non-finite value (NaN/Inf) in tensor data")
-    return a
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -48,7 +61,8 @@ class SeqTensor:
         a = _as_f64(self.data)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"SeqTensor needs a non-empty 2-D array, got shape {a.shape}")
-        object.__setattr__(self, "data", readonly(np.ascontiguousarray(a)))
+        _check_finite(a)
+        object.__setattr__(self, "data", readonly(a))
 
     @property
     def shape(self) -> tuple[int, int]:

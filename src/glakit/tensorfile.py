@@ -20,6 +20,7 @@ __all__ = ["TensorFileError", "write_tensor", "read_tensor", "MAGIC", "VERSION",
 MAGIC = b"GLAT"
 VERSION = 1
 DTYPE_F64 = 1
+MAX_NDIM = 8
 
 
 class TensorFileError(Exception):
@@ -27,8 +28,18 @@ class TensorFileError(Exception):
 
 
 def write_tensor(path, arr) -> None:
-    """Write the header, then the array's own contiguous <f8 buffer (no payload copy)."""
-    a = np.ascontiguousarray(arr, dtype="<f8")
+    """Write the header, then the array's own contiguous <f8 buffer (no payload copy).
+
+    A shape the reader refuses (ndim outside 1..MAX_NDIM, or a dimension
+    that does not fit the header's u32) raises before the file is opened.
+    """
+    a = np.asarray(arr, dtype="<f8")
+    if not 1 <= a.ndim <= MAX_NDIM:
+        raise TensorFileError(
+            f"{path}: cannot write ndim {a.ndim}, the format holds 1..{MAX_NDIM}")
+    if max(a.shape) >= 2**32:
+        raise TensorFileError(f"{path}: dimension {max(a.shape)} does not fit the header's u32")
+    a = np.ascontiguousarray(a)
     header = struct.pack(f"<4sII{a.ndim}II", MAGIC, VERSION, a.ndim, *a.shape, DTYPE_F64)
     with open(path, "wb") as f:
         f.write(header)
@@ -59,7 +70,7 @@ def _read_open(p: Path, f) -> np.ndarray:
         raise TensorFileError(f"{p}: bad magic {magic!r}")
     if version != VERSION:
         raise TensorFileError(f"{p}: unsupported version {version}")
-    if ndim < 1 or ndim > 8:
+    if not 1 <= ndim <= MAX_NDIM:
         raise TensorFileError(f"{p}: implausible ndim {ndim}")
     dims = take(f"<{ndim}I")
     (dtype,) = take("<I")

@@ -280,8 +280,7 @@ def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
 def test_backward_allocates_no_full_length_temporaries(pol):
     # full-length arrays: the five gradients (5 L*d); chunk-local
-    # temporaries, the recorded states and the gradient records' finiteness
-    # checks fill the rest.  A backward that replays the forward and
+    # temporaries fill the rest.  A backward that replays the forward and
     # assembles whole-array identities traces 13+.
     L, d = 1024, 16
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
@@ -320,6 +319,19 @@ def test_passes_hold_no_decay_table(pol):
     bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
     assert fwd <= 2.5 * L * d * 8, fwd / (L * d * 8)
     assert bwd <= 6.5 * L * d * 8, bwd / (L * d * 8)
+
+
+@pytest.mark.parametrize("C", [4, 64])
+def test_backward_peak_does_not_depend_on_policy(C):
+    # the backward keeps no record of the chunk states under either policy;
+    # at C=4 a record of all 256 states would add ~3.2 L*d*8 bytes
+    L, d = 1024, 16
+    inst = make_instance(ModelKind("general"), L, d, d, seed=20)
+    plan = ChunkPlan(L, C)
+    dO = rand_dO(L, d, seed=21)
+    peaks = {pol.mode: _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
+             for pol in (MAT, REC)}
+    assert peaks["materialize"] == peaks["recompute"], peaks
 
 
 @pytest.mark.parametrize("L, C, dk, seed, floor, chunk", [

@@ -1,6 +1,7 @@
 """Array primitives: pinned summation order, validation, suffix sums, frozen records."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,35 @@ def test_constructors_reject_nonfinite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             SeqTensor([[1.0, bad]])
+        # a NaN log-gate fails no sign comparison, so finiteness is checked first
+        for la, lb in (([[-1.0, bad]], [[0.0]]), ([[0.0]], [[bad]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                GateSeq(la, lb)
+
+
+def test_validation_allocates_no_record_sized_temporary():
+    # finiteness and sign are checked by reductions; an elementwise check
+    # would trace one 256 KiB bool array per 4096 x 64 record
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1, 1, (4096, 64))
+    la, lb = -rng.uniform(0, 1, (4096, 64)), -rng.uniform(0, 1, (4096, 64))
+    tracemalloc.start()
+    try:
+        SeqTensor(a)
+        GateSeq(la, lb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024, peak
+
+
+def test_records_do_not_alias_a_writable_base():
+    base = np.zeros((6, 2))
+    g = GateSeq(base[:3], base[3:])
+    x = SeqTensor(base[:2])
+    base[0, 0] = 0.7  # a positive log-gate, had the view been kept
+    assert g.log_alpha[0, 0] == 0.0 and x.data[0, 0] == 0.0
+    assert not g.log_alpha.flags.writeable and not x.data.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 3)])

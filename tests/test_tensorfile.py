@@ -146,6 +146,18 @@ def test_read_returns_owned_writable_array(tmp_path):
     b[0, 0] = -1.0
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: np.zeros((1,) * 9), "ndim 9"),
+    (lambda: np.float64(1.5), "ndim 0"),   # would come back as shape (1,)
+    (lambda: np.zeros((2**32, 0)), "dimension 4294967296"),
+], ids=["9-D", "0-D", "u32-overflow"])
+def test_write_refuses_shapes_the_reader_refuses(tmp_path, make, match):
+    p = tmp_path / "bad.glat"
+    with pytest.raises(TensorFileError, match=f"bad.glat.*{match}"):
+        write_tensor(p, make())
+    assert not p.exists()
+
+
 def _header(shape):
     return struct.pack(f"<4sII{len(shape)}II", MAGIC, VERSION, len(shape), *shape, DTYPE_F64)
 
