@@ -15,19 +15,32 @@ and the carried state update
 
     S_new = (gamma_b^T gamma_d) (.) S_prev + (Bpri (.) K)^T (Dpri (.) V).
 
-Inside a chunk the rows are taken in blocks of ``BLOCK``.  Rows [j0, n)
-are scored against the chunk prefix [:n] with one product
+Inside a chunk the forward takes the rows in blocks of ``BLOCK``.  Rows
+[j0, n) are scored against the chunk prefix [:n] with one product
 (``Qt[j0:n] Kt[:n]^T``), the strict upper triangle of the block's own
 diagonal square is zeroed by assignment (never by multiplying with a mask,
 which would turn an inf score into NaN rather than 0), and one more product
-applies the scores to ``Vt[:n]``.  The backward forms the same score
-blocks, adds ``dOt Vt^T`` and accumulates ``dk += G^T Qt`` and
-``dv += W^T dOt``.  The block size trades the upper-triangle work a block
-computes and throws away against the number of Python-level products: at
-L=4096, d=64, C=64 the forward counts 112.5 M flops at ``BLOCK = 16``,
-under the recurrent form's 117.2 M, while 32-row blocks (120.9 M) and
-whole-chunk squares (137.6 M) would count more than the recurrence they
-are meant to beat.
+applies the scores to ``Vt[:n]``.  The block size trades the upper-triangle
+work a block computes and throws away against the number of Python-level
+products: at L=4096, d=64, C=64 the forward counts 112.5 M flops at
+``BLOCK = 16``, under the recurrent form's 117.2 M, while 32-row blocks
+(120.9 M) and whole-chunk squares (137.6 M) would count more than the
+recurrence they are meant to beat.
+
+The backward takes the rows in panels of ``PANEL`` (four blocks), last
+panel first.  A panel forms the forward's own score blocks, so the output
+it re-forms is the forward's bit for bit, and copies them into a
+panel-wide score matrix W that is zero elsewhere.  It scores the panel's
+cotangents once, ``G = dOt[p0:p1] Vt[:p1]^T`` with the same causal zeroing,
+and three more products finish it: ``dq = G Kt``, ``dk += G^T Qt`` and
+``dv += W^T dOt``.  Flops pick the forward's block size; calls pick the
+backward's panel size.  Done in 16-row blocks, the backward would take six
+products per block, 24 per 64-row chunk; a panel takes the forward's two
+per block and four more, 12.  A panel counts more flops, because the
+masked entries of its 64-row diagonal square are computed and thrown
+away, but its larger products run faster: on a 2-vCPU x86 VM a 16x64 by
+64x64 product runs at ~31 GFlop/s and a 64x64 by 64x64 one at ~63.  At
+C <= 64 a chunk is one panel.
 
 Every product, intra-chunk and state alike, goes through ``mm``, one
 2-D BLAS product that meters itself from its operand shapes.  BLAS may
@@ -69,6 +82,7 @@ from .tensor import SeqTensor, readonly, suffix_sum_arr
 
 __all__ = [
     "BLOCK",
+    "PANEL",
     "ChunkPolicy",
     "CostReport",
     "forward_chunkwise",
@@ -78,7 +92,8 @@ __all__ = [
 
 _MODES = ("materialize", "recompute")
 
-BLOCK = 16  # rows per intra-chunk block; see the module docstring for why 16
+BLOCK = 16  # rows per forward block; see the module docstring for why 16
+PANEL = 64  # rows per backward panel, a whole number of blocks
 
 
 def mm(a: np.ndarray, b: np.ndarray, meter: Meter) -> np.ndarray:
@@ -92,9 +107,9 @@ def mm(a: np.ndarray, b: np.ndarray, meter: Meter) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def _row_blocks(c: int):
-    """(j0, n) per row block of a c-row chunk: rows [j0, n) see the prefix [:n]."""
-    return [(j0, min(j0 + BLOCK, c)) for j0 in range(0, c, BLOCK)]
+def _row_blocks(c: int, size: int = BLOCK, start: int = 0):
+    """(j0, n) per size-row block of rows [start, c): rows [j0, n) see the prefix [:n]."""
+    return [(j0, min(j0 + size, c)) for j0 in range(start, c, size)]
 
 
 @cache
@@ -172,24 +187,40 @@ def _intra(Qt, Kt, Vt, meter: Meter) -> np.ndarray:
 def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     """Cotangents (dqt, dkt, dvt) of _intra given the transformed dO, plus _intra itself.
 
-    The fourth result is the forward's within-chunk sum, bit for bit: each
-    block's scores are the forward's, so one more product with ``Vt`` gives
-    what ``_intra`` gives, and the backward never replays the forward.
+    One panel of ``PANEL`` rows at a time, last panel first: the first
+    panel taken sees the whole chunk, so it assigns dkt and dvt and the
+    earlier panels add to their prefixes.  The fourth result is the
+    forward's within-chunk sum, bit for bit: each panel forms the forward's
+    own score blocks and applies them to ``Vt`` as ``_intra`` does, so the
+    backward never replays the forward.
     """
     c, dk = Qt.shape
     dv = Vt.shape[1]
     dqt = np.empty((c, dk))
-    dkt = np.zeros((c, dk))
-    dvt = np.zeros((c, dv))
     acc = np.empty((c, dv))
-    for j0, n in _row_blocks(c):
-        W = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
-        G = _causal(mm(dOt[j0:n], Vt[:n].T, meter), j0)
-        acc[j0:n] = mm(W, Vt[:n], meter)
-        dqt[j0:n] = mm(G, Kt[:n], meter)
-        dkt[:n] += mm(G.T, Qt[j0:n], meter)
-        dvt[:n] += mm(W.T, dOt[j0:n], meter)
-        meter.add_flops(n * (dk + dv))  # the two accumulating adds
+    dkt = dvt = None
+    for p0, p1 in reversed(_row_blocks(c, PANEL)):
+        W = np.zeros((p1 - p0, p1))
+        for j0, n in _row_blocks(p1, BLOCK, p0):
+            Wb = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
+            acc[j0:n] = mm(Wb, Vt[:n], meter)
+            W[j0 - p0:n - p0, :n] = Wb
+        dvp = mm(W.T, dOt[p0:p1], meter)
+        del W  # one PANEL x p1 score array at a time
+        # a masked entry pairs row t with a later row, whose 1 / Ddag can
+        # dwarf Ddag_t: it may overflow, and the zeroing drops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = mm(dOt[p0:p1], Vt[:p1].T, meter)
+        G = _causal(G, p0)
+        dqt[p0:p1] = mm(G, Kt[:p1], meter)
+        dkp = mm(G.T, Qt[p0:p1], meter)
+        del G
+        if dkt is None:
+            dkt, dvt = dkp, dvp
+        else:
+            dkt[:p1] += dkp
+            dvt[:p1] += dvp
+            meter.add_flops(p1 * (dk + dv))  # the two accumulating adds
     return dqt, dkt, dvt, acc
 
 
@@ -257,7 +288,8 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     the last chunk, whose factors sweep F ended with).  (F) A forward-order
     sweep runs the state recurrence once and does everything that needs
     S_{i-1} or only the chunk itself: the intra-chunk cotangents, the
-    inter-chunk dq term, the scale-backs of dq, dk and dv, and the chunk's
+    inter-chunk dq term, the scale-backs of dq, dk and dv, which write each
+    gradient row once into uninitialized arrays, and the chunk's
     output rows O, bit for bit the forward's and re-formed from the score
     blocks rather than by replaying the forward.  O is parked in the rows
     of the dlog_beta buffer.  It keeps no record of the states under
@@ -280,9 +312,9 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     N = plan.num_chunks
 
     meter = Meter()
-    dQ = np.zeros((L, dk))
-    dK = np.zeros((L, dk))
-    dV = np.zeros((L, dv))
+    dQ = np.empty((L, dk))  # sweep F writes each row once; sweep R adds to dK, dV
+    dK = np.empty((L, dk))
+    dV = np.empty((L, dv))
     dlb = np.empty((L, dv))  # holds each chunk's O rows until sweep R reads them
 
     # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
@@ -295,15 +327,15 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         dOt = dOa[s:e] * dec.d_dagger
         meter.add_flops(c * dv)
         dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
-        if i > 0:  # the inter-chunk terms; dq takes them before its intra term
-            dQ[s:e] += mm(dOt, S.T, meter) * dec.b_dagger
+        if i > 0:  # the inter-chunk terms
+            dqt += mm(dOt, S.T, meter)
             Oc += mm(Qt, S, meter)
-            meter.add_flops(2 * c * dk + c * dv)
-        dQ[s:e] += dqt * dec.b_dagger
-        dK[s:e] += dkt / dec.b_dagger
-        dV[s:e] += dvt / dec.d_dagger
-        meter.add_flops(4 * c * dk + 2 * c * dv)
-        dlb[s:e] = Oc * dec.d_dagger  # the forward's O rows, bit for bit
+            meter.add_flops(c * dk + c * dv)
+        np.multiply(dqt, dec.b_dagger, out=dQ[s:e])
+        np.divide(dkt, dec.b_dagger, out=dK[s:e])
+        np.divide(dvt, dec.d_dagger, out=dV[s:e])
+        meter.add_flops(2 * c * dk + c * dv)
+        np.multiply(Oc, dec.d_dagger, out=dlb[s:e])  # the forward's O rows, bit for bit
         meter.add_flops(c * dv)
         S = _state_update(dec, K[s:e], V[s:e], S, meter)
         if policy.materialize:  # modeled: S_i written, S_{i-1} read back
@@ -347,16 +379,19 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
 
         # Gate gradients as suffix sums continued from the next chunk:
         # folding its first row into this chunk's last row is the
-        # whole-array accumulate's own next step.
-        dla[s:e] = Q[s:e] * dQ[s:e] - K[s:e] * dK[s:e]
-        dlb[s:e] = dlb[s:e] * dOa[s:e] - V[s:e] * dV[s:e]
+        # whole-array accumulate's own next step.  The identities and the
+        # sums are formed in the rows they end up in.
+        np.multiply(Q[s:e], dQ[s:e], out=dla[s:e])
+        dla[s:e] -= K[s:e] * dK[s:e]
+        dlb[s:e] *= dOa[s:e]
+        dlb[s:e] -= V[s:e] * dV[s:e]
         meter.add_flops(3 * c * dk + 3 * c * dv)
         if i < N - 1:
             dla[e - 1] += dla[e]
             dlb[e - 1] += dlb[e]
             meter.add_flops(dk + dv)
-        dla[s:e] = suffix_sum_arr(dla[s:e])
-        dlb[s:e] = suffix_sum_arr(dlb[s:e])
+        suffix_sum_arr(dla[s:e], out=dla[s:e])
+        suffix_sum_arr(dlb[s:e], out=dlb[s:e])
         meter.add_flops((c - 1) * (dk + dv))
     try:
         grads = GradBundle(dQ, dK, dV, dla, dlb)
@@ -367,10 +402,10 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     return grads, meter.report()
 
 
-def _block_area(c: int) -> int:
-    """Sum over the row blocks of a c-row chunk of block rows x prefix length."""
-    q, r = divmod(c, BLOCK)
-    return BLOCK * BLOCK * q * (q + 1) // 2 + r * c
+def _block_area(c: int, size: int = BLOCK) -> int:
+    """Sum over the size-row blocks of a c-row chunk of block rows x prefix length."""
+    q, r = divmod(c, size)
+    return size * size * q * (q + 1) // 2 + r * c
 
 
 def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
@@ -383,9 +418,13 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     (4c-1)(dk+dv) each time a pass forms them: once in the forward, and in
     the backward twice for every chunk but the last.  Per chunk of c rows with
     A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
-    in the forward (scores, then scores x values) and to
-    A(6dk+6dv-2) - c(dk+dv) in the backward (two score products, scores x
-    values, dq, and the accumulated dk and dv products with their adds).
+    in the forward (scores, then scores x values).  The backward's panels
+    form the same blocks and, with P = _block_area(c, PANEL), add
+    P(4dk+4dv-1) - c dk - c(dk+dv): the cotangent scores P(2dv-1), dq
+    (2P-c)dk, dk and dv (2P-p)(dk+dv) and their adds (p-c)(dk+dv), where p
+    sums the panels' prefix lengths and cancels.  A panel's masked entries
+    are counted like any other, so panels count more flops than 16-row
+    blocks would, in fewer calls.
     The backward runs the state recurrence once under either policy, so
     both policies count the same flops.  State traffic over N chunks is
     closed form: materialize writes N states in either pass and the
@@ -404,7 +443,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     flops = 0
     for i, (s, e) in enumerate(plan.boundaries):
         c = e - s
-        A = _block_area(c)
+        A, P = _block_area(c), _block_area(c, PANEL)
         first, last = i == 0, i == N - 1
         # decays: within-chunk prefix sums, dagger and prime, formed when a
         # pass reaches the chunk; sweep R forms them again for all but the last
@@ -417,12 +456,13 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
             flops += 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
             flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
             continue
-        # sweep R's re-formed Qt and dOt; sweep F's Qt S_prev and dq's scaled inter term
+        # sweep R's re-formed Qt and dOt; sweep F's Qt S_prev and dq's inter term and add
         if not first:
-            flops += c * d + mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + 2 * c * dk
-        # sweep F: transforms and dOt, row blocks, dq/dk/dv scaled back, output scale
-        flops += 2 * c * d + A * (6 * dk + 6 * dv - 2) - c * d
-        flops += 4 * c * dk + 2 * c * dv + c * dv
+            flops += c * d + mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + c * dk
+        # sweep F: transforms and dOt, the panels, dq/dk/dv scaled back, output scale
+        flops += 2 * c * d + A * (2 * dk - 1) + (2 * A - c) * dv
+        flops += P * (4 * d - 1) - c * dk - c * d
+        flops += 2 * c * dk + c * dv + c * dv
         if not last:  # the chunk's own K/V term of S_i under the carried cotangent
             flops += c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv) + 2 * c * d
         if not first:  # dS_out, the inter + intra add, and (not last) the cotangent carry

@@ -81,10 +81,15 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :]
 
 
-def suffix_sum_arr(x: np.ndarray) -> np.ndarray:
-    """out[t] = sum_{i >= t} x[i], accumulated back to front: out[t] = x[t] + out[t+1]."""
+def suffix_sum_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out[t] = sum_{i >= t} x[i], accumulated back to front: out[t] = x[t] + out[t+1].
+
+    ``out`` may be ``x`` itself: row t is read before it is written, so the
+    in-place sum has the same bits as a fresh one.
+    """
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("suffix_sum needs a non-empty 2-D array")
-    out = np.empty(x.shape)
+    if out is None:
+        out = np.empty(x.shape)
     np.add.accumulate(x[::-1], axis=0, out=out[::-1])
     return out

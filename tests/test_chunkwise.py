@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor, SplitMix64,
-                    backward_chunkwise, backward_recurrent_exact,
+from glakit import (ChunkPlan, ChunkPolicy, GateSeq, GlaInstance, ModelKind,
+                    SeqTensor, SplitMix64, backward_chunkwise, backward_recurrent_exact,
                     backward_recurrent_fd, forward_chunkwise, forward_parallel,
                     forward_recurrent, make_instance, predict_cost, rel_err)
-from glakit.chunkwise import BLOCK
+from glakit.chunkwise import BLOCK, PANEL
 from glakit.tensor import suffix_sum_arr
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
@@ -118,6 +118,17 @@ def test_backward_agrees_with_parallel_closed_form():
         assert rel_err(getattr(bp, f).data, getattr(bc, f).data) <= 1e-12, f
 
 
+def test_multi_panel_backward_matches_fd():
+    # chunks of PANEL + 9 rows: two panels each, the second a ragged 9 rows
+    L = 2 * PANEL + 30
+    inst = make_instance(ModelKind("general"), L=L, dk=2, dv=1, seed=70)
+    dO = rand_dO(L, 1, seed=71)
+    fd = backward_recurrent_fd(inst, dO, eps=1e-5)
+    b, _ = backward_chunkwise(inst, dO, ChunkPlan(L, PANEL + 9), REC)
+    for f in GRAD_FIELDS:
+        assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
+
+
 def test_heavy_decay_stays_stable():
     # gate_floor 0.05 gives within-chunk exponent ranges ~50; fp64 handles it
     inst = make_instance(ModelKind("general"), L=64, dk=4, dv=4, seed=50,
@@ -192,6 +203,26 @@ def test_frozen_forward_flop_count():
     assert predict_cost(8, 2, 2, plan, MAT).flops == 528
 
 
+def test_frozen_backward_flop_count():
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1380
+    # (decays, formed three times 180 + state updates 104 + transforms and
+    #  dOt 64 + panels 640 + dq/dk/dv scale-backs 48 + output scale 16 +
+    #  chunk 1's inter-chunk terms 108 + chunk 0's state-cotangent path 96 +
+    #  gate gradients 124); the closed form must agree.  Each chunk is one
+    # 4-row panel: the forward's scores and scores by values (104), the
+    # cotangent scores (56), dq (56), dk and dv (2 x 52).
+    inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
+    plan = ChunkPlan(8, 4)
+    _, measured = backward_chunkwise(inst, rand_dO(8, 2), plan, MAT)
+    assert measured.flops == 1380
+    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1380
+
+
+def test_forward_blocks_nest_in_backward_panels():
+    # a panel re-forms the forward's own score blocks, so none may straddle two panels
+    assert PANEL % BLOCK == 0
+
+
 def _outputs(o, g):
     return [o.data] + [getattr(g, f).data for f in GRAD_FIELDS]
 
@@ -208,6 +239,8 @@ def _outputs(o, g):
 @example(L=57, C=40, dk=1, dv=1, seed=7)
 @example(L=41, C=40, dk=2, dv=3, seed=8)                    # one-row last chunk
 @example(L=2, C=1, dk=3, dv=2, seed=9)                      # two one-row chunks
+@example(L=2 * PANEL + 30, C=PANEL + 9, dk=3, dv=2, seed=10)  # two panels, ragged last chunk
+@example(L=2 * PANEL + 43, C=2 * PANEL + 3, dk=2, dv=3, seed=11)  # three panels, ragged
 def test_row_blocks_match_recurrent_policies_and_counters(L, C, dk, dv, seed):
     inst = make_instance(ModelKind("general"), L, dk, dv, seed=seed)
     plan = ChunkPlan(L, C)
@@ -259,6 +292,10 @@ def test_repeated_calls_are_byte_identical():
 @example(L=20, C=6, dk=1, dv=1, seed=5, kind="general", floor=0.5)      # dk=dv=1
 @example(L=2 * BLOCK + 3, C=BLOCK + 1, dk=3, dv=4, seed=6, kind="general",
          floor=0.5)                                                      # ragged last chunk
+@example(L=2 * PANEL + 30, C=PANEL + 9, dk=3, dv=2, seed=7, kind="general",
+         floor=0.5)                                                      # two panels, ragged
+@example(L=2 * PANEL + 43, C=2 * PANEL + 3, dk=2, dv=3, seed=8, kind="general",
+         floor=0.05)                                                     # three panels, ragged
 def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed,
                                                               kind, floor):
     # the backward assembles each chunk's suffix sums continued from the
@@ -321,6 +358,18 @@ def test_passes_hold_no_decay_table(pol):
     assert bwd <= 6.5 * L * d * 8, bwd / (L * d * 8)
 
 
+def test_backward_scratch_at_one_long_chunk():
+    # a panel's score arrays are PANEL x c where 16-row blocks' were 16 x c.
+    # At c = L = 1024, d = 16 the chunk scratch comes to ~19 L*d*8 bytes and
+    # one live PANEL x c array adds 4 more; keeping W and G alive together
+    # would add 8, and whole c x c score squares 64.
+    L, d = 1024, 16
+    inst = make_instance(ModelKind("general"), L, d, d, seed=20)
+    dO = rand_dO(L, d, seed=21)
+    peak = _traced_peak(lambda: backward_chunkwise(inst, dO, ChunkPlan(L, L), REC))
+    assert peak <= 24 * L * d * 8, peak / (L * d * 8)
+
+
 @pytest.mark.parametrize("C", [4, 64])
 def test_backward_peak_does_not_depend_on_policy(C):
     # the backward keeps no record of the chunk states under either policy;
@@ -332,6 +381,61 @@ def test_backward_peak_does_not_depend_on_policy(C):
     peaks = {pol.mode: _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
              for pol in (MAT, REC)}
     assert peaks["materialize"] == peaks["recompute"], peaks
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(PANEL - 1, 2 * PANEL + 9), d=st.integers(1, 8),
+       C=st.sampled_from([PANEL - 1, PANEL, PANEL + 9]),
+       floor=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]), seed=st.integers(0, 2**32))
+def test_panel_masked_scores_stay_silent(L, d, C, floor, seed):
+    # a panel's cotangent scores pair rows up to PANEL - 1 apart, where a
+    # 16-row block's paired rows up to 15 apart, so a masked entry overflows
+    # sooner (see the next test).  Whenever the
+    # forward runs without a warning, the backward must warn of nothing and
+    # either match the recurrent gradients or name the chunk it failed in.
+    # Warnings are errors here (pyproject's filterwarnings).
+    inst = make_instance(ModelKind("general"), L, d, d, seed=seed, gate_floor=floor)
+    plan = ChunkPlan(L, C)
+    dO = rand_dO(L, d, seed=seed + 1)  # |dO| <= 1
+    try:
+        forward_chunkwise(inst, plan, MAT)
+    except (RuntimeWarning, ValueError):
+        return  # past the forward's own range; see the strict xfail above
+    want = backward_recurrent_exact(inst, dO)
+    for pol in (MAT, REC):
+        try:
+            g, _ = backward_chunkwise(inst, dO, plan, pol)
+        except ValueError as exc:
+            assert str(exc).startswith("non-finite values from chunk "), str(exc)
+            continue
+        for f in GRAD_FIELDS:
+            assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-9, (pol.mode, f)
+
+
+def test_overflowing_masked_score_is_dropped_silently():
+    # value gates of 1 on row 0, then a whole-chunk log-decay of -708:
+    # Vt[63] = V[63] / Ddag[63] is ~2.9e307 per entry, finite, and so is the
+    # forward.  Row 0's masked cotangent score against row 63 sums 8 such
+    # terms of one sign and overflows; the causal zeroing must drop it
+    # without a warning.
+    L, d = PANEL, 8
+    dO = rand_dO(L, d, seed=81).data.copy()
+    dO[0] = 1.0
+    rng = SplitMix64(82)
+    Q, K, V = (rng.fill_pm1(L, d) for _ in range(3))
+    V[-1] = 0.95
+    lb = np.full((L, d), -708.0 / (L - 1))
+    lb[0] = 0.0
+    inst = GlaInstance(SeqTensor(Q), SeqTensor(K), SeqTensor(V),
+                       GateSeq(np.full((L, d), -0.01), lb))
+    dO = SeqTensor(dO)
+    plan = ChunkPlan(L, PANEL)
+    forward_chunkwise(inst, plan, MAT)  # no warning: the forward is in range
+    want = backward_recurrent_exact(inst, dO)
+    for pol in (MAT, REC):
+        g, _ = backward_chunkwise(inst, dO, plan, pol)
+        for f in GRAD_FIELDS:
+            assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-9, (pol.mode, f)
 
 
 @pytest.mark.parametrize("L, C, dk, seed, floor, chunk", [

@@ -113,6 +113,8 @@ def test_prefix_and_suffix_sums_are_sequential_bitwise(L):
     out = suffix_sum_arr(x)
     assert out.flags.c_contiguous
     assert out.tobytes() == sequential_prefix(x[::-1])[::-1].tobytes()
+    y = x.copy()
+    assert suffix_sum_arr(y, out=y) is y and y.tobytes() == out.tobytes()  # in place
     if L >= 37:  # the data is order-sensitive, so the pins above discriminate
         assert not np.array_equal(sequential_prefix(x)[-1], out[0])
 
