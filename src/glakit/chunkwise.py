@@ -49,12 +49,26 @@ sum in any order, so these products are not the pinned ascending-k
 shapes and inputs, which is what the chunkwise bitwise promises rest on:
 the two policies agree bit for bit, and so do repeated calls.
 
-The backward is two sweeps, as in the GLA paper: chunk states in forward
-order, state cotangents in reverse order.  It never replays the forward:
-the output O that the value-gate identity needs is re-formed chunk by
-chunk from the score blocks the backward builds anyway, bit for bit the
-forward's.  The two policies of the GLA paper's chunkwise training (its
-section 4) decide only whether the forward returns its chunk states
+Each step of the paper's one generalized chunk step is one function, which
+every pass that takes the step calls:
+
+- ``_chunk``: a chunk's decay factors and its transforms Qt, Kt and Vt;
+- ``_intra``: the masked score blocks and the within-chunk sums;
+- ``_output``: the inter-chunk term ``Qt S_prev`` and the ``Ddag`` scale;
+- ``_kv``: the key and value rows as they enter the outgoing state,
+  ``Bpri (.) K`` and ``Dpri (.) V``;
+- ``_carry``: ``(gamma_b^T gamma_d) (.) X + T``, the gated carry.  Going
+  forward X is the state; going back it is the state's cotangent.
+
+The forward calls all five per chunk (``_kv`` and ``_carry`` through
+``_state_update``).  The backward is two sweeps, as in the GLA paper:
+chunk states in forward order, state cotangents in reverse order.  Sweep F
+calls all five too, ``_intra`` once per panel; sweep R calls ``_kv`` and
+``_carry``.  The backward never replays the forward: the output O that
+the value-gate identity needs is re-formed chunk by chunk from the score
+blocks the backward builds anyway, bit for bit the forward's.  The two
+policies of the GLA paper's chunkwise training (its section 4) decide
+only whether the forward returns its chunk states
 (``materialize``) or not (``recompute``), and which state traffic the
 CostReport books.  The backward keeps no record and runs the state
 recurrence once under either policy, so both count the same flops and
@@ -64,7 +78,10 @@ and does not run here yet.  Every executed array op is metered with the
 exact flop convention from ``cost``: products inside ``mm``, the rest at
 their call sites.  ``predict_cost`` mirrors the implementation in
 one pass over the chunk plan, with the state traffic in closed form, and
-must agree integer-for-integer.
+must agree integer-for-integer.  Both passes run under
+``np.errstate(all="ignore")``: an overflowing chunk is data the result
+record rejects with a ValueError naming the chunk, whatever the caller's
+numpy error state (IEEE results are the same either way).
 """
 
 from __future__ import annotations
@@ -174,13 +191,29 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
             f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
-def _intra(Qt, Kt, Vt, meter: Meter) -> np.ndarray:
-    """Within-chunk sums of the transformed output, one row block at a time."""
+def _chunk(inst: GlaInstance, s: int, e: int, meter: Meter):
+    """Chunk [s, e)'s decay factors and its Qt = Q (.) Bdag, Kt = K / Bdag, Vt = V / Ddag."""
+    dec = _decays(inst, s, e, meter)
+    Qt = inst.Q.data[s:e] * dec.b_dagger
+    Kt = inst.K.data[s:e] / dec.b_dagger
+    Vt = inst.V.data[s:e] / dec.d_dagger
+    meter.add_flops(Qt.size + Kt.size + Vt.size)
+    return dec, Qt, Kt, Vt
+
+
+def _intra(Qt, Kt, Vt, meter: Meter, acc: np.ndarray, W=None) -> np.ndarray:
+    """Within-chunk sums of the transformed output, one row block at a time, into acc.
+
+    Given a panel's zeroed score matrix W, only the panel's rows (the last
+    W.shape[0] of Qt's) are taken, and each block's scores are kept in W too.
+    """
     c = Qt.shape[0]
-    acc = np.empty((c, Vt.shape[1]))
-    for j0, n in _row_blocks(c):
-        W = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
-        acc[j0:n] = mm(W, Vt[:n], meter)
+    p0 = 0 if W is None else c - W.shape[0]
+    for j0, n in _row_blocks(c, BLOCK, p0):
+        Wb = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
+        acc[j0:n] = mm(Wb, Vt[:n], meter)
+        if W is not None:
+            W[j0 - p0:n - p0, :n] = Wb
     return acc
 
 
@@ -190,9 +223,9 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     One panel of ``PANEL`` rows at a time, last panel first: the first
     panel taken sees the whole chunk, so it assigns dkt and dvt and the
     earlier panels add to their prefixes.  The fourth result is the
-    forward's within-chunk sum, bit for bit: each panel forms the forward's
-    own score blocks and applies them to ``Vt`` as ``_intra`` does, so the
-    backward never replays the forward.
+    forward's within-chunk sum, bit for bit: each panel runs ``_intra`` on
+    its own rows, which forms the forward's score blocks and keeps them in
+    the panel's W, so the backward never replays the forward.
     """
     c, dk = Qt.shape
     dv = Vt.shape[1]
@@ -201,17 +234,13 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     dkt = dvt = None
     for p0, p1 in reversed(_row_blocks(c, PANEL)):
         W = np.zeros((p1 - p0, p1))
-        for j0, n in _row_blocks(p1, BLOCK, p0):
-            Wb = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
-            acc[j0:n] = mm(Wb, Vt[:n], meter)
-            W[j0 - p0:n - p0, :n] = Wb
+        _intra(Qt[:p1], Kt[:p1], Vt[:p1], meter, acc[:p1], W)
         dvp = mm(W.T, dOt[p0:p1], meter)
         del W  # one PANEL x p1 score array at a time
         # a masked entry pairs row t with a later row, whose 1 / Ddag can
-        # dwarf Ddag_t: it may overflow, and the zeroing drops it
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = mm(dOt[p0:p1], Vt[:p1].T, meter)
-        G = _causal(G, p0)
+        # dwarf Ddag_t: it may overflow (quietly, under backward_chunkwise's
+        # errstate), and the zeroing drops it
+        G = _causal(mm(dOt[p0:p1], Vt[:p1].T, meter), p0)
         dqt[p0:p1] = mm(G, Kt[:p1], meter)
         dkp = mm(G.T, Qt[p0:p1], meter)
         del G
@@ -224,47 +253,50 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     return dqt, dkt, dvt, acc
 
 
-def _transforms(dec, Qc, Kc, Vc, meter: Meter):
-    """One chunk's Qt = Q (.) Bdag, Kt = K / Bdag and Vt = V / Ddag, metered."""
-    Qt = Qc * dec.b_dagger
-    Kt = Kc / dec.b_dagger
-    Vt = Vc / dec.d_dagger
-    meter.add_flops(Qt.size + Kt.size + Vt.size)
-    return Qt, Kt, Vt
+def _output(acc, Qt, S, dec, out, meter: Meter) -> None:
+    """out = (acc + Qt S) (.) Ddag: a chunk's output rows from its intra sums; S None is chunk 0."""
+    if S is not None:  # the inter-chunk term
+        acc += mm(Qt, S, meter)
+        meter.add_flops(acc.size)
+    np.multiply(acc, dec.d_dagger, out=out)
+    meter.add_flops(acc.size)
+
+
+def _kv(dec, Kc, Vc, meter: Meter):
+    """Bpri (.) K and Dpri (.) V: a chunk's key and value rows as they enter its outgoing state."""
+    KB = dec.b_prime * Kc
+    VD = dec.d_prime * Vc
+    meter.add_flops(KB.size + VD.size)
+    return KB, VD
+
+
+def _carry(dec, X, T, meter: Meter) -> np.ndarray:
+    """(gamma_b^T gamma_d) (.) X + T: the gated carry of a state or of its cotangent; X None is T."""
+    if X is None:
+        return T
+    Gm = outer_gate(dec.log_gamma_b, dec.log_gamma_d)
+    meter.add_flops(2 * Gm.size + 2 * T.size)  # Gm's add + exp, gate X, add T
+    return Gm * X + T
 
 
 def _state_update(dec, Kc, Vc, S, meter: Meter) -> np.ndarray:
     """S_new = (gamma_b^T gamma_d) (.) S + (Bpri (.) K)^T (Dpri (.) V); S None is chunk 0."""
-    KB = dec.b_prime * Kc
-    VD = dec.d_prime * Vc
-    meter.add_flops(KB.size + VD.size)
-    T = mm(KB.T, VD, meter)
-    if S is None:
-        return T
-    Gm = outer_gate(dec.log_gamma_b, dec.log_gamma_d)
-    meter.add_flops(2 * Gm.size + 2 * T.size)  # Gm's add + exp, gate the state, add T
-    return Gm * S + T
+    KB, VD = _kv(dec, Kc, Vc, meter)
+    return _carry(dec, S, mm(KB.T, VD, meter), meter)
 
 
+@np.errstate(all="ignore")
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
     _check_plan(inst, plan)
-    Q, K, V = inst.Q.data, inst.K.data, inst.V.data
-    dv = inst.dv
+    K, V = inst.K.data, inst.V.data
     meter = Meter()
-    O = np.empty((inst.L, dv))
+    O = np.empty((inst.L, inst.dv))
     S = None
     states = [] if policy.materialize else None
-    for i, (s, e) in enumerate(plan.boundaries):
-        dec = _decays(inst, s, e, meter)
-        c = e - s
-        Qt, Kt, Vt = _transforms(dec, Q[s:e], K[s:e], V[s:e], meter)
-        acc = _intra(Qt, Kt, Vt, meter)
-        if i > 0:
-            acc = mm(Qt, S, meter) + acc
-            meter.add_flops(c * dv)
-        O[s:e] = acc * dec.d_dagger
-        meter.add_flops(c * dv)
+    for s, e in plan.boundaries:
+        dec, Qt, Kt, Vt = _chunk(inst, s, e, meter)
+        _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[s:e], meter)
         S = _state_update(dec, K[s:e], V[s:e], S, meter)
         if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
@@ -277,6 +309,7 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     return O, states, meter.report()
 
 
+@np.errstate(all="ignore")
 def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
                        policy: ChunkPolicy):
     """Gradients of <O, dO> computed chunk by chunk.  Returns (GradBundle, CostReport).
@@ -287,21 +320,25 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     them for the whole pass (sweep R forms them a second time, except for
     the last chunk, whose factors sweep F ended with).  (F) A forward-order
     sweep runs the state recurrence once and does everything that needs
-    S_{i-1} or only the chunk itself: the intra-chunk cotangents, the
-    inter-chunk dq term, the scale-backs of dq, dk and dv, which write each
-    gradient row once into uninitialized arrays, and the chunk's
-    output rows O, bit for bit the forward's and re-formed from the score
-    blocks rather than by replaying the forward.  O is parked in the rows
-    of the dlog_beta buffer.  It keeps no record of the states under
-    either policy; ``policy`` only picks the traffic booked per chunk: the
-    modeled write of S_i and read of S_{i-1} under materialize, one
-    state-update replay under recompute.  (R) A reverse sweep does only
-    what needs the state cotangent dS: each chunk's K/V path through dS
-    and the carry of dS.  Once a chunk's rows are final it assembles the
-    gate gradients from the identities dlogb = q (.) dq - k (.) dk and
-    dlogd = o (.) do - v (.) dv (query term positive; the finite-difference
-    oracle pins the sign) as suffix sums continued from the next chunk,
-    equal to whole-array suffix sums bit for bit.
+    S_{i-1} or only the chunk itself.  It calls the forward's steps:
+    ``_chunk`` for the factors and transforms, ``_intra`` inside the panels
+    of ``_intra_backward`` for the intra-chunk cotangents, ``_output`` for
+    the chunk's output rows O (bit for bit the forward's, re-formed from the
+    score blocks rather than by replaying the forward, and parked in the
+    rows of the dlog_beta buffer), and ``_kv`` and ``_carry`` for the state
+    update.  It also adds the inter-chunk dq term and scales dq, dk and dv
+    back, which writes each gradient row once into uninitialized arrays.
+    It keeps no record of the states under either policy; ``policy`` only
+    picks the traffic booked per chunk: the modeled write of S_i and read
+    of S_{i-1} under materialize, one state-update replay under recompute.
+    (R) A reverse sweep does only what needs the state cotangent dS: each
+    chunk's K/V path through dS, whose rows ``_kv`` forms, and the carry of
+    dS, which is ``_carry`` as in the state update.  Once a chunk's rows
+    are final it assembles the gate gradients from the identities
+    dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
+    positive; the finite-difference oracle pins the sign) as suffix sums
+    continued from the next chunk, equal to whole-array suffix sums bit for
+    bit.
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
@@ -321,22 +358,19 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     # only the chunk itself, in forward order.
     S = None
     for i, (s, e) in enumerate(plan.boundaries):
-        dec = _decays(inst, s, e, meter)
+        dec, Qt, Kt, Vt = _chunk(inst, s, e, meter)
         c = e - s
-        Qt, Kt, Vt = _transforms(dec, Q[s:e], K[s:e], V[s:e], meter)
         dOt = dOa[s:e] * dec.d_dagger
         meter.add_flops(c * dv)
         dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
-        if i > 0:  # the inter-chunk terms
+        if i > 0:  # dq's inter-chunk term
             dqt += mm(dOt, S.T, meter)
-            Oc += mm(Qt, S, meter)
-            meter.add_flops(c * dk + c * dv)
+            meter.add_flops(c * dk)
         np.multiply(dqt, dec.b_dagger, out=dQ[s:e])
         np.divide(dkt, dec.b_dagger, out=dK[s:e])
         np.divide(dvt, dec.d_dagger, out=dV[s:e])
         meter.add_flops(2 * c * dk + c * dv)
-        np.multiply(Oc, dec.d_dagger, out=dlb[s:e])  # the forward's O rows, bit for bit
-        meter.add_flops(c * dv)
+        _output(Oc, Qt, S, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
         S = _state_update(dec, K[s:e], V[s:e], S, meter)
         if policy.materialize:  # modeled: S_i written, S_{i-1} read back
             meter.state_writes += 1
@@ -360,22 +394,15 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         c = e - s
         if dS is not None:
             # chunk i's own K/V contribution to S_i, weighted by the carried cotangent
-            KB = dec.b_prime * K[s:e]
-            VD = dec.d_prime * V[s:e]
+            KB, VD = _kv(dec, K[s:e], V[s:e], meter)
             dK[s:e] += mm(VD, dS.T, meter) * dec.b_prime
             dV[s:e] += mm(KB, dS, meter) * dec.d_prime
-            meter.add_flops(3 * c * dk + 3 * c * dv)
-        if i > 0:
+            meter.add_flops(2 * c * dk + 2 * c * dv)
+        if i > 0:  # dS_{i-1}: chunk i's output rows' cotangent, plus dS_i carried back
             Qt = Q[s:e] * dec.b_dagger
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dk + c * dv)
-            dS_out = mm(Qt.T, dOt, meter)
-            if dS is None:
-                dS = dS_out
-            else:
-                Gm = outer_gate(dec.log_gamma_b, dec.log_gamma_d)
-                dS = Gm * dS + dS_out
-                meter.add_flops(2 * Gm.size + 2 * dk * dv)  # Gm's add + exp, gate, add
+            dS = _carry(dec, dS, mm(Qt.T, dOt, meter), meter)
 
         # Gate gradients as suffix sums continued from the next chunk:
         # folding its first row into this chunk's last row is the

@@ -15,8 +15,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .chunkwise import _MODES, ChunkPolicy, forward_chunkwise, predict_cost
 from .checks import check_causality, check_equivalence, check_gradients
 from .fixtures import _KINDS, ModelKind, make_instance
@@ -145,16 +143,13 @@ def cmd_run(args) -> int:
     with contextlib.suppress(OSError):  # absent, or holding files run did not write
         sdir.rmdir()
     cost = states = None
-    # an fp64 overflow is data the result record rejects (exit 2), not a
-    # warning or an exception the caller's numpy or warnings settings decide
-    with np.errstate(all="ignore"):
-        if cfg.form == "recurrent":
-            O = forward_recurrent(inst).O
-        elif cfg.form == "parallel":
-            O = forward_parallel(inst)
-        else:
-            plan = ChunkPlan(inst.L, cfg.chunk)
-            O, states, cost = forward_chunkwise(inst, plan, ChunkPolicy(cfg.policy))
+    if cfg.form == "recurrent":
+        O = forward_recurrent(inst).O
+    elif cfg.form == "parallel":
+        O = forward_parallel(inst)
+    else:
+        plan = ChunkPlan(inst.L, cfg.chunk)
+        O, states, cost = forward_chunkwise(inst, plan, ChunkPolicy(cfg.policy))
     if states is not None:
         sdir.mkdir(exist_ok=True)
         for i, st in enumerate(states, start=1):

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 
+@np.errstate(all="ignore")
 def forward_parallel(inst: GlaInstance, meter: Meter | None = None) -> SeqTensor:
     """o_t = sum_{i<=t} <q_t (.) b_t/b_i, k_i> (v_i (.) d_t/d_i)."""
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
@@ -59,6 +60,7 @@ def parallel_forward_cost(L: int, dk: int, dv: int) -> int:
     return (5 * dk + 5 * dv - 1) * (L * (L + 1) // 2) - L * dv
 
 
+@np.errstate(all="ignore")
 def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     """Closed-form gradients of <O, dO> for the parallel form.
 

@@ -123,6 +123,7 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, meter: Meter | None
     return O, states
 
 
+@np.errstate(all="ignore")
 def forward_recurrent(inst: GlaInstance, keep_states: bool = False,
                       meter: Meter | None = None) -> ForwardTrace:
     """Run the recurrence from S_0 = 0; optionally record every S_t."""
@@ -138,6 +139,7 @@ def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
     return L * per_step
 
 
+@np.errstate(all="ignore")
 def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     """Reverse-mode sweep through the recurrence with all states materialized.
 
@@ -182,6 +184,7 @@ def _loss_raw(Q, K, V, la, lb, dOa, head=None) -> np.ndarray:
     return np.sum((O * dOa).reshape(*O.shape[:-2], -1), axis=-1)
 
 
+@np.errstate(all="ignore")
 def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -> GradBundle:
     """Central finite differences on <O, dO>, one scalar input at a time.
 

@@ -164,7 +164,6 @@ def test_long_sequence_error_does_not_grow_with_position(C):
             assert rel_err(a, b) <= 2e-14, (pol.mode, name, rel_err(a, b))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="b_dagger underflows to 0 across a 64-row chunk at gate floor "
                           "1e-12, so K / b_dagger is inf and the output check rejects it")
@@ -390,17 +389,18 @@ def test_backward_peak_does_not_depend_on_policy(C):
 def test_panel_masked_scores_stay_silent(L, d, C, floor, seed):
     # a panel's cotangent scores pair rows up to PANEL - 1 apart, where a
     # 16-row block's paired rows up to 15 apart, so a masked entry overflows
-    # sooner (see the next test).  Whenever the
-    # forward runs without a warning, the backward must warn of nothing and
-    # either match the recurrent gradients or name the chunk it failed in.
-    # Warnings are errors here (pyproject's filterwarnings).
+    # sooner (see the next test).  Both passes run under their own
+    # np.errstate(all="ignore"), so neither warns.  Whenever the forward
+    # returns, the backward must either match the recurrent gradients or
+    # name the chunk it failed in.  Warnings are errors here (pyproject's
+    # filterwarnings), so a warning that escaped either errstate would fail.
     inst = make_instance(ModelKind("general"), L, d, d, seed=seed, gate_floor=floor)
     plan = ChunkPlan(L, C)
     dO = rand_dO(L, d, seed=seed + 1)  # |dO| <= 1
     try:
         forward_chunkwise(inst, plan, MAT)
-    except (RuntimeWarning, ValueError):
-        return  # past the forward's own range; see the strict xfail above
+    except ValueError:
+        return  # past the forward's range; see the strict xfail above
     want = backward_recurrent_exact(inst, dO)
     for pol in (MAT, REC):
         try:
@@ -416,8 +416,9 @@ def test_overflowing_masked_score_is_dropped_silently():
     # value gates of 1 on row 0, then a whole-chunk log-decay of -708:
     # Vt[63] = V[63] / Ddag[63] is ~2.9e307 per entry, finite, and so is the
     # forward.  Row 0's masked cotangent score against row 63 sums 8 such
-    # terms of one sign and overflows; the causal zeroing must drop it
-    # without a warning.
+    # terms of one sign and overflows; the causal zeroing must drop it, and
+    # backward_chunkwise's np.errstate(all="ignore") must keep the overflow
+    # from warning (a warning is an error here, by pyproject's filterwarnings).
     L, d = PANEL, 8
     dO = rand_dO(L, d, seed=81).data.copy()
     dO[0] = 1.0
@@ -453,7 +454,7 @@ def test_non_finite_output_names_its_chunk(L, C, dk, seed, floor, chunk):
     runs = [lambda p=p: forward_chunkwise(inst, plan, p) for p in (MAT, REC)]
     runs += [lambda p=p: backward_chunkwise(inst, dO, plan, p) for p in (MAT, REC)]
     for run in runs:
-        with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+        with pytest.raises(ValueError) as exc:
             run()
         m = re.fullmatch(
             rf"non-finite values from chunk {chunk} \(rows {s}\.\.{e - 1}\): its "

@@ -1,15 +1,22 @@
-"""Instance generation determinism and the packaged check procedures."""
+"""Instance generation determinism, the packaged check procedures and their judges,
+and the floating-point state that the checks and the forms own."""
 
 import contextlib
+import functools
 import math
+import time
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from glakit import (ChunkPlan, ChunkPolicy, ModelKind, check_causality,
-                    check_equivalence, check_gradients, cumulative_log_decay,
-                    forward_chunkwise, make_instance)
+import glakit.checks
+from glakit import (ChunkPlan, ChunkPolicy, CheckReport, ModelKind, SeqTensor, SplitMix64,
+                    backward_chunkwise, backward_parallel, backward_recurrent_exact,
+                    backward_recurrent_fd, check_causality, check_equivalence,
+                    check_gradients, cumulative_log_decay, forward_chunkwise,
+                    forward_parallel, forward_recurrent, make_instance, rel_err)
 
 
 def test_same_seed_bitwise_identical():
@@ -69,6 +76,53 @@ def test_check_equivalence_passes_and_reports():
         assert r.passed == (r.max_rel_err <= r.tolerance)
 
 
+def test_report_at_twice_the_tolerance_fails():
+    # a verdict loosened to some multiple of the tolerance would pass this pair
+    t0 = time.perf_counter()
+    a = np.array([[1.0, -0.5]])
+    for scale, passed in ((0.5, True), (2.0, False)):
+        r = CheckReport.from_arrays("x", a, a * (1 + scale * 1e-6), 1e-6, t0)
+        assert r.max_rel_err == pytest.approx(scale * 1e-6 / (1 + scale * 1e-6), rel=1e-9)
+        assert r.passed is passed, r
+
+
+def test_rel_err_of_a_small_magnitude_pair():
+    # the 1e-8 floor only guards an all-zero pair: at 1e-6 scale the error is
+    # relative to the larger magnitude, so a raised floor would hide it
+    a = np.array([1e-6, -2e-6])
+    b = np.array([1e-6, -2.002e-6])
+    assert rel_err(a, b) == pytest.approx(2e-9 / 2.002e-6, rel=1e-9)
+    assert rel_err(a * 1e-6, b * 1e-6) == pytest.approx(2e-15 / 1e-8, rel=1e-9)
+
+
+def test_check_causality_draws_one_cut_per_trial(monkeypatch):
+    calls = []
+
+    def counted(inst, cut, rng):
+        calls.append(cut)
+        return perturb(inst, cut, rng)
+
+    perturb = glakit.checks._perturb_tail
+    monkeypatch.setattr(glakit.checks, "_perturb_tail", counted)
+    inst = make_instance(ModelKind("general"), L=12, dk=2, dv=2, seed=11)
+    assert check_causality(inst, trials=7, seed=12).passed
+    assert len(calls) == 7 and all(1 <= c < 12 for c in calls)
+
+
+def test_check_causality_fails_a_leaking_recurrent_form(monkeypatch):
+    # the recurrent form is judged bit-exact, apart from the tolerance that
+    # parallel and chunkwise get: a leak far below 1e-12 must still fail
+    def leaking(inst):
+        O = forward_recurrent(inst).O.data.copy()
+        O[0] += 1e-14 * inst.V.data[-1].sum()
+        return types.SimpleNamespace(O=SeqTensor(O))
+
+    monkeypatch.setattr(glakit.checks, "forward_recurrent", leaking)
+    inst = make_instance(ModelKind("general"), L=12, dk=2, dv=2, seed=11)
+    report = check_causality(inst, trials=5, seed=12)
+    assert not report.passed and report.max_rel_err == math.inf, report
+
+
 def test_check_equivalence_adversarial_gate_floor():
     inst = make_instance(ModelKind("general"), L=256, dk=2, dv=2, seed=6,
                          gate_floor=0.99)
@@ -125,7 +179,6 @@ def test_check_causality_needs_two_rows():
 # the chunkwise form raises on its non-finite output.  The checks measure
 # that as FAIL rows with infinite error; they never throw.
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_check_causality_reports_underflowing_chunk_as_fail():
     inst = make_instance(ModelKind("general"), L=64, dk=2, dv=2, seed=14,
                          gate_floor=1e-300)
@@ -175,3 +228,59 @@ def test_checks_own_their_floating_point_state(strict):
     want = _check_rows(inst, 24)
     with strict():
         assert _check_rows(inst, 24) == want
+
+
+def _grads(g):
+    return [g.dQ.data, g.dK.data, g.dV.data, g.dlog_alpha.data, g.dlog_beta.data]
+
+
+def _chunkwise_forward(inst, dO, plan, mode):
+    O, states, cost = forward_chunkwise(inst, plan, ChunkPolicy(mode))
+    return [O.data, *(states or ()), cost]
+
+
+def _chunkwise_backward(inst, dO, plan, mode):
+    g, cost = backward_chunkwise(inst, dO, plan, ChunkPolicy(mode))
+    return [*_grads(g), cost]
+
+
+_FORMS = {  # each public form, as (inst, dO, plan) -> its arrays and counters
+    "forward_recurrent": lambda inst, dO, plan: [forward_recurrent(inst).O.data],
+    "backward_recurrent_exact": lambda inst, dO, plan: _grads(backward_recurrent_exact(inst, dO)),
+    "backward_recurrent_fd": lambda inst, dO, plan: _grads(backward_recurrent_fd(inst, dO)),
+    "forward_parallel": lambda inst, dO, plan: [forward_parallel(inst).data],
+    "backward_parallel": lambda inst, dO, plan: _grads(backward_parallel(inst, dO)),
+}
+for _mode in ("materialize", "recompute"):
+    _FORMS[f"forward_chunkwise_{_mode}"] = functools.partial(_chunkwise_forward, mode=_mode)
+    _FORMS[f"backward_chunkwise_{_mode}"] = functools.partial(_chunkwise_backward, mode=_mode)
+
+
+def _outcome(form, inst, dO, plan):
+    """The bytes of every array the form returns and its counters, or its ValueError."""
+    try:
+        out = _FORMS[form](inst, dO, plan)
+    except ValueError as exc:
+        return str(exc)
+    return [a.tobytes() if isinstance(a, np.ndarray) else a for a in out]
+
+
+@pytest.mark.parametrize("L, d, seed, floor, C", [
+    (200, 3, 104, 1e-12, 64),  # the strict xfail's instance: chunkwise overflows
+    (40, 3, 17, 0.5, 16),
+], ids=["floor1e-12", "clean"])
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_forms_own_their_floating_point_state(form, L, d, seed, floor, C):
+    # with numpy set to raise on every floating-point error (np.seterr(all=
+    # "raise"), scoped here by np.errstate), a benign underflow must not become
+    # a FloatingPointError, nor an overflow anything but the chunk-naming
+    # ValueError: each form gives what it gives under numpy's default state
+    inst = make_instance(ModelKind("general"), L, d, d, seed=seed, gate_floor=floor)
+    dO = SeqTensor(SplitMix64(seed + 1).fill_pm1(L, d))
+    plan = ChunkPlan(L, C)
+    want = _outcome(form, inst, dO, plan)
+    if isinstance(want, str):
+        assert form.endswith(("chunkwise_materialize", "chunkwise_recompute")) and floor < 0.5
+        assert want.startswith("non-finite values from chunk 0 (rows 0..63)"), want
+    with np.errstate(all="raise"):
+        assert _outcome(form, inst, dO, plan) == want

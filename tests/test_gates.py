@@ -25,6 +25,8 @@ def random_gates(L, dk, dv, seed, floor=0.5):
 def test_rejects_positive_log_gates():
     with pytest.raises(ValueError):
         make_gates([[0.1]], [[0.0]])
+    with pytest.raises(ValueError, match="must be <= 0"):
+        make_gates([[0.0]], [[0.1]])
 
 
 @pytest.mark.parametrize("la,lb,match", [
