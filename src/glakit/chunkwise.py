@@ -64,15 +64,18 @@ The forward calls all five per chunk (``_kv`` and ``_carry`` through
 ``_state_update``).  The backward is two sweeps, as in the GLA paper:
 chunk states in forward order, state cotangents in reverse order.  Sweep F
 calls all five too, ``_intra`` once per panel; sweep R calls ``_kv`` and
-``_carry``.  The backward never replays the forward: the output O that
-the value-gate identity needs is re-formed chunk by chunk from the score
-blocks the backward builds anyway, bit for bit the forward's.  The two
-policies of the GLA paper's chunkwise training (its section 4) decide
-only whether the forward returns its chunk states
-(``materialize``) or not (``recompute``), and which state traffic the
-CostReport books.  The backward keeps no record and runs the state
-recurrence once under either policy, so both count the same flops and
-give identical numbers; the materialize counters model the paper's
+``_carry``.  Once dQ, dK and dV are final, one step after the sweeps
+assembles the gate gradients, as in the GLA paper's memory-efficient
+dalpha and dbeta: two identities and one reverse cumulative sum over each
+whole array, with no state gradient.  The backward never replays the
+forward: the output O that the value-gate identity needs is re-formed
+chunk by chunk from the score blocks the backward builds anyway, bit for
+bit the forward's.  The two policies of the GLA paper's chunkwise
+training (its section 4) decide only whether the forward returns its
+chunk states (``materialize``) or not (``recompute``), and which state
+traffic the CostReport books.  The backward keeps no record and runs the
+state recurrence once under either policy, so both count the same flops
+and give identical numbers; the materialize counters model the paper's
 chunk-parallel backward, which reads S_{i-1} from the forward's record
 and does not run here yet.  Every executed array op is metered with the
 exact flop convention from ``cost``: products inside ``mm``, the rest at
@@ -333,12 +336,12 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     of S_{i-1} under materialize, one state-update replay under recompute.
     (R) A reverse sweep does only what needs the state cotangent dS: each
     chunk's K/V path through dS, whose rows ``_kv`` forms, and the carry of
-    dS, which is ``_carry`` as in the state update.  Once a chunk's rows
-    are final it assembles the gate gradients from the identities
+    dS, which is ``_carry`` as in the state update.  After it, with dQ, dK
+    and dV final, the gate gradients are the identities
     dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
-    positive; the finite-difference oracle pins the sign) as suffix sums
-    continued from the next chunk, equal to whole-array suffix sums bit for
-    bit.
+    positive; the finite-difference oracle pins the sign), formed a chunk
+    of rows at a time in the rows they end up in, and then one suffix sum
+    over each whole array, in place.  dlog_alpha is allocated only then.
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
@@ -352,7 +355,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     dQ = np.empty((L, dk))  # sweep F writes each row once; sweep R adds to dK, dV
     dK = np.empty((L, dk))
     dV = np.empty((L, dv))
-    dlb = np.empty((L, dv))  # holds each chunk's O rows until sweep R reads them
+    dlb = np.empty((L, dv))  # holds each chunk's O rows until the gate step reads them
 
     # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
     # only the chunk itself, in forward order.
@@ -383,16 +386,13 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     # chunk's again.
     del S, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc
 
-    # Sweep R: the state-cotangent path and its carry, and the gate
-    # gradients of each chunk once its rows are final, in reverse order.
-    dla = np.empty((L, dk))
+    # Sweep R: the state cotangent's K/V path and its carry, in reverse order.
     dS = None
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
+        c = e - s
         if i < N - 1:
             dec = _decays(inst, s, e, meter)
-        c = e - s
-        if dS is not None:
             # chunk i's own K/V contribution to S_i, weighted by the carried cotangent
             KB, VD = _kv(dec, K[s:e], V[s:e], meter)
             dK[s:e] += mm(VD, dS.T, meter) * dec.b_prime
@@ -403,23 +403,22 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dk + c * dv)
             dS = _carry(dec, dS, mm(Qt.T, dOt, meter), meter)
+    # drop sweep R's chunk temporaries before dla is allocated (rebound, not
+    # deleted: a one-chunk plan never binds KB, VD, Qt or dOt in sweep R)
+    dec = KB = VD = Qt = dOt = dS = None
 
-        # Gate gradients as suffix sums continued from the next chunk:
-        # folding its first row into this chunk's last row is the
-        # whole-array accumulate's own next step.  The identities and the
-        # sums are formed in the rows they end up in.
+    # Gate gradients, once dQ, dK and dV are final: the identities, a chunk
+    # of rows at a time into the rows they end up in, then one suffix sum
+    # over each whole array.
+    dla = np.empty((L, dk))
+    for s, e in plan.boundaries:
         np.multiply(Q[s:e], dQ[s:e], out=dla[s:e])
         dla[s:e] -= K[s:e] * dK[s:e]
         dlb[s:e] *= dOa[s:e]
         dlb[s:e] -= V[s:e] * dV[s:e]
-        meter.add_flops(3 * c * dk + 3 * c * dv)
-        if i < N - 1:
-            dla[e - 1] += dla[e]
-            dlb[e - 1] += dlb[e]
-            meter.add_flops(dk + dv)
-        suffix_sum_arr(dla[s:e], out=dla[s:e])
-        suffix_sum_arr(dlb[s:e], out=dlb[s:e])
-        meter.add_flops((c - 1) * (dk + dv))
+    suffix_sum_arr(dla, out=dla)
+    suffix_sum_arr(dlb, out=dlb)
+    meter.add_flops((4 * L - 1) * (dk + dv))
     try:
         grads = GradBundle(dQ, dK, dV, dla, dlb)
     except ValueError:
@@ -441,12 +440,16 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
 
     Pure arithmetic over the plan; never executes the kernels.  The
     instrumented runs must reproduce these numbers exactly.  One pass over
-    the chunks sums each phase's flops.  A chunk's decay factors cost
+    the chunks sums each phase's flops.  Each chunk's step is stated once,
+    for the forward and for the backward's sweep F, which takes it too; the
+    backward then adds sweep F's cotangent work and sweep R, and after the
+    loop the gate-gradient step: the identities 3L(dk+dv) and the two
+    whole-array suffix sums (L-1)(dk+dv).  A chunk's decay factors cost
     (4c-1)(dk+dv) each time a pass forms them: once in the forward, and in
     the backward twice for every chunk but the last.  Per chunk of c rows with
     A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
-    in the forward (scores, then scores x values).  The backward's panels
-    form the same blocks and, with P = _block_area(c, PANEL), add
+    (scores, then scores x values).  The backward's panels form the same
+    blocks and, with P = _block_area(c, PANEL), add
     P(4dk+4dv-1) - c dk - c(dk+dv): the cotangent scores P(2dv-1), dq
     (2P-c)dk, dk and dv (2P-p)(dk+dv) and their adds (p-c)(dk+dv), where p
     sums the panels' prefix lengths and cancels.  A panel's masked entries
@@ -470,33 +473,28 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     flops = 0
     for i, (s, e) in enumerate(plan.boundaries):
         c = e - s
-        A, P = _block_area(c), _block_area(c, PANEL)
+        A = _block_area(c)
         first, last = i == 0, i == N - 1
-        # decays: within-chunk prefix sums, dagger and prime, formed when a
-        # pass reaches the chunk; sweep R forms them again for all but the last
-        flops += (4 * c - 1) * d * (2 if backward and not last else 1)
-        # state update, in the forward or the backward's forward-order sweep;
-        # after the first chunk, the gamma outer (add+exp), gate and add
+        # the chunk step, in the forward and in the backward's sweep F:
+        # _chunk's decays (prefix sums, dagger and prime) and Qt, Kt, Vt;
+        # _intra's row blocks (scores, then scores x values); _output's inter
+        # term, its add and the Ddag scale; _state_update's Bpri K and Dpri V,
+        # their product and, after the first chunk, the gated carry
+        flops += (4 * c - 1) * d + 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
+        flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
         flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)
         if not backward:
-            # forward: transforms, row blocks, inter term and its add, output scale
-            flops += 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
-            flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
             continue
-        # sweep R's re-formed Qt and dOt; sweep F's Qt S_prev and dq's inter term and add
-        if not first:
-            flops += c * d + mm_flops(c, dk, dv) + mm_flops(c, dv, dk) + c * dk
-        # sweep F: transforms and dOt, the panels, dq/dk/dv scaled back, output scale
-        flops += 2 * c * d + A * (2 * dk - 1) + (2 * A - c) * dv
-        flops += P * (4 * d - 1) - c * dk - c * d
-        flops += 2 * c * dk + c * dv + c * dv
-        if not last:  # the chunk's own K/V term of S_i under the carried cotangent
-            flops += c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv) + 2 * c * d
-        if not first:  # dS_out, the inter + intra add, and (not last) the cotangent carry
-            flops += mm_flops(dk, c, dv) + c * dv + (0 if last else 4 * dk * dv)
-        # gate-gradient assembly: identities, suffix sums, and (not last) the
-        # carry from the next chunk
-        flops += (3 * c + c - 1 + (0 if last else 1)) * d
+        # sweep F's cotangent work: dOt, the panels' cotangent products and
+        # adds, dq's inter term and its add, and dq, dk, dv scaled back
+        flops += c * dv + _block_area(c, PANEL) * (4 * d - 1) - c * dk - c * d
+        flops += 2 * c * dk + c * dv + (0 if first else mm_flops(c, dv, dk) + c * dk)
+        if not last:  # sweep R: the decays again, and the chunk's own K/V term under dS
+            flops += (4 * c - 1) * d + 3 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
+        if not first:  # sweep R: Qt and dOt again, dS_{i-1}, and (not last) the carry of dS
+            flops += c * d + mm_flops(dk, c, dv) + (0 if last else 4 * dk * dv)
+    if backward:  # gate-gradient assembly: the identities, then two whole-array suffix sums
+        flops += (4 * L - 1) * d
 
     writes = N if policy.materialize else 0
     reads = N - 1 if backward and policy.materialize else 0

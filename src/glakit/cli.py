@@ -21,7 +21,7 @@ from .fixtures import _KINDS, ModelKind, make_instance
 from .gates import ChunkPlan, GateSeq
 from .parallel import forward_parallel, parallel_forward_cost
 from .recurrent import GlaInstance, forward_recurrent, recurrent_forward_cost
-from .runconfig import _FORMS, RunConfig, format_config, parse_config
+from .runconfig import _CASTS, _FORMS, RunConfig, format_config, parse_config
 from .tensor import SeqTensor
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 
@@ -32,22 +32,10 @@ EXIT_INPUT_ERROR = 2
 TENSOR_FILES = ("Q", "K", "V", "logalpha", "logbeta")
 
 
-_FLAGS = {
-    "config": dict(type=Path, help="key = value config file to start from"),
-    "kind": dict(choices=_KINDS),
-    "gamma": dict(type=float),
-    "L": dict(type=int),
-    "dk": dict(type=int),
-    "dv": dict(type=int),
-    "seed": dict(type=int),
-    "gate_floor": dict(type=float),
-    "chunk": dict(type=int),
-    "policy": dict(choices=_MODES),
-    "form": dict(choices=_FORMS),
-    "tol": dict(type=float),
-    "grad_tol": dict(type=float),
-    "eps": dict(type=float),
-}
+_CHOICES = {"kind": _KINDS, "policy": _MODES, "form": _FORMS}
+_FLAGS = {"config": dict(type=Path, help="key = value config file to start from")} | {
+    f.name: dict(choices=_CHOICES[f.name]) if f.name in _CHOICES else dict(type=_CASTS[f.type])
+    for f in fields(RunConfig)}
 _INSTANCE = ("kind", "gamma", "L", "dk", "dv", "seed", "gate_floor")
 
 

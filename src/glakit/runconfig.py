@@ -11,6 +11,7 @@ from .fixtures import ModelKind
 __all__ = ["RunConfig", "parse_config", "format_config"]
 
 _FORMS = ("recurrent", "parallel", "chunkwise")
+_CASTS = {"str": str, "int": int, "float": float}  # a field's annotation -> its parser
 
 
 @dataclass
@@ -54,7 +55,6 @@ def format_config(cfg: RunConfig) -> str:
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(cfg)}
-    casts = {"str": str, "int": int, "float": float}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -66,7 +66,7 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in types:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        cast = casts[types[key]]
+        cast = _CASTS[types[key]]
         try:
             setattr(cfg, key, cast(value))
         except ValueError:

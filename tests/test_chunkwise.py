@@ -297,9 +297,10 @@ def test_repeated_calls_are_byte_identical():
          floor=0.05)                                                     # three panels, ragged
 def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed,
                                                               kind, floor):
-    # the backward assembles each chunk's suffix sums continued from the
-    # next chunk; they must be the whole-array identities bit for bit, with
-    # O from the forward (the backward never replays it)
+    # the backward forms the identities a chunk of rows at a time in place
+    # and sums them in place once sweep R is done; they must be the
+    # whole-array suffix sums of fresh identities bit for bit, with O from
+    # the forward (the backward never replays it)
     inst = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor)
     plan = ChunkPlan(L, C)
     dO = rand_dO(L, dv, seed=seed + 1)
@@ -317,7 +318,8 @@ def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed
 def test_backward_allocates_no_full_length_temporaries(pol):
     # full-length arrays: the five gradients (5 L*d); chunk-local
     # temporaries fill the rest.  A backward that replays the forward and
-    # assembles whole-array identities traces 13+.
+    # forms its gate identities as full-length temporaries (Q * dQ - K * dK)
+    # traces 13+.
     L, d = 1024, 16
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
     plan = ChunkPlan(L, 64)
@@ -346,7 +348,9 @@ def _traced_peak(fn):
 def test_passes_hold_no_decay_table(pol):
     # each sweep forms a chunk's decay factors when it reaches the chunk, so
     # neither pass holds 4 L*d of them: the forward holds O (and the
-    # states), the backward the five gradients plus chunk-local scratch
+    # states), the backward the five gradients plus chunk-local scratch.
+    # dlog_alpha is allocated only after sweep R, once sweep R's chunk
+    # temporaries are dropped, so the backward's peak is sweep F's (~5.3)
     L, d = 1024, 16
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
     plan = ChunkPlan(L, 64)
@@ -354,7 +358,7 @@ def test_passes_hold_no_decay_table(pol):
     fwd = _traced_peak(lambda: forward_chunkwise(inst, plan, pol))
     bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
     assert fwd <= 2.5 * L * d * 8, fwd / (L * d * 8)
-    assert bwd <= 6.5 * L * d * 8, bwd / (L * d * 8)
+    assert bwd <= 5.6 * L * d * 8, bwd / (L * d * 8)
 
 
 def test_backward_scratch_at_one_long_chunk():

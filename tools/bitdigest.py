@@ -1,0 +1,94 @@
+"""Bit digest: one sha256 over the outputs, gradients and counters of glakit.
+
+Run from the root of a checkout; glakit is imported from that checkout's
+``src``, as ``perfbench/run.py`` does:
+
+    python tools/bitdigest.py
+
+Two checkouts that print the same digest on the same machine compute the
+same bits and the same counters over the grid below.  For each config
+and both chunk policies the digest covers the chunkwise forward's O, its
+chunk states and CostReport, the backward's five gradients and
+CostReport (or, for either pass, the message it raised), and
+``predict_cost`` for both passes.  It also covers the parallel form's O
+and five gradients on every config but the anchor, where its O(L^2)
+reference loops would take most of the run.  BLAS runs one thread unless
+the environment sets otherwise, so the digest does not depend on the
+core count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from glakit.chunkwise import (ChunkPolicy, backward_chunkwise,  # noqa: E402
+                              forward_chunkwise, predict_cost)
+from glakit.fixtures import ModelKind, SplitMix64, make_instance  # noqa: E402
+from glakit.gates import ChunkPlan  # noqa: E402
+from glakit.parallel import backward_parallel, forward_parallel  # noqa: E402
+from glakit.tensor import SeqTensor  # noqa: E402
+
+# (name, kind, L, dk, dv, seed, gate floor, chunk size)
+GRID = (
+    ("anchor", "general", 4096, 64, 64, 1, 0.5, 64),
+    *((f"general C={C}", "general", 300, 5, 4, 7, 0.5, C) for C in (16, 11, 64, 73, 131)),
+    ("L=1", "general", 1, 3, 2, 3, 0.5, 4),
+    ("retnet", "retnet", 100, 4, 3, 5, 0.5, 16),
+    ("vanilla", "vanilla", 100, 4, 3, 6, 0.5, 16),
+    ("gla_beta_one", "gla_beta_one", 100, 4, 3, 8, 0.5, 16),
+    ("floor 1e-12", "general", 200, 3, 3, 104, 1e-12, 64),  # raises
+    ("floor 1e-300", "general", 24, 2, 2, 9, 1e-300, 2),  # raises
+)
+GRADS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
+
+
+def _digest_config(h, kind, L, dk, dv, seed, floor, C, parallel: bool) -> None:
+    inst = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor)
+    plan = ChunkPlan(L, C)
+    dO = SeqTensor(SplitMix64(seed + 1).fill_pm1(L, dv))
+    for mode in ("materialize", "recompute"):
+        pol = ChunkPolicy(mode)
+        try:
+            O, states, rep = forward_chunkwise(inst, plan, pol)
+            h.update(O.data.tobytes())
+            for S in states or ():
+                h.update(S.tobytes())
+            h.update(repr(rep).encode())
+        except ValueError as exc:
+            h.update(str(exc).encode())
+        try:
+            g, rep = backward_chunkwise(inst, dO, plan, pol)
+            for f in GRADS:
+                h.update(getattr(g, f).data.tobytes())
+            h.update(repr(rep).encode())
+        except ValueError as exc:
+            h.update(str(exc).encode())
+        for pass_ in ("forward", "backward"):
+            h.update(repr(predict_cost(L, dk, dv, plan, pol, pass_)).encode())
+    if parallel:
+        try:
+            h.update(forward_parallel(inst).data.tobytes())
+            g = backward_parallel(inst, dO)
+            for f in GRADS:
+                h.update(getattr(g, f).data.tobytes())
+        except ValueError as exc:
+            h.update(str(exc).encode())
+
+
+def main() -> int:
+    h = hashlib.sha256()
+    for name, *cfg in GRID:
+        _digest_config(h, *cfg, parallel=name != "anchor")
+    print(h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

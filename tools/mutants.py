@@ -107,6 +107,16 @@ MUTANTS = (
     Mutant("carry_gates_T_not_X", "chunkwise.py",
            "return Gm * X + T", "return X + Gm * T",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
+    # The gate-gradient step after sweep R, and its cost.
+    Mutant("gate_grads_skip_dla_suffix_sum", "chunkwise.py",
+           "    suffix_sum_arr(dla, out=dla)\n", "",
+           "tests/test_chunkwise.py::test_gate_gradients_equal_whole_array_suffix_sums_bitwise"),
+    Mutant("gate_grads_add_v_dv", "chunkwise.py",
+           "dlb[s:e] -= V[s:e] * dV[s:e]", "dlb[s:e] += V[s:e] * dV[s:e]",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
+    Mutant("predict_gate_term_4Ld", "chunkwise.py",
+           "(4 * L - 1) * d", "4 * L * d",
+           "tests/test_chunkwise.py::test_frozen_backward_flop_count"),
     # Below a tolerance, but pinned bit for bit: the batched FD against a
     # one-entry-at-a-time reference, the parallel forward's O through the
     # backward's dlog_beta identity.
