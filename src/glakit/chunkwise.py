@@ -13,7 +13,16 @@ every chunk's factors.  Output for chunk rows t in [s, e):
 
 and the carried state update
 
-    S_new = (gamma_b^T gamma_d) (.) S_prev + (Bpri (.) K)^T (Dpri (.) V).
+    S_new = (gamma_b^T gamma_d) (.) S_prev + (Kt (.) gamma_b)^T (Vt (.) gamma_d),
+
+where row j of Kt (.) gamma_b is k_j scaled by gamma_b / Bdag_j, its decay
+from row j to the chunk's end.  A chunk's factors are its daggers and
+gamma only; the forward forms no array of those end-of-chunk ratios, and
+the backward forms one (by a divide) only where it holds no Kt or Vt.
+Each side is scaled by its gamma before the product.  Scaling the product
+of the two unscaled ratios (Kt^T Vt) instead would overflow once each
+side's whole-chunk log-decay passes about ln(DBL_MAX) / 2 = 355, where the
+scaled rows are still finite.
 
 Inside a chunk the forward takes the rows in blocks of ``BLOCK``.  Rows
 [j0, n) are scored against the chunk prefix [:n] with one product
@@ -22,9 +31,9 @@ diagonal square is zeroed by assignment (never by multiplying with a mask,
 which would turn an inf score into NaN rather than 0), and one more product
 applies the scores to ``Vt[:n]``.  The block size trades the upper-triangle
 work a block computes and throws away against the number of Python-level
-products: at L=4096, d=64, C=64 the forward counts 112.5 M flops at
+products: at L=4096, d=64, C=64 the forward counts 111.5 M flops at
 ``BLOCK = 16``, under the recurrent form's 117.2 M, while 32-row blocks
-(120.9 M) and whole-chunk squares (137.6 M) would count more than the
+(119.8 M) and whole-chunk squares (136.6 M) would count more than the
 recurrence they are meant to beat.
 
 The backward takes the rows in panels of ``PANEL`` (four blocks), last
@@ -55,19 +64,22 @@ every pass that takes the step calls:
 - ``_chunk``: a chunk's decay factors and its transforms Qt, Kt and Vt;
 - ``_intra``: the masked score blocks and the within-chunk sums;
 - ``_output``: the inter-chunk term ``Qt S_prev`` and the ``Ddag`` scale;
-- ``_kv``: the key and value rows as they enter the outgoing state,
-  ``Bpri (.) K`` and ``Dpri (.) V``;
+- ``_kv``: the key and value rows as they enter the outgoing state, rows
+  times given factors: ``Kt (.) gamma_b`` and ``Vt (.) gamma_d`` from the
+  transforms that the forward and sweep F hold;
 - ``_carry``: ``(gamma_b^T gamma_d) (.) X + T``, the gated carry.  Going
   forward X is the state; going back it is the state's cotangent.
 
 The forward calls all five per chunk (``_kv`` and ``_carry`` through
 ``_state_update``).  The backward is two sweeps, as in the GLA paper:
 chunk states in forward order, state cotangents in reverse order.  Sweep F
-calls all five too, ``_intra`` once per panel; sweep R calls ``_kv`` and
-``_carry``.  Once dQ, dK and dV are final, one step after the sweeps
-assembles the gate gradients, as in the GLA paper's memory-efficient
-dalpha and dbeta: two identities and one reverse cumulative sum over each
-whole array, with no state gradient.  The backward never replays the
+calls all five too, ``_intra`` once per panel; sweep R, which holds no
+transforms, calls ``_kv`` on K and V with the factors ``gamma_b / Bdag`` and
+``gamma_d / Ddag`` (one divide each, no exp), and ``_carry``.  Once dQ, dK
+and dV are final, one step after the sweeps assembles the gate gradients,
+as in the GLA paper's memory-efficient dalpha and dbeta: two identities
+and one reverse cumulative sum over each whole array, with no state
+gradient.  The backward never replays the
 forward: the output O that the value-gate identity needs is re-formed
 chunk by chunk from the score blocks the backward builds anyway, bit for
 bit the forward's.  The two policies of the GLA paper's chunkwise
@@ -161,8 +173,8 @@ class ChunkPolicy:
 
 def _decays(inst: GlaInstance, s: int, e: int, meter: Meter) -> ChunkDecays:
     """Chunk [s, e)'s decay factors, formed when a sweep reaches it, metered."""
-    # prefix sums (c-1)d, dagger exps cd, prime subtracts and exps 2cd
-    meter.add_flops((4 * (e - s) - 1) * (inst.dk + inst.dv))
+    # prefix sums (c-1)d and dagger exps cd; gamma is dagger's last row
+    meter.add_flops((2 * (e - s) - 1) * (inst.dk + inst.dv))
     return chunk_factors(inst.gates, s, e)
 
 
@@ -265,10 +277,10 @@ def _output(acc, Qt, S, dec, out, meter: Meter) -> None:
     meter.add_flops(acc.size)
 
 
-def _kv(dec, Kc, Vc, meter: Meter):
-    """Bpri (.) K and Dpri (.) V: a chunk's key and value rows as they enter its outgoing state."""
-    KB = dec.b_prime * Kc
-    VD = dec.d_prime * Vc
+def _kv(Kc, Vc, fb, fd, meter: Meter):
+    """Kc (.) fb and Vc (.) fd: a chunk's key and value rows as they enter its outgoing state."""
+    KB = Kc * fb
+    VD = Vc * fd
     meter.add_flops(KB.size + VD.size)
     return KB, VD
 
@@ -282,9 +294,9 @@ def _carry(dec, X, T, meter: Meter) -> np.ndarray:
     return Gm * X + T
 
 
-def _state_update(dec, Kc, Vc, S, meter: Meter) -> np.ndarray:
-    """S_new = (gamma_b^T gamma_d) (.) S + (Bpri (.) K)^T (Dpri (.) V); S None is chunk 0."""
-    KB, VD = _kv(dec, Kc, Vc, meter)
+def _state_update(dec, Kt, Vt, S, meter: Meter) -> np.ndarray:
+    """S_new = (gamma_b^T gamma_d) (.) S + (Kt (.) gamma_b)^T (Vt (.) gamma_d); S None is chunk 0."""
+    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)
     return _carry(dec, S, mm(KB.T, VD, meter), meter)
 
 
@@ -300,7 +312,7 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     for s, e in plan.boundaries:
         dec, Qt, Kt, Vt = _chunk(inst, s, e, meter)
         _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[s:e], meter)
-        S = _state_update(dec, K[s:e], V[s:e], S, meter)
+        S = _state_update(dec, Kt, Vt, S, meter)
         if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
             meter.state_writes += 1
@@ -335,8 +347,9 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     picks the traffic booked per chunk: the modeled write of S_i and read
     of S_{i-1} under materialize, one state-update replay under recompute.
     (R) A reverse sweep does only what needs the state cotangent dS: each
-    chunk's K/V path through dS, whose rows ``_kv`` forms, and the carry of
-    dS, which is ``_carry`` as in the state update.  After it, with dQ, dK
+    chunk's K/V path through dS, whose rows ``_kv`` forms from K and V and
+    each row's decay to the chunk's end, gamma / Bdag (it holds no Kt or
+    Vt), and the carry of dS, which is ``_carry`` as in the state update.  After it, with dQ, dK
     and dV final, the gate gradients are the identities
     dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
     positive; the finite-difference oracle pins the sign), formed a chunk
@@ -374,7 +387,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         np.divide(dvt, dec.d_dagger, out=dV[s:e])
         meter.add_flops(2 * c * dk + c * dv)
         _output(Oc, Qt, S, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
-        S = _state_update(dec, K[s:e], V[s:e], S, meter)
+        S = _state_update(dec, Kt, Vt, S, meter)
         if policy.materialize:  # modeled: S_i written, S_{i-1} read back
             meter.state_writes += 1
             meter.state_reads += i > 0
@@ -393,19 +406,22 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         c = e - s
         if i < N - 1:
             dec = _decays(inst, s, e, meter)
-            # chunk i's own K/V contribution to S_i, weighted by the carried cotangent
-            KB, VD = _kv(dec, K[s:e], V[s:e], meter)
-            dK[s:e] += mm(VD, dS.T, meter) * dec.b_prime
-            dV[s:e] += mm(KB, dS, meter) * dec.d_prime
-            meter.add_flops(2 * c * dk + 2 * c * dv)
+            # chunk i's own K/V contribution to S_i, weighted by the carried
+            # cotangent; fb and fd are each row's decay to the chunk's end
+            fb = dec.gamma_b / dec.b_dagger
+            fd = dec.gamma_d / dec.d_dagger
+            KB, VD = _kv(K[s:e], V[s:e], fb, fd, meter)
+            dK[s:e] += mm(VD, dS.T, meter) * fb
+            dV[s:e] += mm(KB, dS, meter) * fd
+            meter.add_flops(3 * c * dk + 3 * c * dv)  # fb and fd, then scale and add
         if i > 0:  # dS_{i-1}: chunk i's output rows' cotangent, plus dS_i carried back
             Qt = Q[s:e] * dec.b_dagger
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dk + c * dv)
             dS = _carry(dec, dS, mm(Qt.T, dOt, meter), meter)
     # drop sweep R's chunk temporaries before dla is allocated (rebound, not
-    # deleted: a one-chunk plan never binds KB, VD, Qt or dOt in sweep R)
-    dec = KB = VD = Qt = dOt = dS = None
+    # deleted: a one-chunk plan never binds fb, fd, KB, VD, Qt or dOt in sweep R)
+    dec = fb = fd = KB = VD = Qt = dOt = dS = None
 
     # Gate gradients, once dQ, dK and dV are final: the identities, a chunk
     # of rows at a time into the rows they end up in, then one suffix sum
@@ -445,8 +461,9 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     backward then adds sweep F's cotangent work and sweep R, and after the
     loop the gate-gradient step: the identities 3L(dk+dv) and the two
     whole-array suffix sums (L-1)(dk+dv).  A chunk's decay factors cost
-    (4c-1)(dk+dv) each time a pass forms them: once in the forward, and in
-    the backward twice for every chunk but the last.  Per chunk of c rows with
+    (2c-1)(dk+dv) each time a pass forms them: once in the forward, and in
+    the backward twice for every chunk but the last, where sweep R also
+    divides gamma by the daggers, c(dk+dv).  Per chunk of c rows with
     A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
     (scores, then scores x values).  The backward's panels form the same
     blocks and, with P = _block_area(c, PANEL), add
@@ -476,11 +493,11 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         A = _block_area(c)
         first, last = i == 0, i == N - 1
         # the chunk step, in the forward and in the backward's sweep F:
-        # _chunk's decays (prefix sums, dagger and prime) and Qt, Kt, Vt;
-        # _intra's row blocks (scores, then scores x values); _output's inter
-        # term, its add and the Ddag scale; _state_update's Bpri K and Dpri V,
-        # their product and, after the first chunk, the gated carry
-        flops += (4 * c - 1) * d + 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
+        # _chunk's decays (prefix sums and dagger) and Qt, Kt, Vt; _intra's
+        # row blocks (scores, then scores x values); _output's inter term, its
+        # add and the Ddag scale; _state_update's Kt (.) gamma_b and
+        # Vt (.) gamma_d, their product and, after the first chunk, the carry
+        flops += (2 * c - 1) * d + 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
         flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
         flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)
         if not backward:
@@ -489,8 +506,8 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         # adds, dq's inter term and its add, and dq, dk, dv scaled back
         flops += c * dv + _block_area(c, PANEL) * (4 * d - 1) - c * dk - c * d
         flops += 2 * c * dk + c * dv + (0 if first else mm_flops(c, dv, dk) + c * dk)
-        if not last:  # sweep R: the decays again, and the chunk's own K/V term under dS
-            flops += (4 * c - 1) * d + 3 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
+        if not last:  # sweep R: the decays again, fb and fd, and the K/V term under dS
+            flops += (2 * c - 1) * d + 4 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
         if not first:  # sweep R: Qt and dOt again, dS_{i-1}, and (not last) the carry of dS
             flops += c * d + mm_flops(dk, c, dv) + (0 if last else 4 * dk * dv)
     if backward:  # gate-gradient assembly: the identities, then two whole-array suffix sums

@@ -106,16 +106,18 @@ class ChunkDecays(NamedTuple):
 
     With lc the running sum of the chunk's own log_alpha rows:
     b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j;
-    b_prime[j] = exp(lc[-1] - lc[j]) carries position s+j's contribution
-    into the outgoing state; log_gamma_b = lc[-1] is the log of the
-    whole-chunk decay, kept in log space so consumers can exponentiate
-    sums rather than multiply exponentials.  d_* mirror these with log_beta.
+    gamma_b = exp(lc[-1:]), b_dagger's last row kept as a 1 x dk view so it
+    scales rows by broadcasting, is the whole-chunk decay, and
+    log_gamma_b = lc[-1] is its log, kept so the carried gate can
+    exponentiate sums rather than multiply exponentials.  Position s+j's
+    contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
+    no array of those ratios is kept.  d_* mirror these with log_beta.
     """
 
-    b_prime: np.ndarray
     b_dagger: np.ndarray
-    d_prime: np.ndarray
     d_dagger: np.ndarray
+    gamma_b: np.ndarray
+    gamma_d: np.ndarray
     log_gamma_b: np.ndarray
     log_gamma_d: np.ndarray
 
@@ -132,24 +134,24 @@ def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
 
 
 def _chunk_factors(lg: np.ndarray):
-    """dagger, prime, log_gamma from one chunk's log-gate rows.
+    """dagger, gamma, log_gamma from one chunk's log-gate rows.
 
-    Every exponent is a sum over the chunk's own rows; prime's differences
-    are <= 0 exactly, since adding a log-gate never rounds a sum upwards.
-    As in cumulative_log_decay, the preallocated out= traces less memory.
+    Every exponent is a sum over the chunk's own rows, so every factor is
+    <= 1 exactly.  gamma is dagger's last row, a 1 x d view: the bits of
+    exp(lc[-1]), at no cost.  As in cumulative_log_decay, the preallocated
+    out= traces less memory.
     """
     lc = np.add.accumulate(lg, axis=0, out=np.empty_like(lg))
     log_gamma = lc[-1].copy()  # not a view: dagger's exp overwrites lc in place
-    prime = np.exp(log_gamma - lc)
-    dagger = np.exp(lc, out=lc)
-    return readonly(dagger), readonly(prime), readonly(log_gamma)
+    dagger = readonly(np.exp(lc, out=lc))
+    return dagger, dagger[-1:], readonly(log_gamma)
 
 
 def chunk_factors(g: GateSeq, s: int, e: int) -> ChunkDecays:
     """Decay factors of the chunk [s, e), from its own log-gate rows only."""
-    b_dag, b_pri, lgb = _chunk_factors(g.log_alpha[s:e])
-    d_dag, d_pri, lgd = _chunk_factors(g.log_beta[s:e])
-    return ChunkDecays(b_pri, b_dag, d_pri, d_dag, lgb, lgd)
+    b_dag, gb, lgb = _chunk_factors(g.log_alpha[s:e])
+    d_dag, gd, lgd = _chunk_factors(g.log_beta[s:e])
+    return ChunkDecays(b_dag, d_dag, gb, gd, lgb, lgd)
 
 
 def chunk_relative_decays(g: GateSeq, plan: ChunkPlan) -> list[ChunkDecays]:

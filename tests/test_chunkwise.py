@@ -190,31 +190,34 @@ def test_counters_match_predictions_12_config_sweep():
 
 
 def test_frozen_forward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 528
-    # (within-chunk decays 120 + transforms 48 + intra 208 + inter 32 +
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 464
+    # (within-chunk decays 56 + transforms 48 + intra 208 + inter 32 +
     #  output scale 16 + state updates 104); the closed form must agree.
+    # A chunk's decays are its prefix sums (12) and dagger exps (16); gamma
+    # is dagger's last row, at no cost.
     # Intra is one 4-row block per chunk: scores 4x2 by 2x4 (48) and
     # scores by values 4x4 by 4x2 (56), twice.
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, _, measured = forward_chunkwise(inst, plan, MAT)
-    assert measured.flops == 528
-    assert predict_cost(8, 2, 2, plan, MAT).flops == 528
+    assert measured.flops == 464
+    assert predict_cost(8, 2, 2, plan, MAT).flops == 464
 
 
 def test_frozen_backward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1380
-    # (decays, formed three times 180 + state updates 104 + transforms and
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1300
+    # (decays, formed three times 84 + state updates 104 + transforms and
     #  dOt 64 + panels 640 + dq/dk/dv scale-backs 48 + output scale 16 +
-    #  chunk 1's inter-chunk terms 108 + chunk 0's state-cotangent path 96 +
-    #  gate gradients 124); the closed form must agree.  Each chunk is one
-    # 4-row panel: the forward's scores and scores by values (104), the
-    # cotangent scores (56), dq (56), dk and dv (2 x 52).
+    #  chunk 1's inter-chunk terms 108 + chunk 0's state-cotangent path 112,
+    #  of which gamma / dagger is 16, + gate gradients 124); the closed form
+    #  must agree.  Each chunk is one 4-row panel: the forward's scores and
+    # scores by values (104), the cotangent scores (56), dq (56), dk and dv
+    # (2 x 52).
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, measured = backward_chunkwise(inst, rand_dO(8, 2), plan, MAT)
-    assert measured.flops == 1380
-    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1380
+    assert measured.flops == 1300
+    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1300
 
 
 def test_forward_blocks_nest_in_backward_panels():
@@ -350,7 +353,7 @@ def test_passes_hold_no_decay_table(pol):
     # neither pass holds 4 L*d of them: the forward holds O (and the
     # states), the backward the five gradients plus chunk-local scratch.
     # dlog_alpha is allocated only after sweep R, once sweep R's chunk
-    # temporaries are dropped, so the backward's peak is sweep F's (~5.3)
+    # temporaries are dropped, so the backward's peak is sweep F's (~5.2)
     L, d = 1024, 16
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
     plan = ChunkPlan(L, 64)
@@ -441,6 +444,30 @@ def test_overflowing_masked_score_is_dropped_silently():
         g, _ = backward_chunkwise(inst, dO, plan, pol)
         for f in GRAD_FIELDS:
             assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-9, (pol.mode, f)
+
+
+@pytest.mark.parametrize("log_decay", [500.0, 700.0])
+def test_state_rows_scaled_before_their_product_at_large_chunk_decay(log_decay):
+    # each side's whole-chunk log-decay is -log_decay: Kt and Vt reach
+    # ~e^log_decay, finite, but Kt^T Vt would reach ~e^(2 log_decay) and
+    # overflow.  The state update scales each side by its gamma before the
+    # product, and the reverse sweep scales K and V by gamma / dagger, so
+    # both passes stay finite and match the recurrent judges.
+    L, C, dk, dv = 128, 64, 3, 2
+    rng = SplitMix64(90)
+    Q, K, V = rng.fill_pm1(L, dk), rng.fill_pm1(L, dk), rng.fill_pm1(L, dv)
+    gates = GateSeq(np.full((L, dk), -log_decay / C), np.full((L, dv), -log_decay / C))
+    inst = GlaInstance(SeqTensor(Q), SeqTensor(K), SeqTensor(V), gates)
+    dO = rand_dO(L, dv, seed=91)
+    plan = ChunkPlan(L, C)
+    want_o = forward_recurrent(inst).O.data
+    want = backward_recurrent_exact(inst, dO)
+    for pol in (MAT, REC):
+        o, _, _ = forward_chunkwise(inst, plan, pol)
+        assert rel_err(o.data, want_o) <= 1e-9, pol.mode
+        g, _ = backward_chunkwise(inst, dO, plan, pol)
+        for f in GRAD_FIELDS:
+            assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-6, (pol.mode, f)
 
 
 @pytest.mark.parametrize("L, C, dk, seed, floor, chunk", [

@@ -83,37 +83,39 @@ def test_chunk_factors_identity_gates():
     g = make_gates(np.zeros((6, 2)), np.zeros((6, 2)))
     decs = chunk_relative_decays(g, ChunkPlan(6, 4))
     for d in decs:
-        for arr in (d.b_prime, d.b_dagger, d.d_prime, d.d_dagger):
+        for arr in (d.b_dagger, d.d_dagger, d.gamma_b, d.gamma_d):
             assert np.array_equal(arr, np.ones_like(arr))
         assert np.array_equal(np.exp(d.log_gamma_b), np.ones(2))
 
 
 def test_chunk_factors_constant_gate():
     # scalar gate 0.5 per step, one chunk of length 2:
-    # dagger = (g, g^2), prime = (g, 1), gamma = g^2
+    # dagger = (g, g^2), gamma = g^2
     g = 0.5
     gates = make_gates([[math.log(g)]] * 2, [[0.0]] * 2)
     (d,) = chunk_relative_decays(gates, ChunkPlan(2, 2))
     assert np.allclose(d.b_dagger[:, 0], [g, g * g], rtol=1e-15)
-    assert np.allclose(d.b_prime[:, 0], [g, 1.0], rtol=1e-15)
+    assert np.allclose(d.gamma_b, [g * g], rtol=1e-15)
     assert np.allclose(np.exp(d.log_gamma_b), [g * g], rtol=1e-15)
 
 
-def test_prime_times_dagger_telescopes_to_gamma():
+def test_gamma_over_dagger_matches_end_of_chunk_decay():
+    # the backward's reverse sweep scales a chunk's K and V rows by
+    # gamma / dagger, each row's decay to the chunk's end
     g = random_gates(23, 3, 2, seed=2)
-    decs = chunk_relative_decays(g, ChunkPlan(23, 5))
-    for d in decs:
-        prod = d.b_prime * d.b_dagger
-        assert np.max(np.abs(prod - np.exp(d.log_gamma_b))) <= 1e-12
-        prod = d.d_prime * d.d_dagger
-        assert np.max(np.abs(prod - np.exp(d.log_gamma_d))) <= 1e-12
+    plan = ChunkPlan(23, 5)
+    for (s, e), d in zip(plan.boundaries, chunk_relative_decays(g, plan)):
+        for lg, dagger, gamma in ((g.log_alpha, d.b_dagger, d.gamma_b),
+                                  (g.log_beta, d.d_dagger, d.gamma_d)):
+            lc = np.add.accumulate(lg[s:e], axis=0)
+            assert np.max(np.abs(gamma / dagger - np.exp(lc[-1] - lc))) <= 1e-12
 
 
 def test_factors_bounded():
     g = random_gates(17, 2, 3, seed=3, floor=0.25)
     decs = chunk_relative_decays(g, ChunkPlan(17, 4))
     for d in decs:
-        for arr in (d.b_prime, d.b_dagger, d.d_prime, d.d_dagger):
+        for arr in (d.b_dagger, d.d_dagger, d.gamma_b, d.gamma_d):
             assert np.all(arr > 0.0)
             assert np.all(arr <= 1.0 + 1e-15)
 
@@ -140,11 +142,11 @@ def test_chunk_factors_are_exps_of_within_chunk_sums(L, C, dk, dv, seed, kind, f
     decs = chunk_relative_decays(g, plan)
     assert len(decs) == plan.num_chunks
     for (s, e), d in zip(plan.boundaries, decs):
-        for lg, dagger, prime, log_gamma in (
-                (g.log_alpha, d.b_dagger, d.b_prime, d.log_gamma_b),
-                (g.log_beta, d.d_dagger, d.d_prime, d.log_gamma_d)):
+        for lg, dagger, gamma, log_gamma in (
+                (g.log_alpha, d.b_dagger, d.gamma_b, d.log_gamma_b),
+                (g.log_beta, d.d_dagger, d.gamma_d, d.log_gamma_d)):
             lc = np.add.accumulate(lg[s:e], axis=0)
             assert dagger.tobytes() == np.exp(lc).tobytes()
-            assert prime.tobytes() == np.exp(lc[-1] - lc).tobytes()
+            assert gamma.tobytes() == np.exp(lc[-1]).tobytes()
             assert log_gamma.tobytes() == lc[-1].tobytes()
-            assert np.all(dagger <= 1.0) and np.all(prime <= 1.0)
+            assert np.all(dagger <= 1.0) and np.all(0.0 < gamma) and np.all(gamma <= 1.0)

@@ -107,6 +107,21 @@ MUTANTS = (
     Mutant("carry_gates_T_not_X", "chunkwise.py",
            "return Gm * X + T", "return X + Gm * T",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
+    # The state rows: each side scaled by its own gamma before the product.
+    Mutant("kv_scales_Kt_by_value_gamma", "chunkwise.py",
+           "_kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)",
+           "_kv(Kt, Vt, dec.gamma_d, dec.gamma_d, meter)",
+           "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
+    Mutant("state_update_folds_gamma_into_Kt_Vt", "chunkwise.py",
+           "    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)\n"
+           "    return _carry(dec, S, mm(KB.T, VD, meter), meter)\n",
+           "    T = mm(Kt.T, Vt, meter)\n"
+           "    return outer_gate(dec.log_gamma_b, dec.log_gamma_d) * (T if S is None else S + T)\n",
+           "tests/test_chunkwise.py::"
+           "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
+    Mutant("sweep_r_factor_without_dagger", "chunkwise.py",
+           "fb = dec.gamma_b / dec.b_dagger", "fb = dec.gamma_b",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The gate-gradient step after sweep R, and its cost.
     Mutant("gate_grads_skip_dla_suffix_sum", "chunkwise.py",
            "    suffix_sum_arr(dla, out=dla)\n", "",
