@@ -135,6 +135,11 @@ def _grad_dO(L: int, dv: int) -> SeqTensor:
 _GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
 
+def _plan(L: int, chunk: int | None) -> ChunkPlan:
+    """The chunkwise plan a check runs; by default about a third of L, at least 2."""
+    return ChunkPlan(L, chunk if chunk is not None else max(2, (L + 2) // 3))
+
+
 @_ieee_quiet
 def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
                     chunk: int | None = None,
@@ -148,8 +153,7 @@ def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
     shifted = _shift_gate_boundary(inst, eps)
     dO = _grad_dO(shifted.L, shifted.dv)
     fd = backward_recurrent_fd(shifted, dO, eps)
-    C = chunk if chunk is not None else max(2, (shifted.L + 2) // 3)
-    plan = ChunkPlan(shifted.L, C)
+    plan = _plan(shifted.L, chunk)
 
     impls = {"recurrent_exact": lambda: backward_recurrent_exact(shifted, dO)}
     impls["parallel"] = lambda: backward_parallel(shifted, dO)
@@ -203,8 +207,7 @@ def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
     if inst.L < 2:
         raise ValueError("causality check needs L >= 2")
     rng = SplitMix64(seed)
-    C = chunk if chunk is not None else max(2, (inst.L + 2) // 3)
-    plan = ChunkPlan(inst.L, C)
+    plan = _plan(inst.L, chunk)
 
     t0 = time.perf_counter()
     ref_rec = forward_recurrent(inst).O.data

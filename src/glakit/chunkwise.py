@@ -178,9 +178,9 @@ def _decays(inst: GlaInstance, s: int, e: int, meter: Meter) -> ChunkDecays:
     return chunk_factors(inst.gates, s, e)
 
 
-def _check_plan(inst: GlaInstance, plan: ChunkPlan) -> None:
-    if plan.L != inst.L:
-        raise ValueError(f"plan covers L={plan.L} but the instance has L={inst.L}")
+def _check_plan(L: int, plan: ChunkPlan) -> None:
+    if plan.L != L:
+        raise ValueError(f"plan covers L={plan.L} but the sequence has L={L}")
 
 
 _LN_DBL_MAX = float(np.log(np.finfo(np.float64).max))  # 709.78
@@ -303,7 +303,7 @@ def _state_update(dec, Kt, Vt, S, meter: Meter) -> np.ndarray:
 @np.errstate(all="ignore")
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
-    _check_plan(inst, plan)
+    _check_plan(inst.L, plan)
     K, V = inst.K.data, inst.V.data
     meter = Meter()
     O = np.empty((inst.L, inst.dv))
@@ -358,7 +358,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
-    _check_plan(inst, plan)
+    _check_plan(inst.L, plan)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     dOa = dO.data
     L, dk, dv = inst.L, inst.dk, inst.dv
@@ -481,8 +481,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")
-    if plan.L != L:
-        raise ValueError(f"plan covers L={plan.L}, expected {L}")
+    _check_plan(L, plan)
     N = plan.num_chunks
     backward = pass_ == "backward"
     d = dk + dv

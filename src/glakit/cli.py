@@ -86,11 +86,9 @@ def cmd_gen(args) -> int:
     inst = _instance(cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    write_tensor(out / "Q.glat", inst.Q.data)
-    write_tensor(out / "K.glat", inst.K.data)
-    write_tensor(out / "V.glat", inst.V.data)
-    write_tensor(out / "logalpha.glat", inst.gates.log_alpha)
-    write_tensor(out / "logbeta.glat", inst.gates.log_beta)
+    arrs = (inst.Q.data, inst.K.data, inst.V.data, inst.gates.log_alpha, inst.gates.log_beta)
+    for name, a in zip(TENSOR_FILES, arrs):
+        write_tensor(out / f"{name}.glat", a)
     (out / "config.txt").write_text(format_config(cfg))
     print(f"wrote {len(TENSOR_FILES)} tensors + config.txt to {out}")
     return EXIT_OK

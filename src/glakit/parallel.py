@@ -5,7 +5,10 @@ weights carry the cumulative key-decay ratio b_t/b_i and values carry the
 cumulative value-decay ratio d_t/d_i.  Every ratio is formed as
 exp(log_b[t] - log_b[i]); neither raw cumulative products nor their
 reciprocals are ever materialized, and the causal mask is realized purely
-as slice bounds.
+as slice bounds.  One row kernel, ``_rows``, forms each row's ratios,
+decayed keys and values and weights; the forward adds the weighted sum,
+and the backward takes the same rows, so the O it re-forms for the dlogd
+identity is the forward's bit for bit.
 
 Since t >= i, every ratio is <= 1: a large decay range can only underflow
 a ratio towards a negligible 0, never overflow, so no range is refused.
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cost import Meter
 from .gates import cumulative_log_decay
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, suffix_sum_arr
@@ -29,33 +31,36 @@ __all__ = [
 ]
 
 
-@np.errstate(all="ignore")
-def forward_parallel(inst: GlaInstance, meter: Meter | None = None) -> SeqTensor:
-    """o_t = sum_{i<=t} <q_t (.) b_t/b_i, k_i> (v_i (.) d_t/d_i)."""
+def _rows(inst: GlaInstance):
+    """Yield t, brel, drel, K (.) brel, V (.) drel and the weights A_{t,i} of row t, i <= t."""
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     cd = cumulative_log_decay(inst.gates)
-    L, dk, dv = inst.L, inst.dk, inst.dv
-    O = np.empty((L, dv))
-    for t in range(L):
-        n = t + 1
-        brel = np.exp(cd.log_b[t] - cd.log_b[:n])  # n x dk, all <= 1
-        drel = np.exp(cd.log_d[t] - cd.log_d[:n])
-        w = (K[:n] * brel * Q[t]).sum(axis=1)      # attention weights A_{t,i}
-        O[t] = (w[:, None] * (V[:n] * drel)).sum(axis=0)
-        if meter:
-            meter.add_flops(2 * n * dk + 2 * n * dv)      # decay ratios
-            meter.add_flops(2 * n * dk + n * (dk - 1))    # weights
-            meter.add_flops(n * dv)                       # value decay
-            meter.add_flops(n * dv + (n - 1) * dv)        # weighted sum
+    for t in range(inst.L):
+        brel = np.exp(cd.log_b[t] - cd.log_b[: t + 1])  # (t+1) x dk, all <= 1
+        drel = np.exp(cd.log_d[t] - cd.log_d[: t + 1])
+        Kb = K[: t + 1] * brel
+        Vd = V[: t + 1] * drel
+        yield t, brel, drel, Kb, Vd, (Kb * Q[t]).sum(axis=1)
+
+
+@np.errstate(all="ignore")
+def forward_parallel(inst: GlaInstance) -> SeqTensor:
+    """o_t = sum_{i<=t} <q_t (.) b_t/b_i, k_i> (v_i (.) d_t/d_i)."""
+    O = np.empty((inst.L, inst.dv))
+    for t, _, _, _, Vd, w in _rows(inst):
+        O[t] = (w[:, None] * Vd).sum(axis=0)
     return SeqTensor(O)
 
 
 def parallel_forward_cost(L: int, dk: int, dv: int) -> int:
     """Closed-form flop count of forward_parallel under the package convention.
 
-    Row t sees n = t+1 positions and costs n(5dk+5dv-1) - dv: the decay
-    ratios 2n(dk+dv), the weights 2n*dk + n(dk-1), the value decay n*dv and
-    the weighted sum n*dv + (n-1)dv.  Summed over n = 1..L.
+    Row t sees n = t+1 positions and costs n(5dk+5dv-1) - dv: in ``_rows``
+    the decay ratios 2n(dk+dv) (a subtract and an exp per entry), the
+    decayed keys n*dk, the weights n*dk + n(dk-1) and the decayed values
+    n*dv; then the forward's weighted sum n*dv + (n-1)dv.  Summed over
+    n = 1..L.  No run counts these ops; the test suite pins this count to
+    totals derived by hand from the ops.
     """
     return (5 * dk + 5 * dv - 1) * (L * (L + 1) // 2) - L * dv
 
@@ -77,19 +82,13 @@ def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     dOa = dO.data
-    cd = cumulative_log_decay(inst.gates)
     L, dk, dv = inst.L, inst.dk, inst.dv
 
     O = np.empty((L, dv))  # the forward's output, for the dlogd identity
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
-    for t in range(L):
-        brel = np.exp(cd.log_b[t] - cd.log_b[: t + 1])
-        drel = np.exp(cd.log_d[t] - cd.log_d[: t + 1])
-        Kb = K[: t + 1] * brel
-        Vd = V[: t + 1] * drel
-        w = (Kb * Q[t]).sum(axis=1)                   # A_{t,i}
+    for t, brel, drel, Kb, Vd, w in _rows(inst):
         g = (Vd * dOa[t]).sum(axis=1)                 # <do_t, v_i d_t/d_i>
         O[t] = (w[:, None] * Vd).sum(axis=0)
         dQ[t] = (g[:, None] * Kb).sum(axis=0)

@@ -533,12 +533,13 @@ def test_retnet_reduction_direct_oracle():
 
 
 def test_plan_mismatch_rejected():
+    # the kernels and predict_cost run one check, so they say the same thing
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan covers L=9 but the sequence has L=8"):
         forward_chunkwise(inst, ChunkPlan(9, 3), MAT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan covers L=7 but the sequence has L=8"):
         backward_chunkwise(inst, rand_dO(8, 2), ChunkPlan(7, 3), REC)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan covers L=9 but the sequence has L=8"):
         predict_cost(8, 2, 2, ChunkPlan(9, 3), MAT)
 
 

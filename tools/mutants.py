@@ -132,15 +132,22 @@ MUTANTS = (
     Mutant("predict_gate_term_4Ld", "chunkwise.py",
            "(4 * L - 1) * d", "4 * L * d",
            "tests/test_chunkwise.py::test_frozen_backward_flop_count"),
+    # The reference forms' closed-form flop counts, pinned by frozen totals.
+    Mutant("recurrent_cost_q_s_adds_dk", "recurrent.py",
+           "+ (dk - 1) * dv", "+ dk * dv",
+           "tests/test_recurrent.py::test_cost_model_matches_metered_run"),
+    Mutant("parallel_cost_row_drops_minus_one", "parallel.py",
+           "(5 * dk + 5 * dv - 1)", "(5 * dk + 5 * dv)",
+           "tests/test_parallel.py::test_cost_model_matches_metered_run"),
     # Below a tolerance, but pinned bit for bit: the batched FD against a
     # one-entry-at-a-time reference, the parallel forward's O through the
     # backward's dlog_beta identity.
     Mutant("fd_quotient_1e-12_high", "recurrent.py",
            "/ (2.0 * eps)", "/ (2.0 * eps) * (1 + 1e-12)",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
-    Mutant("parallel_forward_weights_1e-13_high", "parallel.py",
-           "w = (K[:n] * brel * Q[t]).sum(axis=1)",
-           "w = (K[:n] * brel * Q[t]).sum(axis=1) * (1 + 1e-13)",
+    Mutant("parallel_forward_sum_1e-13_high", "parallel.py",
+           "in _rows(inst):\n        O[t] = (w[:, None] * Vd).sum(axis=0)",
+           "in _rows(inst):\n        O[t] = (w[:, None] * Vd).sum(axis=0) * (1 + 1e-13)",
            "tests/test_parallel.py::test_dlogd_identity_definitional"),
     # Below a tolerance by design: expected to survive.
     Mutant("parallel_backward_scores_1e-13_high", "parallel.py",
