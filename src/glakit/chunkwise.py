@@ -6,8 +6,10 @@ elementwise state gating over whole chunks), while positions inside a
 chunk are handled by masked weighted sums whose decay factors are exps of
 sums over the chunk's own log-gates, so neither an exponent nor its
 rounding grows with the sequence length.  Each pass forms a chunk's factors
-when it reaches the chunk and drops them with it; no pass holds a table of
-every chunk's factors.  Output for chunk rows t in [s, e):
+once, when it reaches the chunk: the forward drops them with the chunk, and
+the backward parks them in gradient rows it has not written yet, so no pass
+allocates a table of every chunk's factors.  Output for chunk rows t in
+[s, e):
 
     o_t = [ (q_t (.) Bdag_t) S_prev  +  sum_{s<=i<=t} <q_t (.) Bdag_t, k_i / Bdag_i> (v_i / Ddag_i) ] (.) Ddag_t
 
@@ -61,7 +63,8 @@ the two policies agree bit for bit, and so do repeated calls.
 Each step of the paper's one generalized chunk step is one function, which
 every pass that takes the step calls:
 
-- ``_chunk``: a chunk's decay factors and its transforms Qt, Kt and Vt;
+- ``_chunk``: a chunk's decay factors (unless a sweep has formed them) and
+  its transforms Qt, Kt and Vt;
 - ``_intra``: the masked score blocks and the within-chunk sums;
 - ``_output``: the inter-chunk term ``Qt S_prev`` and the ``Ddag`` scale;
 - ``_kv``: the key and value rows as they enter the outgoing state, rows
@@ -72,31 +75,36 @@ every pass that takes the step calls:
 
 The forward calls all five per chunk (``_kv`` and ``_carry`` through
 ``_state_update``).  The backward is two sweeps, as in the GLA paper:
-chunk states in forward order, state cotangents in reverse order.  Sweep F
-calls all five too, ``_intra`` once per panel; sweep R, which holds no
-transforms, calls ``_kv`` on K and V with the factors ``gamma_b / Bdag`` and
-``gamma_d / Ddag`` (one divide each, no exp), and ``_carry``.  Once dQ, dK
-and dV are final, one step after the sweeps assembles the gate gradients,
-as in the GLA paper's memory-efficient dalpha and dbeta: two identities
-and one reverse cumulative sum over each whole array, with no state
-gradient.  The backward never replays the
+state cotangents in reverse order, then chunk states in forward order.
+Sweep R is the only place the backward forms decay factors.  It parks each
+chunk's daggers in that chunk's rows of dQ and of the dlog_beta buffer,
+which nothing has written yet, and its log gammas in one small array of
+N rows of dk + dv.  Holding no transforms, it calls ``_kv`` on K and V
+with the factors ``gamma_b / Bdag`` and ``gamma_d / Ddag`` (one divide
+each, no exp), and ``_carry``.  Sweep F calls all five steps, ``_chunk`` on the
+parked factors and ``_intra`` once per panel; its state update reads
+gamma, the daggers' last rows, so it runs before dq and O are written over
+the daggers.  Once dQ, dK and dV are final, one step after the sweeps
+assembles the gate gradients, as in the GLA paper's memory-efficient
+dalpha and dbeta: two identities and one reverse cumulative sum over each
+whole array, with no state gradient.  The backward never replays the
 forward: the output O that the value-gate identity needs is re-formed
 chunk by chunk from the score blocks the backward builds anyway, bit for
-bit the forward's.  The two policies of the GLA paper's chunkwise
-training (its section 4) decide only whether the forward returns its
-chunk states (``materialize``) or not (``recompute``), and which state
-traffic the CostReport books.  The backward keeps no record and runs the
-state recurrence once under either policy, so both count the same flops
-and give identical numbers; the materialize counters model the paper's
-chunk-parallel backward, which reads S_{i-1} from the forward's record
-and does not run here yet.  Every executed array op is metered with the
-exact flop convention from ``cost``: products inside ``mm``, the rest at
-their call sites.  ``predict_cost`` mirrors the implementation in
-one pass over the chunk plan, with the state traffic in closed form, and
-must agree integer-for-integer.  Both passes run under
-``np.errstate(all="ignore")``: an overflowing chunk is data the result
-record rejects with a ValueError naming the chunk, whatever the caller's
-numpy error state (IEEE results are the same either way).
+bit the forward's.  The two policies of the GLA paper's chunkwise training
+(its section 4) decide only whether the forward returns its chunk states
+(``materialize``) or not (``recompute``), and which state traffic the
+CostReport books.  The backward keeps no record and runs the state
+recurrence once under either policy, so both count the same flops and give
+identical numbers; the materialize counters model the paper's
+chunk-parallel backward, which reads S_{i-1} from the forward's record and
+does not run here yet.  Every executed array op is metered with the exact
+flop convention from ``cost``: products inside ``mm``, the rest at their
+call sites.  ``predict_cost`` mirrors the implementation in one pass over
+the chunk plan, with the state traffic in closed form, and must agree
+integer-for-integer.  Both passes run under ``np.errstate(all="ignore")``:
+an overflowing chunk is data the result record rejects with a ValueError
+naming the chunk, whatever the caller's numpy error state (IEEE results
+are the same either way).
 """
 
 from __future__ import annotations
@@ -171,11 +179,11 @@ class ChunkPolicy:
         return self.mode == "materialize"
 
 
-def _decays(inst: GlaInstance, s: int, e: int, meter: Meter) -> ChunkDecays:
-    """Chunk [s, e)'s decay factors, formed when a sweep reaches it, metered."""
+def _decays(inst: GlaInstance, s: int, e: int, meter: Meter, out=None) -> ChunkDecays:
+    """Chunk [s, e)'s decay factors, formed when a pass reaches it, metered; daggers in out."""
     # prefix sums (c-1)d and dagger exps cd; gamma is dagger's last row
     meter.add_flops((2 * (e - s) - 1) * (inst.dk + inst.dv))
-    return chunk_factors(inst.gates, s, e)
+    return chunk_factors(inst.gates, s, e, out)
 
 
 def _check_plan(L: int, plan: ChunkPlan) -> None:
@@ -206,9 +214,13 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
             f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
-def _chunk(inst: GlaInstance, s: int, e: int, meter: Meter):
-    """Chunk [s, e)'s decay factors and its Qt = Q (.) Bdag, Kt = K / Bdag, Vt = V / Ddag."""
-    dec = _decays(inst, s, e, meter)
+def _chunk(inst: GlaInstance, s: int, e: int, meter: Meter, dec=None):
+    """Chunk [s, e)'s decay factors and its Qt = Q (.) Bdag, Kt = K / Bdag, Vt = V / Ddag.
+
+    The factors are formed here unless a sweep formed them already (dec).
+    """
+    if dec is None:
+        dec = _decays(inst, s, e, meter)
     Qt = inst.Q.data[s:e] * dec.b_dagger
     Kt = inst.K.data[s:e] / dec.b_dagger
     Vt = inst.V.data[s:e] / dec.d_dagger
@@ -330,31 +342,36 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     """Gradients of <O, dO> computed chunk by chunk.  Returns (GradBundle, CostReport).
 
     Two sweeps, as in the GLA paper's chunkwise backward; no full-length
-    array is allocated besides the five gradients, and each sweep forms a
-    chunk's decay factors when it reaches the chunk rather than holding
-    them for the whole pass (sweep R forms them a second time, except for
-    the last chunk, whose factors sweep F ended with).  (F) A forward-order
-    sweep runs the state recurrence once and does everything that needs
-    S_{i-1} or only the chunk itself.  It calls the forward's steps:
-    ``_chunk`` for the factors and transforms, ``_intra`` inside the panels
-    of ``_intra_backward`` for the intra-chunk cotangents, ``_output`` for
-    the chunk's output rows O (bit for bit the forward's, re-formed from the
-    score blocks rather than by replaying the forward, and parked in the
-    rows of the dlog_beta buffer), and ``_kv`` and ``_carry`` for the state
-    update.  It also adds the inter-chunk dq term and scales dq, dk and dv
-    back, which writes each gradient row once into uninitialized arrays.
-    It keeps no record of the states under either policy; ``policy`` only
-    picks the traffic booked per chunk: the modeled write of S_i and read
-    of S_{i-1} under materialize, one state-update replay under recompute.
-    (R) A reverse sweep does only what needs the state cotangent dS: each
-    chunk's K/V path through dS, whose rows ``_kv`` forms from K and V and
-    each row's decay to the chunk's end, gamma / Bdag (it holds no Kt or
-    Vt), and the carry of dS, which is ``_carry`` as in the state update.  After it, with dQ, dK
-    and dV final, the gate gradients are the identities
-    dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
-    positive; the finite-difference oracle pins the sign), formed a chunk
-    of rows at a time in the rows they end up in, and then one suffix sum
-    over each whole array, in place.  dlog_alpha is allocated only then.
+    array is allocated besides the five gradients, and each chunk's decay
+    factors are formed once, by the sweep that runs first.  (R) A reverse
+    sweep does what needs the state cotangent dS, which reads only Q, K, V,
+    dO and the gates.  At each chunk it forms the chunk's factors, parking
+    the daggers in the chunk's rows of dQ and of the dlog_beta buffer and
+    the log gammas in a small N x (dk + dv) array.  It writes the chunk's
+    K/V path through dS into dK and dV, from rows that ``_kv`` forms from K
+    and V and each row's decay to the chunk's end, gamma / Bdag (it holds no
+    Kt or Vt), and it carries dS back, which is ``_carry`` as in the state
+    update.  (F) A forward-order sweep then runs the state recurrence once
+    and does everything that needs S_{i-1} or only the chunk itself, with
+    the parked factors read as views.  It calls the forward's steps:
+    ``_chunk`` for the transforms, ``_intra`` inside the panels of
+    ``_intra_backward`` for the intra-chunk cotangents, ``_kv`` and
+    ``_carry`` for the state update, and ``_output`` for the chunk's output
+    rows O (bit for bit the forward's, re-formed from the score blocks
+    rather than by replaying the forward).  It also adds the inter-chunk dq
+    term and scales dq, dk and dv back; dk and dv are added onto sweep R's
+    rows, or assigned on the last chunk, which sweep R gives none.  The
+    state update reads gamma, the daggers' last rows, so it runs before dq
+    and O are written over the daggers; O stays in the dlog_beta rows until
+    the gate step.  No record of the states is kept under either policy;
+    ``policy`` only picks the traffic booked per chunk: the modeled write
+    of S_i and read of S_{i-1} under materialize, one state-update replay
+    under recompute.  After both sweeps, with dQ, dK and dV final, the gate
+    gradients are the identities dlogb = q (.) dq - k (.) dk and
+    dlogd = o (.) do - v (.) dv (query term positive; the finite-difference
+    oracle pins the sign), formed a chunk of rows at a time in the rows
+    they end up in, and then one suffix sum over each whole array, in
+    place.  dlog_alpha is allocated only then.
     """
     if dO.shape != (inst.L, inst.dv):
         raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
@@ -365,63 +382,74 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     N = plan.num_chunks
 
     meter = Meter()
-    dQ = np.empty((L, dk))  # sweep F writes each row once; sweep R adds to dK, dV
-    dK = np.empty((L, dk))
+    dQ = np.empty((L, dk))  # each chunk's b_dagger until sweep F writes the chunk's dq
+    dK = np.empty((L, dk))  # sweep R writes the K/V term; sweep F adds its own rows
     dV = np.empty((L, dv))
-    dlb = np.empty((L, dv))  # holds each chunk's O rows until the gate step reads them
+    dlb = np.empty((L, dv))  # each chunk's d_dagger, then its O rows until the gate step
+    log_gamma = np.empty((N, dk + dv))  # each chunk's log gamma_b, then log gamma_d
 
-    # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
-    # only the chunk itself, in forward order.
-    S = None
-    for i, (s, e) in enumerate(plan.boundaries):
-        dec, Qt, Kt, Vt = _chunk(inst, s, e, meter)
-        c = e - s
-        dOt = dOa[s:e] * dec.d_dagger
-        meter.add_flops(c * dv)
-        dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
-        if i > 0:  # dq's inter-chunk term
-            dqt += mm(dOt, S.T, meter)
-            meter.add_flops(c * dk)
-        np.multiply(dqt, dec.b_dagger, out=dQ[s:e])
-        np.divide(dkt, dec.b_dagger, out=dK[s:e])
-        np.divide(dvt, dec.d_dagger, out=dV[s:e])
-        meter.add_flops(2 * c * dk + c * dv)
-        _output(Oc, Qt, S, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
-        S = _state_update(dec, Kt, Vt, S, meter)
-        if policy.materialize:  # modeled: S_i written, S_{i-1} read back
-            meter.state_writes += 1
-            meter.state_reads += i > 0
-        else:
-            meter.recompute_passes += 1
-
-    # Sweep R needs none of sweep F's chunk temporaries; it starts from the
-    # last chunk's factors, which sweep F ended with, and forms every other
-    # chunk's again.
-    del S, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc
-
-    # Sweep R: the state cotangent's K/V path and its carry, in reverse order.
+    # Sweep R: every chunk's decay factors, and the state cotangent's K/V
+    # path and its carry, in reverse order.
     dS = None
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
         c = e - s
+        dec = _decays(inst, s, e, meter, (dQ[s:e], dlb[s:e]))
+        log_gamma[i, :dk] = dec.log_gamma_b
+        log_gamma[i, dk:] = dec.log_gamma_d
         if i < N - 1:
-            dec = _decays(inst, s, e, meter)
             # chunk i's own K/V contribution to S_i, weighted by the carried
             # cotangent; fb and fd are each row's decay to the chunk's end
             fb = dec.gamma_b / dec.b_dagger
             fd = dec.gamma_d / dec.d_dagger
             KB, VD = _kv(K[s:e], V[s:e], fb, fd, meter)
-            dK[s:e] += mm(VD, dS.T, meter) * fb
-            dV[s:e] += mm(KB, dS, meter) * fd
-            meter.add_flops(3 * c * dk + 3 * c * dv)  # fb and fd, then scale and add
+            np.multiply(mm(VD, dS.T, meter), fb, out=dK[s:e])
+            np.multiply(mm(KB, dS, meter), fd, out=dV[s:e])
+            meter.add_flops(2 * c * dk + 2 * c * dv)  # fb and fd, then the scale
         if i > 0:  # dS_{i-1}: chunk i's output rows' cotangent, plus dS_i carried back
             Qt = Q[s:e] * dec.b_dagger
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dk + c * dv)
             dS = _carry(dec, dS, mm(Qt.T, dOt, meter), meter)
-    # drop sweep R's chunk temporaries before dla is allocated (rebound, not
-    # deleted: a one-chunk plan never binds fb, fd, KB, VD, Qt or dOt in sweep R)
+    # drop sweep R's chunk temporaries (rebound, not deleted: a one-chunk
+    # plan never binds fb, fd, KB, VD, Qt or dOt)
     dec = fb = fd = KB = VD = Qt = dOt = dS = None
+
+    # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
+    # only the chunk itself, in forward order, on the factors sweep R parked.
+    S = None
+    for i, (s, e) in enumerate(plan.boundaries):
+        b_dag, d_dag = dQ[s:e], dlb[s:e]
+        dec, Qt, Kt, Vt = _chunk(inst, s, e, meter, ChunkDecays(
+            b_dag, d_dag, b_dag[-1:], d_dag[-1:], log_gamma[i, :dk], log_gamma[i, dk:]))
+        c = e - s
+        dOt = dOa[s:e] * d_dag
+        meter.add_flops(c * dv)
+        dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
+        if i > 0:  # dq's inter-chunk term
+            dqt += mm(dOt, S.T, meter)
+            meter.add_flops(c * dk)
+        if i == N - 1:  # sweep R gives the last chunk no K/V term
+            np.divide(dkt, b_dag, out=dK[s:e])
+            np.divide(dvt, d_dag, out=dV[s:e])
+        else:
+            dK[s:e] += np.divide(dkt, b_dag, out=dkt)
+            dV[s:e] += np.divide(dvt, d_dag, out=dvt)
+            meter.add_flops(c * dk + c * dv)
+        # the state update reads gamma, the daggers' last rows, so it runs
+        # before O and dq are written over the daggers
+        S_new = _state_update(dec, Kt, Vt, S, meter)
+        _output(Oc, Qt, S, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
+        np.multiply(dqt, b_dag, out=dQ[s:e])
+        meter.add_flops(2 * c * dk + c * dv)
+        S = S_new
+        if policy.materialize:  # modeled: S_i written, S_{i-1} read back
+            meter.state_writes += 1
+            meter.state_reads += i > 0
+        else:
+            meter.recompute_passes += 1
+    # drop sweep F's chunk temporaries and the parked views before dla is allocated
+    del S, S_new, dec, b_dag, d_dag, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc, log_gamma
 
     # Gate gradients, once dQ, dK and dV are final: the identities, a chunk
     # of rows at a time into the rows they end up in, then one suffix sum
@@ -461,17 +489,17 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     backward then adds sweep F's cotangent work and sweep R, and after the
     loop the gate-gradient step: the identities 3L(dk+dv) and the two
     whole-array suffix sums (L-1)(dk+dv).  A chunk's decay factors cost
-    (2c-1)(dk+dv) each time a pass forms them: once in the forward, and in
-    the backward twice for every chunk but the last, where sweep R also
-    divides gamma by the daggers, c(dk+dv).  Per chunk of c rows with
-    A = _block_area(c), the row blocks' products sum to A(2dk-1) + (2A-c)dv
-    (scores, then scores x values).  The backward's panels form the same
-    blocks and, with P = _block_area(c, PANEL), add
-    P(4dk+4dv-1) - c dk - c(dk+dv): the cotangent scores P(2dv-1), dq
-    (2P-c)dk, dk and dv (2P-p)(dk+dv) and their adds (p-c)(dk+dv), where p
-    sums the panels' prefix lengths and cancels.  A panel's masked entries
-    are counted like any other, so panels count more flops than 16-row
-    blocks would, in fewer calls.
+    (2c-1)(dk+dv), and each pass forms them once: the forward when it
+    reaches the chunk, the backward in sweep R, which parks them for sweep
+    F and, for every chunk but the last, also divides gamma by the
+    daggers, c(dk+dv).  Per chunk of c rows with A = _block_area(c), the
+    row blocks' products sum to A(2dk-1) + (2A-c)dv (scores, then scores x
+    values).  The backward's panels form the same blocks and, with
+    P = _block_area(c, PANEL), add P(4dk+4dv-1) - c dk - c(dk+dv): the
+    cotangent scores P(2dv-1), dq (2P-c)dk, dk and dv (2P-p)(dk+dv) and
+    their adds (p-c)(dk+dv), where p sums the panels' prefix lengths and
+    cancels.  A panel's masked entries are counted like any other, so
+    panels count more flops than 16-row blocks would, in fewer calls.
     The backward runs the state recurrence once under either policy, so
     both policies count the same flops.  State traffic over N chunks is
     closed form: materialize writes N states in either pass and the
@@ -492,7 +520,8 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         A = _block_area(c)
         first, last = i == 0, i == N - 1
         # the chunk step, in the forward and in the backward's sweep F:
-        # _chunk's decays (prefix sums and dagger) and Qt, Kt, Vt; _intra's
+        # _chunk's decays (prefix sums and dagger; in the backward, sweep R
+        # forms them and sweep F reads them) and Qt, Kt, Vt; _intra's
         # row blocks (scores, then scores x values); _output's inter term, its
         # add and the Ddag scale; _state_update's Kt (.) gamma_b and
         # Vt (.) gamma_d, their product and, after the first chunk, the carry
@@ -505,8 +534,8 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         # adds, dq's inter term and its add, and dq, dk, dv scaled back
         flops += c * dv + _block_area(c, PANEL) * (4 * d - 1) - c * dk - c * d
         flops += 2 * c * dk + c * dv + (0 if first else mm_flops(c, dv, dk) + c * dk)
-        if not last:  # sweep R: the decays again, fb and fd, and the K/V term under dS
-            flops += (2 * c - 1) * d + 4 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
+        if not last:  # sweep R: fb and fd, the K/V term under dS; sweep F's add onto it
+            flops += 4 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
         if not first:  # sweep R: Qt and dOt again, dS_{i-1}, and (not last) the carry of dS
             flops += c * d + mm_flops(dk, c, dv) + (0 if last else 4 * dk * dv)
     if backward:  # gate-gradient assembly: the identities, then two whole-array suffix sums

@@ -15,9 +15,10 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from .chunkwise import _MODES, ChunkPolicy, forward_chunkwise, predict_cost
+from .chunkwise import (_MODES, ChunkPolicy, backward_chunkwise, forward_chunkwise,
+                        predict_cost)
 from .checks import check_causality, check_equivalence, check_gradients
-from .fixtures import _KINDS, ModelKind, make_instance
+from .fixtures import _KINDS, ModelKind, SplitMix64, make_instance
 from .gates import ChunkPlan, GateSeq
 from .parallel import forward_parallel, parallel_forward_cost
 from .recurrent import GlaInstance, forward_recurrent, recurrent_forward_cost
@@ -192,14 +193,20 @@ def cmd_bench(args) -> int:
     ms = _median_ms(lambda: forward_parallel(inst), args.repeats)
     print(f"parallel {cfg.L} - - {ms:.2f} {parallel_forward_cost(cfg.L, cfg.dk, cfg.dv)} 0 0")
 
-    ms = _median_ms(lambda: forward_chunkwise(inst, plan, policy), args.repeats)
-    pred = predict_cost(cfg.L, cfg.dk, cfg.dv, plan, policy)
-    _, _, measured = forward_chunkwise(inst, plan, policy)
-    if measured != pred:
-        print(f"error: measured counters {measured} != predicted {pred}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"chunkwise {cfg.L} {cfg.chunk} {policy.mode} {ms:.2f} "
-          f"{pred.flops} {pred.state_writes} {pred.state_reads}")
+    dO = SeqTensor(SplitMix64(cfg.seed + 1).fill_pm1(cfg.L, cfg.dv))
+    for form, pass_, run in (
+            ("chunkwise", "forward", lambda: forward_chunkwise(inst, plan, policy)[2]),
+            ("chunkwise_backward", "backward",
+             lambda: backward_chunkwise(inst, dO, plan, policy)[1])):
+        ms = _median_ms(run, args.repeats)
+        pred = predict_cost(cfg.L, cfg.dk, cfg.dv, plan, policy, pass_)
+        measured = run()
+        if measured != pred:
+            print(f"error: measured {pass_} counters {measured} != predicted {pred}",
+                  file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        print(f"{form} {cfg.L} {cfg.chunk} {policy.mode} {ms:.2f} "
+              f"{pred.flops} {pred.state_writes} {pred.state_reads}")
     return EXIT_OK
 
 

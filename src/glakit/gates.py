@@ -133,24 +133,29 @@ def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
     return CumulativeDecay(readonly(log_b), readonly(log_d))
 
 
-def _chunk_factors(lg: np.ndarray):
-    """dagger, gamma, log_gamma from one chunk's log-gate rows.
+def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
+    """dagger, gamma, log_gamma from one chunk's log-gate rows; dagger in out if given.
 
     Every exponent is a sum over the chunk's own rows, so every factor is
     <= 1 exactly.  gamma is dagger's last row, a 1 x d view: the bits of
     exp(lc[-1]), at no cost.  As in cumulative_log_decay, the preallocated
     out= traces less memory.
     """
-    lc = np.add.accumulate(lg, axis=0, out=np.empty_like(lg))
+    lc = np.add.accumulate(lg, axis=0, out=np.empty_like(lg) if out is None else out)
     log_gamma = lc[-1].copy()  # not a view: dagger's exp overwrites lc in place
     dagger = readonly(np.exp(lc, out=lc))
     return dagger, dagger[-1:], readonly(log_gamma)
 
 
-def chunk_factors(g: GateSeq, s: int, e: int) -> ChunkDecays:
-    """Decay factors of the chunk [s, e), from its own log-gate rows only."""
-    b_dag, gb, lgb = _chunk_factors(g.log_alpha[s:e])
-    d_dag, gd, lgd = _chunk_factors(g.log_beta[s:e])
+def chunk_factors(g: GateSeq, s: int, e: int, out=None) -> ChunkDecays:
+    """Decay factors of the chunk [s, e), from its own log-gate rows only.
+
+    Given ``out``, a pair of (e - s) x dk and (e - s) x dv arrays, the two
+    daggers are formed in them, and the returned ones are read-only views.
+    """
+    b_out, d_out = (None, None) if out is None else out
+    b_dag, gb, lgb = _chunk_factors(g.log_alpha[s:e], b_out)
+    d_dag, gd, lgd = _chunk_factors(g.log_beta[s:e], d_out)
     return ChunkDecays(b_dag, d_dag, gb, gd, lgb, lgd)
 
 

@@ -12,7 +12,9 @@ from glakit import (ChunkPlan, ChunkPolicy, GateSeq, GlaInstance, ModelKind,
                     SeqTensor, SplitMix64, backward_chunkwise, backward_recurrent_exact,
                     backward_recurrent_fd, forward_chunkwise, forward_parallel,
                     forward_recurrent, make_instance, predict_cost, rel_err)
+from glakit import chunkwise
 from glakit.chunkwise import BLOCK, PANEL
+from glakit.gates import chunk_factors
 from glakit.tensor import suffix_sum_arr
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
@@ -205,19 +207,19 @@ def test_frozen_forward_flop_count():
 
 
 def test_frozen_backward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1300
-    # (decays, formed three times 84 + state updates 104 + transforms and
-    #  dOt 64 + panels 640 + dq/dk/dv scale-backs 48 + output scale 16 +
-    #  chunk 1's inter-chunk terms 108 + chunk 0's state-cotangent path 112,
-    #  of which gamma / dagger is 16, + gate gradients 124); the closed form
-    #  must agree.  Each chunk is one 4-row panel: the forward's scores and
-    # scores by values (104), the cotangent scores (56), dq (56), dk and dv
-    # (2 x 52).
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1272
+    # (decays, formed once per chunk by sweep R 56 + state updates 104 +
+    #  transforms and dOt 64 + panels 640 + dq/dk/dv scale-backs 48 + output
+    #  scale 16 + chunk 1's inter-chunk terms 108 + chunk 0's state-cotangent
+    #  path 112, of which gamma / dagger is 16 and sweep F's add onto it 16,
+    #  + gate gradients 124); the closed form must agree.  Each chunk is one
+    # 4-row panel: the forward's scores and scores by values (104), the
+    # cotangent scores (56), dq (56), dk and dv (2 x 52).
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, measured = backward_chunkwise(inst, rand_dO(8, 2), plan, MAT)
-    assert measured.flops == 1300
-    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1300
+    assert measured.flops == 1272
+    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1272
 
 
 def test_forward_blocks_nest_in_backward_panels():
@@ -349,11 +351,13 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
 def test_passes_hold_no_decay_table(pol):
-    # each sweep forms a chunk's decay factors when it reaches the chunk, so
-    # neither pass holds 4 L*d of them: the forward holds O (and the
-    # states), the backward the five gradients plus chunk-local scratch.
-    # dlog_alpha is allocated only after sweep R, once sweep R's chunk
-    # temporaries are dropped, so the backward's peak is sweep F's (~5.2)
+    # each pass forms a chunk's decay factors when it reaches the chunk, so
+    # neither holds 4 L*d of them: the forward holds O (and the states), the
+    # backward the five gradients plus chunk-local scratch.  The backward's
+    # sweep R parks each chunk's daggers in the chunk's rows of dQ and
+    # dlog_beta, where sweep F reads them.  dlog_alpha is allocated only
+    # after both sweeps, once their chunk temporaries are dropped, so the
+    # backward's peak is sweep F's (~5.1)
     L, d = 1024, 16
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
     plan = ChunkPlan(L, 64)
@@ -362,6 +366,25 @@ def test_passes_hold_no_decay_table(pol):
     bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
     assert fwd <= 2.5 * L * d * 8, fwd / (L * d * 8)
     assert bwd <= 5.6 * L * d * 8, bwd / (L * d * 8)
+
+
+@pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
+@pytest.mark.parametrize("L, C", [(1, 1), (8, 8), (11, 4), (5, 9)],
+                         ids=["L=1", "one_chunk", "ragged", "C>L"])
+def test_backward_forms_each_chunks_factors_once(monkeypatch, pol, L, C):
+    # sweep R forms every chunk's factors, last chunk first, and parks them
+    # for sweep F, which forms none
+    inst = make_instance(ModelKind("general"), L, 3, 2, seed=30)
+    plan = ChunkPlan(L, C)
+    formed = []
+
+    def counted(g, s, e, *args):
+        formed.append((s, e))
+        return chunk_factors(g, s, e, *args)
+
+    monkeypatch.setattr(chunkwise, "chunk_factors", counted)
+    backward_chunkwise(inst, rand_dO(L, 2), plan, pol)
+    assert formed == list(reversed(plan.boundaries))
 
 
 def test_backward_scratch_at_one_long_chunk():

@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glakit import read_tensor, rel_err, write_tensor
+from glakit import cli, read_tensor, rel_err, write_tensor
 from glakit.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -236,7 +237,21 @@ def test_bench_small_table(capsys):
                    "--chunk", 8, "--repeats", 3) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("form")
-    assert sum(l.startswith("chunkwise") for l in lines) == 1
+    assert [l.split()[0] for l in lines[1:]] == [
+        "recurrent", "parallel", "chunkwise", "chunkwise_backward"]
+
+
+@pytest.mark.parametrize("pass_", ["forward", "backward"])
+def test_bench_exits_1_when_counters_disagree(monkeypatch, capsys, pass_):
+    real = cli.predict_cost
+
+    def one_flop_off(L, dk, dv, plan, policy, p):
+        rep = real(L, dk, dv, plan, policy, p)
+        return replace(rep, flops=rep.flops + 1) if p == pass_ else rep
+
+    monkeypatch.setattr(cli, "predict_cost", one_flop_off)
+    assert run_cli("bench", "--L", 16, "--dk", 2, "--dv", 2, "--chunk", 4, "--repeats", 3) == 1
+    assert f"measured {pass_} counters" in capsys.readouterr().err
 
 
 def test_bench_parallel_timed_at_long_L(capsys):

@@ -6,7 +6,11 @@ Run from the root of a checkout; glakit is imported from that checkout's
     python tools/bitdigest.py
 
 Two checkouts that print the same digest on the same machine compute the
-same bits and the same counters over the grid below.  For each config
+same bits and the same counters over the grid below.  Two more lines
+follow the combined digest: ``bits``, over the arrays and raised messages
+only, and ``counters``, over the CostReports and ``predict_cost`` only, so
+a change that moves the counts by design can show that the bits did not
+move.  For each config
 and both chunk policies the digest covers the chunkwise forward's O, its
 chunk states and CostReport, the backward's five gradients and
 CostReport (or, for either pass, the message it raised), and
@@ -49,7 +53,7 @@ GRID = (
 GRADS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
 
-def _digest_config(h, kind, L, dk, dv, seed, floor, C, parallel: bool) -> None:
+def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, parallel: bool) -> None:
     inst = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor)
     plan = ChunkPlan(L, C)
     dO = SeqTensor(SplitMix64(seed + 1).fill_pm1(L, dv))
@@ -57,36 +61,47 @@ def _digest_config(h, kind, L, dk, dv, seed, floor, C, parallel: bool) -> None:
         pol = ChunkPolicy(mode)
         try:
             O, states, rep = forward_chunkwise(inst, plan, pol)
-            h.update(O.data.tobytes())
+            bits(O.data.tobytes())
             for S in states or ():
-                h.update(S.tobytes())
-            h.update(repr(rep).encode())
+                bits(S.tobytes())
+            counts(repr(rep).encode())
         except ValueError as exc:
-            h.update(str(exc).encode())
+            bits(str(exc).encode())
         try:
             g, rep = backward_chunkwise(inst, dO, plan, pol)
             for f in GRADS:
-                h.update(getattr(g, f).data.tobytes())
-            h.update(repr(rep).encode())
+                bits(getattr(g, f).data.tobytes())
+            counts(repr(rep).encode())
         except ValueError as exc:
-            h.update(str(exc).encode())
+            bits(str(exc).encode())
         for pass_ in ("forward", "backward"):
-            h.update(repr(predict_cost(L, dk, dv, plan, pol, pass_)).encode())
+            counts(repr(predict_cost(L, dk, dv, plan, pol, pass_)).encode())
     if parallel:
         try:
-            h.update(forward_parallel(inst).data.tobytes())
+            bits(forward_parallel(inst).data.tobytes())
             g = backward_parallel(inst, dO)
             for f in GRADS:
-                h.update(getattr(g, f).data.tobytes())
+                bits(getattr(g, f).data.tobytes())
         except ValueError as exc:
-            h.update(str(exc).encode())
+            bits(str(exc).encode())
 
 
 def main() -> int:
-    h = hashlib.sha256()
+    h, hb, hc = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+
+    def bits(b: bytes) -> None:
+        h.update(b)
+        hb.update(b)
+
+    def counts(b: bytes) -> None:
+        h.update(b)
+        hc.update(b)
+
     for name, *cfg in GRID:
-        _digest_config(h, *cfg, parallel=name != "anchor")
+        _digest_config(bits, counts, *cfg, parallel=name != "anchor")
     print(h.hexdigest())
+    print(f"bits {hb.hexdigest()}")
+    print(f"counters {hc.hexdigest()}")
     return 0
 
 

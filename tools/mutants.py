@@ -122,6 +122,17 @@ MUTANTS = (
     Mutant("sweep_r_factor_without_dagger", "chunkwise.py",
            "fb = dec.gamma_b / dec.b_dagger", "fb = dec.gamma_b",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
+    # Sweep F on the daggers that sweep R parked in the rows of dQ and dlb.
+    Mutant("last_chunk_dk_added_not_assigned", "chunkwise.py",
+           "            np.divide(dkt, b_dag, out=dK[s:e])\n",
+           "            dK[s:e] += np.divide(dkt, b_dag, out=dkt)\n",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
+    Mutant("o_written_before_state_update", "chunkwise.py",
+           "        S_new = _state_update(dec, Kt, Vt, S, meter)\n"
+           "        _output(Oc, Qt, S, dec, dlb[s:e], meter)",
+           "        _output(Oc, Qt, S, dec, dlb[s:e], meter)\n"
+           "        S_new = _state_update(dec, Kt, Vt, S, meter)",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The gate-gradient step after sweep R, and its cost.
     Mutant("gate_grads_skip_dla_suffix_sum", "chunkwise.py",
            "    suffix_sum_arr(dla, out=dla)\n", "",
