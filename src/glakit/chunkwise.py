@@ -186,11 +186,6 @@ def _decays(inst: GlaInstance, s: int, e: int, meter: Meter, out=None) -> ChunkD
     return chunk_factors(inst.gates, s, e, out)
 
 
-def _check_plan(L: int, plan: ChunkPlan) -> None:
-    if plan.L != L:
-        raise ValueError(f"plan covers L={plan.L} but the sequence has L={L}")
-
-
 _LN_DBL_MAX = float(np.log(np.finfo(np.float64).max))  # 709.78
 
 
@@ -315,7 +310,7 @@ def _state_update(dec, Kt, Vt, S, meter: Meter) -> np.ndarray:
 @np.errstate(all="ignore")
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
-    _check_plan(inst.L, plan)
+    plan.check(inst.L)
     K, V = inst.K.data, inst.V.data
     meter = Meter()
     O = np.empty((inst.L, inst.dv))
@@ -373,11 +368,9 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     they end up in, and then one suffix sum over each whole array, in
     place.  dlog_alpha is allocated only then.
     """
-    if dO.shape != (inst.L, inst.dv):
-        raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
-    _check_plan(inst.L, plan)
+    dOa = inst.cotangent(dO)
+    plan.check(inst.L)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
-    dOa = dO.data
     L, dk, dv = inst.L, inst.dk, inst.dv
     N = plan.num_chunks
 
@@ -421,7 +414,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     for i, (s, e) in enumerate(plan.boundaries):
         b_dag, d_dag = dQ[s:e], dlb[s:e]
         dec, Qt, Kt, Vt = _chunk(inst, s, e, meter, ChunkDecays(
-            b_dag, d_dag, b_dag[-1:], d_dag[-1:], log_gamma[i, :dk], log_gamma[i, dk:]))
+            b_dag, d_dag, log_gamma[i, :dk], log_gamma[i, dk:]))
         c = e - s
         dOt = dOa[s:e] * d_dag
         meter.add_flops(c * dv)
@@ -509,7 +502,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")
-    _check_plan(L, plan)
+    plan.check(L)
     N = plan.num_chunks
     backward = pass_ == "backward"
     d = dk + dv

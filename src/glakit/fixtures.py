@@ -109,9 +109,11 @@ class ModelKind:
 
 def make_instance(kind: ModelKind, L: int, dk: int, dv: int, seed: int,
                   gate_floor: float = 0.5) -> GlaInstance:
-    """Deterministic random instance of the requested model family."""
-    if L < 1 or dk < 1 or dv < 1:
-        raise ValueError("L, dk, dv must all be >= 1")
+    """Deterministic random instance of the requested model family.
+
+    L, dk and dv are checked where the arrays are made: numpy rejects a
+    negative size, and SeqTensor an empty matrix, naming its shape.
+    """
     if not (0.0 < gate_floor <= 1.0):
         raise ValueError(f"gate_floor must be in (0, 1], got {gate_floor}")
     rng = SplitMix64(seed)

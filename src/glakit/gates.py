@@ -79,7 +79,13 @@ class CumulativeDecay(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ChunkPlan:
-    """Contiguous [start, end) chunks covering [0, L); only the last may be short."""
+    """Contiguous [start, end) chunks covering [0, L); only the last may be short.
+
+    L and C must be >= 1: otherwise the range of chunk starts would be
+    empty (L < 1 or C < 0) or not a range at all (C = 0).  ``check`` is the
+    one test, shared by every kernel and by predict_cost, that a plan fits
+    the sequence it is used on.
+    """
 
     L: int
     C: int
@@ -88,38 +94,40 @@ class ChunkPlan:
     def __post_init__(self):
         if self.L < 1 or self.C < 1:
             raise ValueError("ChunkPlan needs L >= 1 and C >= 1")
-        bounds = []
-        s = 0
-        while s < self.L:
-            e = min(s + self.C, self.L)
-            bounds.append((s, e))
-            s = e
-        object.__setattr__(self, "boundaries", tuple(bounds))
+        object.__setattr__(self, "boundaries", tuple(
+            (s, min(s + self.C, self.L)) for s in range(0, self.L, self.C)))
 
     @property
     def num_chunks(self) -> int:
         return len(self.boundaries)
+
+    def check(self, L: int) -> None:
+        """Raise unless the plan fits a sequence of L rows."""
+        if self.L != L:
+            raise ValueError(f"plan covers L={self.L} but the sequence has L={L}")
 
 
 class ChunkDecays(NamedTuple):
     """Decay factors for one chunk [s, e), all in [0, 1].
 
     With lc the running sum of the chunk's own log_alpha rows:
-    b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j;
-    gamma_b = exp(lc[-1:]), b_dagger's last row kept as a 1 x dk view so it
-    scales rows by broadcasting, is the whole-chunk decay, and
-    log_gamma_b = lc[-1] is its log, kept so the carried gate can
-    exponentiate sums rather than multiply exponentials.  Position s+j's
+    b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j,
+    and log_gamma_b = lc[-1] is the log of the whole-chunk decay, kept so
+    the carried gate can exponentiate sums rather than multiply
+    exponentials.  The decay itself, gamma_b = exp(lc[-1:]), is
+    b_dagger's last row: a property, not a field, giving a 1 x dk view
+    that scales rows by broadcasting.  Position s+j's
     contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
     no array of those ratios is kept.  d_* mirror these with log_beta.
     """
 
     b_dagger: np.ndarray
     d_dagger: np.ndarray
-    gamma_b: np.ndarray
-    gamma_d: np.ndarray
     log_gamma_b: np.ndarray
     log_gamma_d: np.ndarray
+
+    gamma_b = property(lambda self: self.b_dagger[-1:])
+    gamma_d = property(lambda self: self.d_dagger[-1:])
 
 
 def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
@@ -134,17 +142,15 @@ def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
 
 
 def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
-    """dagger, gamma, log_gamma from one chunk's log-gate rows; dagger in out if given.
+    """dagger and log_gamma from one chunk's log-gate rows; dagger in out if given.
 
     Every exponent is a sum over the chunk's own rows, so every factor is
-    <= 1 exactly.  gamma is dagger's last row, a 1 x d view: the bits of
-    exp(lc[-1]), at no cost.  As in cumulative_log_decay, the preallocated
-    out= traces less memory.
+    <= 1 exactly.  As in cumulative_log_decay, the preallocated out= traces
+    less memory.
     """
     lc = np.add.accumulate(lg, axis=0, out=np.empty_like(lg) if out is None else out)
     log_gamma = lc[-1].copy()  # not a view: dagger's exp overwrites lc in place
-    dagger = readonly(np.exp(lc, out=lc))
-    return dagger, dagger[-1:], readonly(log_gamma)
+    return readonly(np.exp(lc, out=lc)), readonly(log_gamma)
 
 
 def chunk_factors(g: GateSeq, s: int, e: int, out=None) -> ChunkDecays:
@@ -154,15 +160,14 @@ def chunk_factors(g: GateSeq, s: int, e: int, out=None) -> ChunkDecays:
     daggers are formed in them, and the returned ones are read-only views.
     """
     b_out, d_out = (None, None) if out is None else out
-    b_dag, gb, lgb = _chunk_factors(g.log_alpha[s:e], b_out)
-    d_dag, gd, lgd = _chunk_factors(g.log_beta[s:e], d_out)
-    return ChunkDecays(b_dag, d_dag, gb, gd, lgb, lgd)
+    b_dag, lgb = _chunk_factors(g.log_alpha[s:e], b_out)
+    d_dag, lgd = _chunk_factors(g.log_beta[s:e], d_out)
+    return ChunkDecays(b_dag, d_dag, lgb, lgd)
 
 
 def chunk_relative_decays(g: GateSeq, plan: ChunkPlan) -> list[ChunkDecays]:
     """chunk_factors for every chunk of the plan."""
-    if plan.L != g.L:
-        raise ValueError(f"plan covers L={plan.L} but gates have L={g.L}")
+    plan.check(g.L)
     return [chunk_factors(g, s, e) for s, e in plan.boundaries]
 
 

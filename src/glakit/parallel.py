@@ -78,10 +78,8 @@ def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     the dlogb identity (query term positive) is pinned by the
     finite-difference oracle in the test suite.
     """
-    if dO.shape != (inst.L, inst.dv):
-        raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
+    dOa = inst.cotangent(dO)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
-    dOa = dO.data
     L, dk, dv = inst.L, inst.dk, inst.dv
 
     O = np.empty((L, dv))  # the forward's output, for the dlogd identity

@@ -64,6 +64,15 @@ class GlaInstance:
     def dv(self) -> int:
         return self.gates.dv
 
+    def cotangent(self, dO: SeqTensor) -> np.ndarray:
+        """dO's array, once its shape is checked against the output's, L x dv.
+
+        The one shape check of every backward's cotangent.
+        """
+        if dO.shape != (self.L, self.dv):
+            raise ValueError(f"dO must be {self.L}x{self.dv}, got {dO.shape}")
+        return dO.data
+
 
 class ForwardTrace(NamedTuple):
     """Forward output O plus, optionally, every state S_1..S_L (read-only)."""
@@ -147,11 +156,9 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     gradients are taken directly in log-gate coordinates:
     dlog_alpha_t[i] = sum_j G_t[i,j] * S_{t-1}[i,j] * dS_t[i,j].
     """
-    if dO.shape != (inst.L, inst.dv):
-        raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
+    dOa = inst.cotangent(dO)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
     la, lb = inst.gates.log_alpha, inst.gates.log_beta
-    dOa = dO.data
     L, dk, dv = inst.L, inst.dk, inst.dv
 
     trace = forward_recurrent(inst, keep_states=True)
@@ -202,8 +209,7 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if dO.shape != (inst.L, inst.dv):
-        raise ValueError(f"dO must be {inst.L}x{inst.dv}, got {dO.shape}")
+    dOa = inst.cotangent(dO)
     arrs = (inst.Q.data, inst.K.data, inst.V.data,
             inst.gates.log_alpha, inst.gates.log_beta)
     O_base, states = _forward_raw(*arrs, keep_states=True)
@@ -216,7 +222,7 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
             P[j, i, j] += eps
             P[cols + j, i, j] -= eps
             head = (O_base[:i], states[i - 1]) if i else None
-            loss = _loss_raw(*arrs[:n], P, *arrs[n + 1:], dO.data, head=head)
+            loss = _loss_raw(*arrs[:n], P, *arrs[n + 1:], dOa, head=head)
             g[i] = (loss[:cols] - loss[cols:]) / (2.0 * eps)
         grads.append(g)
     return GradBundle(*grads)

@@ -85,10 +85,9 @@ def suffix_sum_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """out[t] = sum_{i >= t} x[i], accumulated back to front: out[t] = x[t] + out[t+1].
 
     ``out`` may be ``x`` itself: row t is read before it is written, so the
-    in-place sum has the same bits as a fresh one.
+    in-place sum has the same bits as a fresh one.  The sum runs along
+    axis 0 of an array of any rank; an array of no rows gives no rows.
     """
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("suffix_sum needs a non-empty 2-D array")
     if out is None:
         out = np.empty(x.shape)
     np.add.accumulate(x[::-1], axis=0, out=out[::-1])

@@ -11,6 +11,7 @@ import pytest
 
 from glakit import cli, read_tensor, rel_err, write_tensor
 from glakit.cli import main
+from glakit.runconfig import parse_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -314,3 +315,32 @@ def test_run_reusing_out_keeps_only_its_own_outputs(tmp_path):
     (out / "notes.txt").write_text("kept")
     assert run_cli("run", "--in", gen, "--out", out, "--form", "recurrent") == 0
     assert sorted(p.name for p in out.iterdir()) == ["O.glat", "notes.txt"]
+
+
+def test_gen_chunk_0_exit_2_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run_cli("gen", "--L", 6, "--chunk", 0, "--out", out) == 2
+    assert "chunk must all be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cost_dk_0_exit_2(capsys):
+    # cost draws no instance: only the run config stops a zero width
+    assert run_cli("cost", "--L", 8, "--dk", 0, "--dv", 2, "--chunk", 4) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "L, dk, dv, chunk must all be >= 1" in err
+
+
+def test_config_gate_floor_out_of_range_exit_2(tmp_path, capsys):
+    p = tmp_path / "cfg.txt"
+    p.write_text("L = 6\ngate_floor = 1.5\n")
+    assert run_cli("cost", "--config", p) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "gate_floor must be in (0, 1]" in err
+
+
+def test_parse_config_skips_comments_and_blanks_and_names_a_line_without_equals():
+    cfg = parse_config("# a comment\n\n   \nL = 6\n  # indented comment\ndk = 3\n")
+    assert (cfg.L, cfg.dk) == (6, 3)
+    with pytest.raises(ValueError, match="config line 3: expected 'key = value', got 'dk 3'"):
+        parse_config("L = 6\n# dv = 2\ndk 3\n")

@@ -39,6 +39,15 @@ def test_gate_shape_errors_name_the_fault(la, lb, match):
         GateSeq(la, lb)
 
 
+@pytest.mark.parametrize("la,lb", [
+    (np.zeros((0, 2)), np.zeros((0, 3))),
+    (np.zeros((3, 0)), np.zeros((3, 2))),
+], ids=["no-rows", "no-key-columns"])
+def test_empty_gate_sequence_rejected(la, lb):
+    with pytest.raises(ValueError, match="empty gate sequence"):
+        GateSeq(la, lb)
+
+
 def test_cumulative_identity_gates():
     g = make_gates(np.zeros((5, 2)), np.zeros((5, 3)))
     cd = cumulative_log_decay(g)
@@ -77,6 +86,13 @@ def test_chunk_plan_coverage(L, C, expected):
     plan = ChunkPlan(L, C)
     assert list(plan.boundaries) == expected
     assert plan.boundaries[0][0] == 0 and plan.boundaries[-1][1] == L
+
+
+@pytest.mark.parametrize("L,C", [(0, 4), (8, 0), (8, -3)])
+def test_chunk_plan_needs_positive_length_and_chunk(L, C):
+    # with C < 0 the range of chunk starts is empty: a plan of no chunks
+    with pytest.raises(ValueError, match="ChunkPlan needs L >= 1 and C >= 1"):
+        ChunkPlan(L, C)
 
 
 def test_chunk_factors_identity_gates():

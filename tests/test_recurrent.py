@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glakit import (GateSeq, GlaInstance, ModelKind, SeqTensor, SplitMix64,
+from glakit import (ChunkPlan, ChunkPolicy, GateSeq, GlaInstance, ModelKind,
+                    SeqTensor, SplitMix64, backward_chunkwise, backward_parallel,
                     backward_recurrent_exact, backward_recurrent_fd,
                     forward_recurrent, make_instance, rel_err)
 from glakit.recurrent import _forward_raw
@@ -224,3 +225,19 @@ def test_cost_model_matches_metered_run():
 
     assert recurrent_forward_cost(9, 3, 2) == 360
 
+
+
+@pytest.mark.parametrize("backward", [
+    backward_recurrent_exact,
+    backward_recurrent_fd,
+    backward_parallel,
+    lambda inst, dO: backward_chunkwise(inst, dO, ChunkPlan(inst.L, 5),
+                                        ChunkPolicy("recompute")),
+], ids=["recurrent_exact", "recurrent_fd", "parallel", "chunkwise"])
+@pytest.mark.parametrize("rows,cols", [(13, 2), (12, 3)])
+def test_backwards_reject_a_cotangent_of_the_wrong_shape(backward, rows, cols):
+    # one row or one column too many: without the check, chunkwise and the
+    # exact backward would return gradients for a 13-row dO at L=12
+    inst = make_instance(ModelKind("general"), L=12, dk=3, dv=2, seed=17)
+    with pytest.raises(ValueError, match=rf"dO must be 12x2, got \({rows}, {cols}\)"):
+        backward(inst, rand_dO(rows, cols))

@@ -71,6 +71,12 @@ def test_suffix_sum_zero_and_hand():
                           [[6.0], [5.0], [3.0]])
 
 
+def test_suffix_sum_of_a_vector_and_of_no_rows():
+    assert np.array_equal(suffix_sum_arr(np.array([1.0, 2.0, 3.0])), [6.0, 5.0, 3.0])
+    empty = suffix_sum_arr(np.zeros((0, 3)))
+    assert empty.shape == (0, 3)
+
+
 def test_suffix_sum_head_is_column_sum():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (9, 4))

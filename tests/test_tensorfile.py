@@ -162,6 +162,14 @@ def _header(shape):
     return struct.pack(f"<4sII{len(shape)}II", MAGIC, VERSION, len(shape), *shape, DTYPE_F64)
 
 
+@pytest.mark.parametrize("ndim", [0, 9])
+def test_implausible_ndim_in_header(tmp_path, ndim):
+    p = tmp_path / "n.glat"
+    p.write_bytes(_header((1,) * ndim) + b"\0" * 8)
+    with pytest.raises(TensorFileError, match=f"n.glat: implausible ndim {ndim}"):
+        read_tensor(p)
+
+
 @pytest.mark.parametrize("make", [
     lambda a: a[:, ::2],
     lambda a: np.asfortranarray(a),

@@ -97,6 +97,39 @@ MUTANTS = (
     Mutant("cli_run_ignores_config_dims", "cli.py",
            "if getattr(cfg, name) != getattr(inst, name):", "if False:",
            "tests/test_cli.py::test_run_config_disagreeing_with_tensors_exit_2"),
+    # Input guards, each stated once and pinned by its own test.
+    Mutant("cotangent_shape_unchecked", "recurrent.py",
+           "if dO.shape != (self.L, self.dv):", "if False:",
+           "tests/test_recurrent.py::test_backwards_reject_a_cotangent_of_the_wrong_shape"),
+    Mutant("plan_check_skipped", "gates.py",
+           "if self.L != L:", "if False:",
+           "tests/test_chunkwise.py::test_plan_mismatch_rejected"),
+    Mutant("chunk_plan_accepts_bad_L_or_C", "gates.py",
+           "if self.L < 1 or self.C < 1:", "if False:",
+           "tests/test_gates.py::test_chunk_plan_needs_positive_length_and_chunk"),
+    Mutant("gates_accept_empty_sequence", "gates.py",
+           "if la.shape[0] < 1 or la.shape[1] < 1 or lb.shape[1] < 1:", "if False:",
+           "tests/test_gates.py::test_empty_gate_sequence_rejected"),
+    Mutant("run_config_accepts_chunk_0", "runconfig.py",
+           " or self.chunk < 1:", ":",
+           "tests/test_cli.py::test_gen_chunk_0_exit_2_writes_nothing"),
+    Mutant("run_config_accepts_dk_0", "runconfig.py",
+           " or self.dk < 1", "",
+           "tests/test_cli.py::test_cost_dk_0_exit_2"),
+    Mutant("run_config_accepts_gate_floor_1.5", "runconfig.py",
+           "if not (0.0 < self.gate_floor <= 1.0):", "if False:",
+           "tests/test_cli.py::test_config_gate_floor_out_of_range_exit_2"),
+    Mutant("config_line_without_equals_accepted", "runconfig.py",
+           'if "=" not in line:', "if False:",
+           "tests/test_cli.py::"
+           "test_parse_config_skips_comments_and_blanks_and_names_a_line_without_equals"),
+    Mutant("config_reads_comment_lines", "runconfig.py",
+           'if not line or line.startswith("#"):', "if not line:",
+           "tests/test_cli.py::"
+           "test_parse_config_skips_comments_and_blanks_and_names_a_line_without_equals"),
+    Mutant("glat_accepts_implausible_ndim", "tensorfile.py",
+           "if not 1 <= ndim <= MAX_NDIM:", "if False:",
+           "tests/test_tensorfile.py::test_implausible_ndim_in_header"),
     # The chunk steps that the forward and both backward sweeps share.
     Mutant("intra_keeps_no_panel_scores", "chunkwise.py",
            "            W[j0 - p0:n - p0, :n] = Wb\n", "            pass\n",
