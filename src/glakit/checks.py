@@ -4,10 +4,7 @@ Checks measure, they never throw: each returns CheckReport rows so a whole
 suite can run to completion and be summarized.  A form whose arithmetic
 fails (a chunk whose decay underflows fp64 yields non-finite values, which
 the result records reject with ValueError) gets a FAIL row with infinite
-error.  Each check runs under np.errstate(all="ignore"): an fp64 overflow or
-underflow is data the rows report, not a warning or an exception that the
-caller's numpy or warnings settings could turn into a traceback (IEEE
-results are the same either way).  The comparison metric everywhere is
+error.  The comparison metric everywhere is
 
     rel_err(a, b) = max|a - b| / max(1e-8, max|a|, max|b|).
 """
@@ -72,9 +69,6 @@ class CheckReport:
                 f"tol={self.tolerance:.1e} {status}")
 
 
-_ieee_quiet = np.errstate(all="ignore")  # the checks own their floating-point state
-
-
 def _measured(fn):
     """fn(), or None when the arithmetic fails and the result is rejected."""
     try:
@@ -87,7 +81,6 @@ def _chunkwise_O(inst: GlaInstance, plan: ChunkPlan, policy: str) -> np.ndarray 
     return _measured(lambda: forward_chunkwise(inst, plan, ChunkPolicy(policy))[0].data)
 
 
-@_ieee_quiet
 def check_equivalence(inst: GlaInstance, chunk_sizes, tol: float = 1e-9) -> list[CheckReport]:
     """All forms against the recurrent oracle, plus materialize vs recompute.
 
@@ -140,7 +133,6 @@ def _plan(L: int, chunk: int | None) -> ChunkPlan:
     return ChunkPlan(L, chunk if chunk is not None else max(2, (L + 2) // 3))
 
 
-@_ieee_quiet
 def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
                     chunk: int | None = None,
                     flip_dlogb_sign: bool = False) -> list[CheckReport]:
@@ -195,7 +187,6 @@ def _perturb_tail(inst: GlaInstance, cut: int, rng: SplitMix64) -> GlaInstance:
     return GlaInstance(SeqTensor(Q), SeqTensor(K), SeqTensor(V), GateSeq(la, lb))
 
 
-@_ieee_quiet
 def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
                     chunk: int | None = None, tol: float = 1e-12) -> CheckReport:
     """Future rows must not move past outputs.

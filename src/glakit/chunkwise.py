@@ -92,15 +92,14 @@ forward: the output O that the value-gate identity needs is re-formed
 chunk by chunk from the score blocks the backward builds anyway, bit for
 bit the forward's.  The two policies of the GLA paper's chunkwise training
 (its section 4) decide only whether the forward returns its chunk states
-(``materialize``) or not (``recompute``), and which state traffic the
-CostReport books.  The backward keeps no record and runs the state
-recurrence once under either policy, so both count the same flops and give
-identical numbers; the materialize counters model the paper's
-chunk-parallel backward, which reads S_{i-1} from the forward's record and
-does not run here yet.  Every executed array op is metered with the exact
-flop convention from ``cost``: products inside ``mm``, the rest at their
-call sites.  ``predict_cost`` mirrors the implementation in one pass over
-the chunk plan, with the state traffic in closed form, and must agree
+(``materialize``) or not (``recompute``), and which state traffic a
+CostReport books; ``ChunkPolicy.report`` states that traffic once, for both
+passes and for ``predict_cost``.  The backward keeps no record and runs the
+state recurrence once under either policy, so both count the same flops
+and give identical numbers.  The meter counts flops only: every executed
+array op is metered with the exact flop convention from ``cost``, products
+inside ``mm``, the rest at their call sites.  ``predict_cost`` mirrors the
+implementation's flops in one pass over the chunk plan and must agree
 integer-for-integer.  Both passes run under ``np.errstate(all="ignore")``:
 an overflowing chunk is data the result record rejects with a ValueError
 naming the chunk, whatever the caller's numpy error state (IEEE results
@@ -177,6 +176,25 @@ class ChunkPolicy:
     @property
     def materialize(self) -> bool:
         return self.mode == "materialize"
+
+    def report(self, flops: int, N: int, backward: bool) -> CostReport:
+        """The CostReport of a pass over N chunks that counted ``flops``.
+
+        This is the one statement of each policy's state traffic, for both
+        passes and for ``predict_cost``.  Traffic counts whole dk x dv state
+        matrices moved to or from the modeled slow memory; the live running
+        state is not traffic.  Under materialize the forward writes the N
+        chunk states it returns, and the backward books the traffic of the
+        GLA paper's chunk-parallel backward (its section 4): the N writes
+        and the N-1 reads of S_{i-1} back from the forward's record.  That
+        backward is modeled, not run: the backward here runs the state
+        recurrence once under either policy.  Under recompute nothing is
+        written or read, and the backward books the N chunk state updates
+        it replays.
+        """
+        if self.materialize:
+            return CostReport(flops, N, N - 1 if backward else 0, 0)
+        return CostReport(flops, 0, 0, N if backward else 0)
 
 
 def _decays(inst: GlaInstance, s: int, e: int, meter: Meter, out=None) -> ChunkDecays:
@@ -322,13 +340,12 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
         S = _state_update(dec, Kt, Vt, S, meter)
         if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
-            meter.state_writes += 1
     try:
         O = SeqTensor(O)
     except ValueError:
         _name_bad_chunk(inst, plan, O)
         raise
-    return O, states, meter.report()
+    return O, states, policy.report(meter.flops, plan.num_chunks, False)
 
 
 @np.errstate(all="ignore")
@@ -358,15 +375,15 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     rows, or assigned on the last chunk, which sweep R gives none.  The
     state update reads gamma, the daggers' last rows, so it runs before dq
     and O are written over the daggers; O stays in the dlog_beta rows until
-    the gate step.  No record of the states is kept under either policy;
-    ``policy`` only picks the traffic booked per chunk: the modeled write
-    of S_i and read of S_{i-1} under materialize, one state-update replay
-    under recompute.  After both sweeps, with dQ, dK and dV final, the gate
-    gradients are the identities dlogb = q (.) dq - k (.) dk and
-    dlogd = o (.) do - v (.) dv (query term positive; the finite-difference
-    oracle pins the sign), formed a chunk of rows at a time in the rows
-    they end up in, and then one suffix sum over each whole array, in
-    place.  dlog_alpha is allocated only then.
+    the gate step.  No record of the states is kept under either policy,
+    and neither sweep reads ``policy``: it picks only the state traffic of
+    the returned CostReport, which ``ChunkPolicy.report`` states.  After
+    both sweeps, with dQ, dK and dV final, the gate gradients are the
+    identities dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv
+    (query term positive; the finite-difference oracle pins the sign),
+    formed a chunk of rows at a time in the rows they end up in, and then
+    one suffix sum over each whole array, in place.  dlog_alpha is
+    allocated only then.
     """
     dOa = inst.cotangent(dO)
     plan.check(inst.L)
@@ -436,11 +453,6 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         np.multiply(dqt, b_dag, out=dQ[s:e])
         meter.add_flops(2 * c * dk + c * dv)
         S = S_new
-        if policy.materialize:  # modeled: S_i written, S_{i-1} read back
-            meter.state_writes += 1
-            meter.state_reads += i > 0
-        else:
-            meter.recompute_passes += 1
     # drop sweep F's chunk temporaries and the parked views before dla is allocated
     del S, S_new, dec, b_dag, d_dag, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc, log_gamma
 
@@ -462,7 +474,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         # not the gate gradients: their suffix sums carry a bad chunk back to row 0
         _name_bad_chunk(inst, plan, dQ, dK, dV)
         raise
-    return grads, meter.report()
+    return grads, policy.report(meter.flops, N, True)
 
 
 def _block_area(c: int, size: int = BLOCK) -> int:
@@ -494,11 +506,8 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     cancels.  A panel's masked entries are counted like any other, so
     panels count more flops than 16-row blocks would, in fewer calls.
     The backward runs the state recurrence once under either policy, so
-    both policies count the same flops.  State traffic over N chunks is
-    closed form: materialize writes N states in either pass and the
-    backward reads N-1 of them back, the traffic of the GLA paper's
-    chunk-parallel backward, modeled rather than run; recompute writes
-    none and its backward replays N state updates.
+    both policies count the same flops.  The state traffic comes from
+    ``ChunkPolicy.report``, as it does for the instrumented passes.
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")
@@ -534,7 +543,4 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     if backward:  # gate-gradient assembly: the identities, then two whole-array suffix sums
         flops += (4 * L - 1) * d
 
-    writes = N if policy.materialize else 0
-    reads = N - 1 if backward and policy.materialize else 0
-    passes = N if backward and not policy.materialize else 0
-    return CostReport(flops, writes, reads, passes)
+    return policy.report(flops, N, backward)

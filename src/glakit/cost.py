@@ -1,18 +1,14 @@
-"""Flop and state-traffic accounting.
+"""Flop accounting, and the report a chunkwise pass returns.
 
 Counting convention (fixed so every predicted number is bit-reproducible):
 multiply = 1, add/subtract = 1, divide = 1, exp = 1.  Assignments, copies,
 negations and comparisons are free.  A matmul of m x k by k x n costs
 m*n*k multiplies and m*n*(k-1) adds (the first k-slice initialises the
 accumulator), whatever order the product sums in; entries of a product
-that are later zeroed by assignment are still counted.  state_writes /
-state_reads count whole dk x dv state matrices moved to / from the
-modeled slow memory; the live running state is not traffic.
-recompute_passes counts chunk state-update evaluations replayed during a
-backward pass.  The chunkwise backward runs the state recurrence once
-under either policy: its materialize counters model the chunk-parallel
-backward of the GLA paper (section 4), which reads each S_{i-1} back from
-the forward's record, and its recompute counters count the replays it runs.
+that are later zeroed by assignment are still counted.  The meter counts
+flops only.  A CostReport adds a chunk policy's state traffic, which
+``chunkwise.ChunkPolicy.report`` states and describes for both passes
+and for ``predict_cost``.
 """
 
 from __future__ import annotations
@@ -31,22 +27,15 @@ class CostReport:
 
 
 class Meter:
-    """Mutable counter accumulated at the call sites of executed array ops."""
+    """Mutable flop counter accumulated at the call sites of executed array ops."""
 
-    __slots__ = ("flops", "state_writes", "state_reads", "recompute_passes")
+    __slots__ = ("flops",)
 
     def __init__(self):
         self.flops = 0
-        self.state_writes = 0
-        self.state_reads = 0
-        self.recompute_passes = 0
 
     def add_flops(self, n: int) -> None:
         self.flops += int(n)
-
-    def report(self) -> CostReport:
-        return CostReport(self.flops, self.state_writes, self.state_reads,
-                          self.recompute_passes)
 
 
 def mm_flops(m: int, k: int, n: int) -> int:

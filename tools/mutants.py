@@ -18,7 +18,8 @@ not occur exactly once in its file is malformed.
 Usage, from the repository root:
 
     python tools/mutants.py                 # every mutant, about a minute
-    python tools/mutants.py --workdir DIR   # make the scratch copies under DIR
+    python tools/mutants.py --workdir DIR   # make the scratch copies under DIR,
+                                            # creating DIR if it is missing
 
 The exit status is 1 when a mutant that should be killed survives, when
 one that should survive is killed, or when one is malformed.
@@ -176,6 +177,18 @@ MUTANTS = (
     Mutant("predict_gate_term_4Ld", "chunkwise.py",
            "(4 * L - 1) * d", "4 * L * d",
            "tests/test_chunkwise.py::test_frozen_backward_flop_count"),
+    # Each policy's state traffic, stated once in ChunkPolicy.report for both
+    # passes and predict_cost, so pinned by value rather than by agreement.
+    Mutant("materialize_backward_reads_N_states", "chunkwise.py",
+           "N - 1 if backward else 0", "N if backward else 0",
+           "tests/test_chunkwise.py::test_policy_gradients_identical_and_counters"),
+    Mutant("forward_records_no_states", "chunkwise.py",
+           "            states.append(readonly(S))", "            pass",
+           "tests/test_chunkwise.py::test_state_write_counts"),
+    # The public forms own their floating-point state; the checks keep none.
+    Mutant("forward_chunkwise_without_errstate", "chunkwise.py",
+           '@np.errstate(all="ignore")\ndef forward_chunkwise(', "def forward_chunkwise(",
+           "tests/test_fixtures_checks.py::test_checks_own_their_floating_point_state"),
     # The reference forms' closed-form flop counts, pinned by frozen totals.
     Mutant("recurrent_cost_q_s_adds_dk", "recurrent.py",
            "+ (dk - 1) * dv", "+ dk * dv",
@@ -235,8 +248,10 @@ def run(m: Mutant, workdir: str | None) -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workdir", help="directory for the scratch copies (default: the system's)")
+    p.add_argument("--workdir", help="directory for the scratch copies, created if missing (default: the system's)")
     args = p.parse_args(argv)
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     bad = 0
     for m in MUTANTS:
         expect = "survives" if m.survives else "killed"
