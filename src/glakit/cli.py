@@ -185,13 +185,12 @@ def cmd_bench(args) -> int:
     inst = _instance(cfg)
     plan = ChunkPlan(cfg.L, cfg.chunk)
     policy = ChunkPolicy(cfg.policy)
-    print("form L C policy median_ms flops state_writes state_reads")
+    print("form L C policy median_ms flops state_writes state_reads recompute_passes")
 
-    ms = _median_ms(lambda: forward_recurrent(inst), args.repeats)
-    print(f"recurrent {cfg.L} - - {ms:.2f} {recurrent_forward_cost(cfg.L, cfg.dk, cfg.dv)} 0 0")
-
-    ms = _median_ms(lambda: forward_parallel(inst), args.repeats)
-    print(f"parallel {cfg.L} - - {ms:.2f} {parallel_forward_cost(cfg.L, cfg.dk, cfg.dv)} 0 0")
+    for form, forward, cost in (("recurrent", forward_recurrent, recurrent_forward_cost),
+                                ("parallel", forward_parallel, parallel_forward_cost)):
+        ms = _median_ms(lambda: forward(inst), args.repeats)
+        print(f"{form} {cfg.L} - - {ms:.2f} {cost(cfg.L, cfg.dk, cfg.dv)} 0 0 0")
 
     dO = SeqTensor(SplitMix64(cfg.seed + 1).fill_pm1(cfg.L, cfg.dv))
     for form, pass_, run in (
@@ -206,7 +205,7 @@ def cmd_bench(args) -> int:
                   file=sys.stderr)
             return EXIT_CHECK_FAILED
         print(f"{form} {cfg.L} {cfg.chunk} {policy.mode} {ms:.2f} "
-              f"{pred.flops} {pred.state_writes} {pred.state_reads}")
+              f"{pred.flops} {pred.state_writes} {pred.state_reads} {pred.recompute_passes}")
     return EXIT_OK
 
 

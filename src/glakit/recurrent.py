@@ -99,29 +99,36 @@ class GradBundle:
             object.__setattr__(self, f.name, SeqTensor(getattr(self, f.name)))
 
 
+def _step(S, q, k, v, la, lb):
+    """One step of the recurrence on raw ndarrays: S_t from S_{t-1}, and o_t = q_t S_t.
+
+    Leading axes are a batch, broadcast between S and the step's rows.
+    """
+    S = outer_gate(la, lb) * S + k[..., :, None] * v[..., None, :]
+    return S, mm(q[..., None, :], S)[..., 0, :]
+
+
 def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, head=None):
     """The recurrence on raw ndarrays, leading axes a batch; shared with the FD oracle.
 
-    head = (O_head, S) resumes a run whose first start = len(O_head) rows are
-    known: they are copied into O (broadcast over the batch) and the loop
-    runs steps start..L-1 from S = S_{start-1}.  S is only read, and the
-    steps give the bits a run from S_0 = 0 would.
+    head = (O_head, S) resumes a run whose first start = O_head.shape[-2]
+    rows are known: they are copied into O and the loop runs steps
+    start..L-1 from S = S_{start-1}.  O_head and S may carry a batch too:
+    the batch shape broadcasts the leading axes of the inputs, O_head and
+    S, so a batch of states runs on with unbatched inputs.  S is only
+    read, and the steps give the bits a run from S_0 = 0 would.
     """
     L, dk = Q.shape[-2:]
     dv = V.shape[-1]
-    batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb)))
+    O_head, S = (np.empty((0, dv)), np.zeros((dk, dv))) if head is None else head
+    start = O_head.shape[-2]
+    batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb, O_head, S)))
     O = np.empty((*batch, L, dv))
-    if head is None:
-        start, S = 0, np.zeros((*batch, dk, dv))
-    else:
-        O_head, S = head
-        start = len(O_head)
-        O[..., :start, :] = O_head
+    O[..., :start, :] = O_head
     states = [] if keep_states else None
     for t in range(start, L):
-        G = outer_gate(la[..., t, :], lb[..., t, :])
-        S = G * S + K[..., t, :, None] * V[..., t, None, :]
-        O[..., t, :] = mm(Q[..., t, None, :], S)[..., 0, :]
+        S, O[..., t, :] = _step(S, Q[..., t, :], K[..., t, :], V[..., t, :],
+                                la[..., t, :], lb[..., t, :])
         if keep_states:
             states.append(readonly(S))  # never written again: the next step rebinds S
     return O, states
@@ -195,17 +202,19 @@ def _loss_raw(Q, K, V, la, lb, dOa, head=None) -> np.ndarray:
 def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -> GradBundle:
     """Central finite differences on <O, dO>, one scalar input at a time.
 
-    An input row's 2*cols perturbed copies (+eps at column j in copy j, -eps
-    in copy cols + j) run as one batched recurrence; scratch is O(cols*L*d).
-    A perturbation at row i moves neither S_0..S_{i-1} nor the O rows before
-    i, so row i's batch starts from the unperturbed S_{i-1} (recorded once)
-    with those O rows copied in, and runs only the L - i steps from i on:
-    L(L+1)/2 batched steps per input instead of L^2.  The loss still sums
-    the full flat O row, so it has the bits of a run from S_0 = 0.
-    Log-gate entries are perturbed as-is, so the result is directly
-    dlog_alpha / dlog_beta with no chain-rule conversion.  The perturbed
-    evaluations bypass domain re-validation (a +eps step at log-gate 0
-    briefly leaves (0, 1]; the recurrence itself is smooth there).
+    A perturbation at row i moves neither S_0..S_{i-1} nor the O rows
+    before i, so one unperturbed run records every state, and each row i
+    runs one batch: the 2W perturbed copies of row i of all five inputs
+    (W = 3 dk + 2 dv scalars; +eps at scalar w in copy w, -eps in copy
+    W + w) take one batched step from S_{i-1}, and the unperturbed rows
+    i+1..L-1 then run as plain inputs broadcast against the batch's
+    states.  That is L batched calls, L(L+1)/2 batched steps in all, and
+    scratch O(W*(L+dk)*dv).  The loss still sums the full flat O row, so
+    it has the bits of a run from S_0 = 0.  Log-gate entries are perturbed
+    as-is, so the result is directly dlog_alpha / dlog_beta with no
+    chain-rule conversion.  The perturbed evaluations bypass domain
+    re-validation (a +eps step at log-gate 0 briefly leaves (0, 1]; the
+    recurrence itself is smooth there).
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -213,16 +222,20 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
     arrs = (inst.Q.data, inst.K.data, inst.V.data,
             inst.gates.log_alpha, inst.gates.log_beta)
     O_base, states = _forward_raw(*arrs, keep_states=True)
-    grads = []
-    for n, a in enumerate(arrs):
-        L, cols = a.shape
-        g, j = np.empty_like(a), np.arange(cols)
-        for i in range(L):
-            P = np.repeat(a[None], 2 * cols, axis=0)
-            P[j, i, j] += eps
-            P[cols + j, i, j] -= eps
-            head = (O_base[:i], states[i - 1]) if i else None
-            loss = _loss_raw(*arrs[:n], P, *arrs[n + 1:], dOa, head=head)
-            g[i] = (loss[:cols] - loss[cols:]) / (2.0 * eps)
-        grads.append(g)
-    return GradBundle(*grads)
+    X = np.concatenate(arrs, axis=1)  # each row: that row of the five inputs, W scalars
+    L, W = X.shape
+    cuts = np.cumsum([a.shape[1] for a in arrs])[:-1]
+    w = np.arange(W)
+    G = np.empty((L, W))
+    for i in range(L):
+        P = np.repeat(X[None, i], 2 * W, axis=0)
+        P[w, w] += eps
+        P[W + w, w] -= eps
+        S_prev = states[i - 1] if i else np.zeros((inst.dk, inst.dv))
+        S, o_i = _step(S_prev, *np.split(P, cuts, axis=1))
+        O_head = np.empty((2 * W, i + 1, inst.dv))
+        O_head[:, :i] = O_base[:i]
+        O_head[:, i] = o_i
+        loss = _loss_raw(*arrs, dOa, head=(O_head, S))
+        G[i] = (loss[:W] - loss[W:]) / (2.0 * eps)
+    return GradBundle(*np.split(G, cuts, axis=1))

@@ -242,6 +242,18 @@ def test_bench_small_table(capsys):
         "recurrent", "parallel", "chunkwise", "chunkwise_backward"]
 
 
+@pytest.mark.parametrize("policy,replays", [("materialize", 0), ("recompute", 4)])
+def test_bench_prints_each_rows_recompute_passes(capsys, policy, replays):
+    # L=32, C=8: the recompute backward replays each of its 4 chunks
+    assert run_cli("bench", "--L", 32, "--dk", 4, "--dv", 4, "--chunk", 8,
+                   "--policy", policy, "--repeats", 3) == 0
+    header, *rows = [l.split() for l in capsys.readouterr().out.splitlines()]
+    assert header[-1] == "recompute_passes"
+    assert all(len(r) == len(header) for r in rows)
+    assert {r[0]: int(r[-1]) for r in rows} == {
+        "recurrent": 0, "parallel": 0, "chunkwise": 0, "chunkwise_backward": replays}
+
+
 @pytest.mark.parametrize("pass_", ["forward", "backward"])
 def test_bench_exits_1_when_counters_disagree(monkeypatch, capsys, pass_):
     real = cli.predict_cost

@@ -184,8 +184,10 @@ def test_batched_fd_matches_scalar_reference_bitwise(L, dk, dv, kind, floor, eps
 
 
 def test_fd_starts_each_batch_at_the_prefix_state(monkeypatch):
-    # a perturbation at row i cannot move S_0..S_{i-1}: one unperturbed run
-    # of L steps, then per input one batch of L - i steps for each row i
+    # a perturbation at row i cannot move S_0..S_{i-1}, and the rows after i
+    # are unperturbed: one unperturbed run of L steps, then per row i one
+    # batch of all five inputs' copies that takes the perturbed step and
+    # the L - i - 1 plain steps after it
     import glakit.recurrent as rec
 
     calls = {"outer_gate": 0, "_loss_raw": 0}
@@ -202,8 +204,25 @@ def test_fd_starts_each_batch_at_the_prefix_state(monkeypatch):
     counted("_loss_raw")
     L = 8
     backward_recurrent_fd(make_instance(ModelKind("general"), L, 3, 2, seed=21), rand_dO(L, 2))
-    assert calls["outer_gate"] == L + 5 * L * (L + 1) // 2 == 188  # not 5 * L**2 = 320
-    assert calls["_loss_raw"] == 5 * L  # one batched loss per input row
+    assert calls["outer_gate"] == L + L * (L + 1) // 2 == 44  # not L + 5 * L * (L + 1) / 2
+    assert calls["_loss_raw"] == L  # one batched loss per row, for all five inputs
+
+
+@pytest.mark.parametrize("L,dk,dv,start", [(1, 1, 1, 0), (1, 3, 2, 0), (6, 1, 1, 2),
+                                           (7, 3, 2, 4), (5, 2, 4, 1), (4, 2, 3, 4)])
+def test_batched_head_runs_each_copy_from_its_own_state(L, dk, dv, start):
+    # a batch of states and O rows with unbatched inputs: each copy is bit
+    # for bit the unbatched run resumed from that copy's own head
+    inst = make_instance(ModelKind("general"), L, dk, dv, seed=L + dk)
+    arrs = (inst.Q.data, inst.K.data, inst.V.data, inst.gates.log_alpha, inst.gates.log_beta)
+    rng = np.random.default_rng(start)
+    O_head, S = rng.uniform(-1, 1, (3, start, dv)), rng.uniform(-1, 1, (3, dk, dv))
+    O, _ = _forward_raw(*arrs, head=(O_head, S))
+    assert O.shape == (3, L, dv)
+    for b in range(3):
+        want, _ = _forward_raw(*arrs, head=(O_head[b], S[b]))
+        assert want.shape == (L, dv)
+        assert O[b].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])

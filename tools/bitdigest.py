@@ -14,11 +14,13 @@ move.  For each config
 and both chunk policies the digest covers the chunkwise forward's O, its
 chunk states and CostReport, the backward's five gradients and
 CostReport (or, for either pass, the message it raised), and
-``predict_cost`` for both passes.  It also covers the parallel form's O
-and five gradients on every config but the anchor, where its O(L^2)
-reference loops would take most of the run.  BLAS runs one thread unless
-the environment sets otherwise, so the digest does not depend on the
-core count.
+``predict_cost`` for both passes.  On every config but the anchor, where
+the parallel form's O(L^2) loops and the FD oracle's O(L^2) batched steps
+would take most of the run, it also covers the judges: the parallel
+form's O and five gradients, ``forward_recurrent``'s O, and the five
+gradients of ``backward_recurrent_exact`` and of ``backward_recurrent_fd``
+(at its default eps).  BLAS runs one thread unless the environment sets
+otherwise, so the digest does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from glakit.chunkwise import (ChunkPolicy, backward_chunkwise,  # noqa: E402
 from glakit.fixtures import ModelKind, SplitMix64, make_instance  # noqa: E402
 from glakit.gates import ChunkPlan  # noqa: E402
 from glakit.parallel import backward_parallel, forward_parallel  # noqa: E402
+from glakit.recurrent import (backward_recurrent_exact,  # noqa: E402
+                              backward_recurrent_fd, forward_recurrent)
 from glakit.tensor import SeqTensor  # noqa: E402
 
 # (name, kind, L, dk, dv, seed, gate floor, chunk size)
@@ -53,7 +57,7 @@ GRID = (
 GRADS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
 
-def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, parallel: bool) -> None:
+def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, judges: bool) -> None:
     inst = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor)
     plan = ChunkPlan(L, C)
     dO = SeqTensor(SplitMix64(seed + 1).fill_pm1(L, dv))
@@ -76,14 +80,18 @@ def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, parallel: bool
             bits(str(exc).encode())
         for pass_ in ("forward", "backward"):
             counts(repr(predict_cost(L, dk, dv, plan, pol, pass_)).encode())
-    if parallel:
-        try:
-            bits(forward_parallel(inst).data.tobytes())
-            g = backward_parallel(inst, dO)
-            for f in GRADS:
-                bits(getattr(g, f).data.tobytes())
-        except ValueError as exc:
-            bits(str(exc).encode())
+    if judges:
+        for forward, backward in ((forward_parallel, backward_parallel),
+                                  (lambda inst: forward_recurrent(inst).O, backward_recurrent_exact),
+                                  (None, backward_recurrent_fd)):
+            try:
+                if forward is not None:
+                    bits(forward(inst).data.tobytes())
+                g = backward(inst, dO)
+                for f in GRADS:
+                    bits(getattr(g, f).data.tobytes())
+            except ValueError as exc:
+                bits(str(exc).encode())
 
 
 def main() -> int:
@@ -98,7 +106,7 @@ def main() -> int:
         hc.update(b)
 
     for name, *cfg in GRID:
-        _digest_config(bits, counts, *cfg, parallel=name != "anchor")
+        _digest_config(bits, counts, *cfg, judges=name != "anchor")
     print(h.hexdigest())
     print(f"bits {hb.hexdigest()}")
     print(f"counters {hc.hexdigest()}")

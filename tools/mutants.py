@@ -206,6 +206,17 @@ MUTANTS = (
            "in _rows(inst):\n        O[t] = (w[:, None] * Vd).sum(axis=0)",
            "in _rows(inst):\n        O[t] = (w[:, None] * Vd).sum(axis=0) * (1 + 1e-13)",
            "tests/test_parallel.py::test_dlogd_identity_definitional"),
+    # The FD oracle's one batch per row: the perturbed step, then the
+    # plain tail from the batch's own states.
+    Mutant("fd_tail_from_unperturbed_state", "recurrent.py",
+           "head=(O_head, S))", "head=(O_head, states[i]))",
+           "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
+    Mutant("fd_minus_copies_step_plus_eps", "recurrent.py",
+           "P[W + w, w] -= eps", "P[W + w, w] += eps",
+           "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
+    Mutant("fd_head_drops_perturbed_row_output", "recurrent.py",
+           "O_head[:, i] = o_i", "O_head[:, i] = O_base[i]",
+           "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     # Below a tolerance by design: expected to survive.
     Mutant("parallel_backward_scores_1e-13_high", "parallel.py",
            "g = (Vd * dOa[t]).sum(axis=1)", "g = (Vd * dOa[t]).sum(axis=1) * (1 + 1e-13)",
