@@ -87,8 +87,7 @@ def cmd_gen(args) -> int:
     inst = _instance(cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    arrs = (inst.Q.data, inst.K.data, inst.V.data, inst.gates.log_alpha, inst.gates.log_beta)
-    for name, a in zip(TENSOR_FILES, arrs):
+    for name, a in zip(TENSOR_FILES, inst.arrays):
         write_tensor(out / f"{name}.glat", a)
     (out / "config.txt").write_text(format_config(cfg))
     print(f"wrote {len(TENSOR_FILES)} tensors + config.txt to {out}")

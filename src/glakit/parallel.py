@@ -6,9 +6,12 @@ cumulative value-decay ratio d_t/d_i.  Every ratio is formed as
 exp(log_b[t] - log_b[i]); neither raw cumulative products nor their
 reciprocals are ever materialized, and the causal mask is realized purely
 as slice bounds.  One row kernel, ``_rows``, forms each row's ratios,
-decayed keys and values and weights; the forward adds the weighted sum,
-and the backward takes the same rows, so the O it re-forms for the dlogd
-identity is the forward's bit for bit.
+decayed keys and values and weights on raw arrays whose leading axes are
+a batch.  ``_forward_raw`` adds the weighted sum for a whole batch (the
+causality check runs a group of perturbed trials in one call, each with
+the bits of its own run); ``forward_parallel`` is that kernel on one
+instance's arrays.  The backward takes the same rows unbatched, so the
+O it re-forms for the dlogd identity is the forward's bit for bit.
 
 Since t >= i, every ratio is <= 1: a large decay range can only underflow
 a ratio towards a negligible 0, never overflow, so no range is refused.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import cumulative_log_decay
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, suffix_sum_arr
 
@@ -31,25 +33,36 @@ __all__ = [
 ]
 
 
-def _rows(inst: GlaInstance):
-    """Yield t, brel, drel, K (.) brel, V (.) drel and the weights A_{t,i} of row t, i <= t."""
-    Q, K, V = inst.Q.data, inst.K.data, inst.V.data
-    cd = cumulative_log_decay(inst.gates)
-    for t in range(inst.L):
-        brel = np.exp(cd.log_b[t] - cd.log_b[: t + 1])  # (t+1) x dk, all <= 1
-        drel = np.exp(cd.log_d[t] - cd.log_d[: t + 1])
-        Kb = K[: t + 1] * brel
-        Vd = V[: t + 1] * drel
-        yield t, brel, drel, Kb, Vd, (Kb * Q[t]).sum(axis=1)
+def _rows(Q, K, V, la, lb):
+    """Yield t, brel, drel, K (.) brel, V (.) drel and the weights A_{t,i} of row t, i <= t.
+
+    Raw arrays whose leading axes are a batch; row t's arrays are
+    (..., t+1, d), its weights (..., t+1).  Every op is elementwise or a
+    sum within one batch element, so each element gets the bits of its
+    own unbatched run.
+    """
+    log_b = np.add.accumulate(la, axis=-2, out=np.empty_like(la))
+    log_d = np.add.accumulate(lb, axis=-2, out=np.empty_like(lb))
+    for t in range(Q.shape[-2]):
+        brel = np.exp(log_b[..., t, None, :] - log_b[..., : t + 1, :])  # all <= 1
+        drel = np.exp(log_d[..., t, None, :] - log_d[..., : t + 1, :])
+        Kb = K[..., : t + 1, :] * brel
+        Vd = V[..., : t + 1, :] * drel
+        yield t, brel, drel, Kb, Vd, (Kb * Q[..., t, None, :]).sum(axis=-1)
+
+
+def _forward_raw(Q, K, V, la, lb) -> np.ndarray:
+    """The parallel form's O on raw arrays, leading axes a batch."""
+    O = np.empty((*Q.shape[:-1], V.shape[-1]))
+    for t, _, _, _, Vd, w in _rows(Q, K, V, la, lb):
+        O[..., t, :] = (w[..., None] * Vd).sum(axis=-2)
+    return O
 
 
 @np.errstate(all="ignore")
 def forward_parallel(inst: GlaInstance) -> SeqTensor:
     """o_t = sum_{i<=t} <q_t (.) b_t/b_i, k_i> (v_i (.) d_t/d_i)."""
-    O = np.empty((inst.L, inst.dv))
-    for t, _, _, _, Vd, w in _rows(inst):
-        O[t] = (w[:, None] * Vd).sum(axis=0)
-    return SeqTensor(O)
+    return SeqTensor(_forward_raw(*inst.arrays))
 
 
 def parallel_forward_cost(L: int, dk: int, dv: int) -> int:
@@ -79,14 +92,14 @@ def backward_parallel(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     finite-difference oracle in the test suite.
     """
     dOa = inst.cotangent(dO)
-    Q, K, V = inst.Q.data, inst.K.data, inst.V.data
+    Q, K, V, la, lb = inst.arrays
     L, dk, dv = inst.L, inst.dk, inst.dv
 
     O = np.empty((L, dv))  # the forward's output, for the dlogd identity
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))
     dV = np.zeros((L, dv))
-    for t, brel, drel, Kb, Vd, w in _rows(inst):
+    for t, brel, drel, Kb, Vd, w in _rows(Q, K, V, la, lb):
         g = (Vd * dOa[t]).sum(axis=1)                 # <do_t, v_i d_t/d_i>
         O[t] = (w[:, None] * Vd).sum(axis=0)
         dQ[t] = (g[:, None] * Kb).sum(axis=0)

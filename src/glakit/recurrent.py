@@ -64,6 +64,11 @@ class GlaInstance:
     def dv(self) -> int:
         return self.gates.dv
 
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The raw (Q, K, V, log_alpha, log_beta) arrays, for the raw kernels."""
+        return self.Q.data, self.K.data, self.V.data, self.gates.log_alpha, self.gates.log_beta
+
     def cotangent(self, dO: SeqTensor) -> np.ndarray:
         """dO's array, once its shape is checked against the output's, L x dv.
 
@@ -137,9 +142,7 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, head=None):
 @np.errstate(all="ignore")
 def forward_recurrent(inst: GlaInstance, keep_states: bool = False) -> ForwardTrace:
     """Run the recurrence from S_0 = 0; optionally record every S_t."""
-    O, states = _forward_raw(inst.Q.data, inst.K.data, inst.V.data,
-                             inst.gates.log_alpha, inst.gates.log_beta,
-                             keep_states=keep_states)
+    O, states = _forward_raw(*inst.arrays, keep_states=keep_states)
     return ForwardTrace(SeqTensor(O), states)
 
 
@@ -164,8 +167,7 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     dlog_alpha_t[i] = sum_j G_t[i,j] * S_{t-1}[i,j] * dS_t[i,j].
     """
     dOa = inst.cotangent(dO)
-    Q, K, V = inst.Q.data, inst.K.data, inst.V.data
-    la, lb = inst.gates.log_alpha, inst.gates.log_beta
+    Q, K, V, la, lb = inst.arrays
     L, dk, dv = inst.L, inst.dk, inst.dv
 
     trace = forward_recurrent(inst, keep_states=True)
@@ -219,8 +221,7 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     dOa = inst.cotangent(dO)
-    arrs = (inst.Q.data, inst.K.data, inst.V.data,
-            inst.gates.log_alpha, inst.gates.log_beta)
+    arrs = inst.arrays
     O_base, states = _forward_raw(*arrs, keep_states=True)
     X = np.concatenate(arrs, axis=1)  # each row: that row of the five inputs, W scalars
     L, W = X.shape

@@ -1,6 +1,7 @@
 """Chunkwise form: equivalence across C, policies, counters, reductions."""
 
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -320,6 +321,27 @@ def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed
         assert g.dlog_beta.data.tobytes() == want_b.tobytes(), pol.mode
 
 
+def _traced_peak(fn):
+    """The tracemalloc peak of a second fn() call, with any line tracer suspended.
+
+    A Python-level tracer (coverage, a line recorder) runs on every line
+    of the library and may allocate as it goes; tracemalloc would book
+    that to fn.  The first call fills the mask cache outside the trace.
+    """
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    try:
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        sys.settrace(tracer)
+
+
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
 def test_backward_allocates_no_full_length_temporaries(pol):
     # full-length arrays: the five gradients (5 L*d); chunk-local
@@ -330,24 +352,8 @@ def test_backward_allocates_no_full_length_temporaries(pol):
     inst = make_instance(ModelKind("general"), L, d, d, seed=20)
     plan = ChunkPlan(L, 64)
     dO = rand_dO(L, d, seed=21)
-    backward_chunkwise(inst, dO, plan, pol)  # fill the mask cache outside the trace
-    tracemalloc.start()
-    try:
-        backward_chunkwise(inst, dO, plan, pol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
     assert peak <= 11.5 * L * d * 8, peak / (L * d * 8)
-
-
-def _traced_peak(fn):
-    fn()  # fill the mask cache outside the trace
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)

@@ -109,18 +109,126 @@ def test_check_causality_draws_one_cut_per_trial(monkeypatch):
     assert len(calls) == 7 and all(1 <= c < 12 for c in calls)
 
 
+def _leak(O, V):
+    """Add a 1e-14-sized leak from the last input row into output row 0, per batch element."""
+    O[..., 0, :] += 1e-14 * V[..., -1, :].sum(axis=-1, keepdims=True)
+
+
 def test_check_causality_fails_a_leaking_recurrent_form(monkeypatch):
     # the recurrent form is judged bit-exact, apart from the tolerance that
-    # parallel and chunkwise get: a leak far below 1e-12 must still fail
-    def leaking(inst):
-        O = forward_recurrent(inst).O.data.copy()
-        O[0] += 1e-14 * inst.V.data[-1].sum()
-        return types.SimpleNamespace(O=SeqTensor(O))
+    # parallel and chunkwise get: a leak far below 1e-12 must still fail.
+    # The leak sits in the raw kernel, so the reference run and the batched
+    # trials both carry it
+    raw = glakit.recurrent._forward_raw
 
-    monkeypatch.setattr(glakit.checks, "forward_recurrent", leaking)
+    def leaking(Q, K, V, la, lb, **kw):
+        O, states = raw(Q, K, V, la, lb, **kw)
+        _leak(O, V)
+        return O, states
+
+    monkeypatch.setattr(glakit.recurrent, "_forward_raw", leaking)
     inst = make_instance(ModelKind("general"), L=12, dk=2, dv=2, seed=11)
     report = check_causality(inst, trials=5, seed=12)
     assert not report.passed and report.max_rel_err == math.inf, report
+
+
+def _leak_parallel(monkeypatch):
+    raw = glakit.parallel._forward_raw
+
+    def leaking(Q, K, V, la, lb):
+        O = raw(Q, K, V, la, lb)
+        _leak(O, V)
+        return O
+
+    monkeypatch.setattr(glakit.parallel, "_forward_raw", leaking)
+
+
+def _leak_chunkwise(monkeypatch):
+    def leaking(inst, plan, policy):
+        O, states, cost = forward_chunkwise(inst, plan, policy)
+        O = O.data.copy()
+        _leak(O, inst.V.data)
+        return SeqTensor(O), states, cost
+
+    monkeypatch.setattr(glakit.checks, "forward_chunkwise", leaking)
+
+
+def _assert_tol_0_catches_the_leak(monkeypatch, leak):
+    # a sound form's prefix is bit-identical, so at tol 0 it passes, and a
+    # leak of ~1e-14 (below the default 1e-12) fails with a finite error
+    inst = make_instance(ModelKind("general"), L=12, dk=2, dv=2, seed=11)
+    assert check_causality(inst, trials=5, seed=12, tol=0.0).passed
+    leak(monkeypatch)
+    report = check_causality(inst, trials=5, seed=12, tol=0.0)
+    assert not report.passed and 0.0 < report.max_rel_err < math.inf, report
+
+
+def test_check_causality_fails_a_leaking_parallel_form(monkeypatch):
+    _assert_tol_0_catches_the_leak(monkeypatch, _leak_parallel)
+
+
+def test_check_causality_fails_a_leaking_chunkwise_form(monkeypatch):
+    _assert_tol_0_catches_the_leak(monkeypatch, _leak_chunkwise)
+
+
+def _per_trial_causality(inst, trials, seed, chunk, tol=1e-12):
+    """check_causality's report fields but elapsed, from one call of each public form per trial."""
+    rng = SplitMix64(seed)
+    plan = ChunkPlan(inst.L, chunk)
+
+    def chunkwise_O(inst):
+        try:
+            return forward_chunkwise(inst, plan, ChunkPolicy("materialize"))[0].data
+        except ValueError:
+            return None
+
+    ref_rec, ref_par = forward_recurrent(inst).O.data, forward_parallel(inst).data
+    ref_chk = chunkwise_O(inst)
+    worst_abs = worst_rel = 0.0
+    exact_ok = True
+    for _ in range(trials):
+        cut = 1 + rng.next_u64() % (inst.L - 1)
+        pert = glakit.checks._perturb_tail(inst, cut, rng)
+        exact_ok &= np.array_equal(forward_recurrent(pert).O.data[:cut], ref_rec[:cut])
+        for got, ref in ((forward_parallel(pert).data, ref_par), (chunkwise_O(pert), ref_chk)):
+            if got is None or ref is None:
+                worst_abs = worst_rel = math.inf
+                continue
+            worst_abs = max(worst_abs, float(np.max(np.abs(got[:cut] - ref[:cut]))))
+            worst_rel = max(worst_rel, rel_err(got[:cut], ref[:cut]))
+    return ("causality", worst_abs, worst_rel if exact_ok else math.inf, tol,
+            exact_ok and worst_rel <= tol)
+
+
+@pytest.mark.parametrize("leaky", [False, True], ids=["sound", "leaky_parallel"])
+@pytest.mark.parametrize("L, d, C, floor, trials, groups", [
+    (12, 2, 4, 0.5, 20, [20]),            # one group
+    (40, 50, 8, 0.5, 20, [8, 8, 4]),      # B = 2**15 // (40 * 100) = 8, ragged
+    (128, 80, 32, 0.5, 3, [1, 1, 1]),     # B = 1
+    (24, 2, 24, 1e-300, 7, [7]),          # the chunkwise form underflows: FAIL
+], ids=["one_group", "ragged", "B=1", "floor_1e-300"])
+def test_check_causality_groups_match_a_per_trial_loop(monkeypatch, leaky, L, d, C, floor,
+                                                      trials, groups):
+    # grouping moves no draw and no bit: every field but elapsed equals a
+    # per-trial loop over the public forms.  The leaky parallel form gives
+    # the worst errors a value that depends on every trial's draws
+    if leaky:
+        _leak_parallel(monkeypatch)
+    batches = []
+    rec_raw = glakit.recurrent._forward_raw
+
+    def counted(Q, *args, **kw):
+        batches.append(Q.shape[:-2])
+        return rec_raw(Q, *args, **kw)
+
+    inst = make_instance(ModelKind("general"), L, d, d, seed=17, gate_floor=floor)
+    want = _per_trial_causality(inst, trials, seed=18, chunk=C)
+    monkeypatch.setattr(glakit.recurrent, "_forward_raw", counted)
+    r = check_causality(inst, trials=trials, seed=18, chunk=C)
+    assert [b for b in batches if b] == [(n,) for n in groups]
+    assert (r.name, r.max_abs_err, r.max_rel_err, r.tolerance, r.passed) == want
+    assert math.isinf(r.max_rel_err) == (floor != 0.5)
+    assert (r.max_abs_err > 0) == (leaky or floor != 0.5)
 
 
 def test_check_equivalence_adversarial_gate_floor():
@@ -167,6 +275,7 @@ def test_check_causality_trials():
     report = check_causality(inst, trials=20, seed=12)
     assert report.passed
     assert report.max_abs_err == 0.0  # in practice prefixes are bit-identical
+    assert check_causality(inst, trials=0).passed  # no trial, no group
 
 
 def test_check_causality_needs_two_rows():

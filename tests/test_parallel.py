@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glakit import parallel, recurrent
 from glakit import (ModelKind, SeqTensor, SplitMix64, backward_parallel,
                     backward_recurrent_exact, backward_recurrent_fd,
                     cumulative_log_decay, forward_parallel, forward_recurrent,
@@ -13,6 +16,26 @@ GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
 def rand_dO(L, dv, seed=21):
     return SeqTensor(SplitMix64(seed).fill_pm1(L, dv))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       L=st.integers(1, 40), dk=st.integers(1, 4), dv=st.integers(1, 4), B=st.integers(1, 4),
+       floor=st.sampled_from([0.5, 0.05, 1e-3, 1e-12, 1e-300]), seed=st.integers(0, 2**32))
+def test_batched_raw_forms_match_each_elements_own_run(kind, L, dk, dv, B, floor, seed):
+    # the causality check stacks a group of trials and runs each raw kernel
+    # once; every batch element must get the bytes of its own public call.
+    # L runs past numpy's 8-element pairwise-sum block, and dv = 1 makes the
+    # forward's row sum an inner-axis reduction
+    insts = [make_instance(ModelKind(kind), L, dk, dv, seed=seed + b, gate_floor=floor)
+             for b in range(B)]
+    stacked = [np.stack(a) for a in zip(*(inst.arrays for inst in insts))]
+    with np.errstate(all="ignore"):
+        recs, _ = recurrent._forward_raw(*stacked)
+        pars = parallel._forward_raw(*stacked)
+    for inst, rec, par in zip(insts, recs, pars, strict=True):
+        assert rec.tobytes() == forward_recurrent(inst).O.data.tobytes()
+        assert par.tobytes() == forward_parallel(inst).data.tobytes()
 
 
 def test_ungated_equals_masked_matmul():

@@ -7,8 +7,8 @@ Run from the root of a checkout; glakit is imported from that checkout's
 
 Two checkouts that print the same digest on the same machine compute the
 same bits and the same counters over the grid below.  Two more lines
-follow the combined digest: ``bits``, over the arrays and raised messages
-only, and ``counters``, over the CostReports and ``predict_cost`` only, so
+follow the combined digest: ``bits``, over the arrays, check report rows
+and raised messages only, and ``counters``, over the CostReports and ``predict_cost`` only, so
 a change that moves the counts by design can show that the bits did not
 move.  For each config
 and both chunk policies the digest covers the chunkwise forward's O, its
@@ -19,8 +19,11 @@ the parallel form's O(L^2) loops and the FD oracle's O(L^2) batched steps
 would take most of the run, it also covers the judges: the parallel
 form's O and five gradients, ``forward_recurrent``'s O, and the five
 gradients of ``backward_recurrent_exact`` and of ``backward_recurrent_fd``
-(at its default eps).  BLAS runs one thread unless the environment sets
-otherwise, so the digest does not depend on the core count.
+(at its default eps), and the report rows of ``check_equivalence`` and
+``check_causality`` at the config's chunk size: each row's name, errors
+and verdict, not its elapsed time.  BLAS runs one thread unless the
+environment sets otherwise, so the digest does not depend on the core
+count.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from glakit.checks import check_causality, check_equivalence  # noqa: E402
 from glakit.chunkwise import (ChunkPolicy, backward_chunkwise,  # noqa: E402
                               forward_chunkwise, predict_cost)
 from glakit.fixtures import ModelKind, SplitMix64, make_instance  # noqa: E402
@@ -92,6 +96,13 @@ def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, judges: bool) 
                     bits(getattr(g, f).data.tobytes())
             except ValueError as exc:
                 bits(str(exc).encode())
+        reports = check_equivalence(inst, chunk_sizes=(C,))
+        try:
+            reports.append(check_causality(inst, chunk=C))
+        except ValueError as exc:  # L = 1
+            bits(str(exc).encode())
+        for r in reports:
+            bits(repr((r.name, r.max_abs_err, r.max_rel_err, r.passed)).encode())
 
 
 def main() -> int:

@@ -61,7 +61,8 @@ MUTANTS = (
            "max(1e-8, float(", "max(1e-3, float(",
            "tests/test_fixtures_checks.py::test_rel_err_of_a_small_magnitude_pair"),
     Mutant("causality_one_trial", "checks.py",
-           "for _ in range(trials):", "for _ in range(min(trials, 1)):",
+           "for _ in range(min(group, trials - first)):",
+           "for _ in range(min(group, trials - first, 1)):",
            "tests/test_fixtures_checks.py::test_check_causality_draws_one_cut_per_trial"),
     Mutant("gates_accept_positive_log_beta", "gates.py",
            "if la.max() > 0.0 or lb.max() > 0.0:", "if la.max() > 0.0:",
@@ -203,8 +204,8 @@ MUTANTS = (
            "/ (2.0 * eps)", "/ (2.0 * eps) * (1 + 1e-12)",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("parallel_forward_sum_1e-13_high", "parallel.py",
-           "in _rows(inst):\n        O[t] = (w[:, None] * Vd).sum(axis=0)",
-           "in _rows(inst):\n        O[t] = (w[:, None] * Vd).sum(axis=0) * (1 + 1e-13)",
+           "O[..., t, :] = (w[..., None] * Vd).sum(axis=-2)",
+           "O[..., t, :] = (w[..., None] * Vd).sum(axis=-2) * (1 + 1e-13)",
            "tests/test_parallel.py::test_dlogd_identity_definitional"),
     # The FD oracle's one batch per row: the perturbed step, then the
     # plain tail from the batch's own states.
@@ -217,6 +218,22 @@ MUTANTS = (
     Mutant("fd_head_drops_perturbed_row_output", "recurrent.py",
            "O_head[:, i] = o_i", "O_head[:, i] = O_base[i]",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
+    # The causality check's judges, once per group of trials: each trial
+    # judged on its own cut, each form run on the perturbed inputs.
+    Mutant("causality_cut_from_next_trial", "checks.py",
+           "zip(cuts, recs, pars, chks)", "zip(cuts[1:] + cuts[:1], recs, pars, chks)",
+           "tests/test_fixtures_checks.py::test_check_causality_groups_match_a_per_trial_loop"),
+    Mutant("causality_recurrent_runs_ref", "checks.py",
+           "recs, _ = recurrent._forward_raw(*stacked)",
+           "recs, _ = recurrent._forward_raw(*(np.stack([a] * len(cuts)) for a in inst.arrays))",
+           "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_recurrent_form"),
+    Mutant("causality_parallel_runs_ref", "checks.py",
+           "pars = parallel._forward_raw(*stacked)",
+           "pars = parallel._forward_raw(*(np.stack([a] * len(cuts)) for a in inst.arrays))",
+           "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_parallel_form"),
+    Mutant("causality_chunkwise_runs_ref", "checks.py",
+           "chks.append(_chunkwise_O(perts[-1], plan,", "chks.append(_chunkwise_O(inst, plan,",
+           "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_chunkwise_form"),
     # Below a tolerance by design: expected to survive.
     Mutant("parallel_backward_scores_1e-13_high", "parallel.py",
            "g = (Vd * dOa[t]).sum(axis=1)", "g = (Vd * dOa[t]).sum(axis=1) * (1 + 1e-13)",
