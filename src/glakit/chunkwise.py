@@ -74,8 +74,15 @@ every pass that takes the step calls:
   forward X is the state; going back it is the state's cotangent.
 
 The forward calls all five per chunk (``_kv`` and ``_carry`` through
-``_state_update``).  The backward is two sweeps, as in the GLA paper:
-state cotangents in reverse order, then chunk states in forward order.
+``_state_update``).  It is one raw kernel, ``_forward_raw``, on arrays
+whose leading axes are a batch: the steps index rows as ``[..., s:e, :]``
+and transpose with ``swapaxes(-1, -2)``, and every op is elementwise or a
+product within one batch element, so each element gets the bits of its
+own unbatched run.  ``forward_chunkwise`` is that kernel on one
+instance's arrays; the causality check runs it once per group of
+perturbed trials.  The backward calls the same steps unbatched, in two
+sweeps, as in the GLA paper: state cotangents in reverse order, then chunk
+states in forward order.
 Sweep R is the only place the backward forms decay factors.  It parks each
 chunk's daggers in that chunk's rows of dQ and of the dlog_beta buffer,
 which nothing has written yet, and its log gammas in one small array of
@@ -98,7 +105,8 @@ passes and for ``predict_cost``.  The backward keeps no record and runs the
 state recurrence once under either policy, so both count the same flops
 and give identical numbers.  The meter counts flops only: every executed
 array op is metered with the exact flop convention from ``cost``, products
-inside ``mm``, the rest at their call sites.  ``predict_cost`` mirrors the
+inside ``mm``, the rest at their call sites, so a batch of B counts
+B x ``predict_cost`` (``mm`` states how).  ``predict_cost`` mirrors the
 implementation's flops in one pass over the chunk plan and must agree
 integer-for-integer.  Both passes run under ``np.errstate(all="ignore")``:
 an overflowing chunk is data the result record rejects with a ValueError
@@ -110,6 +118,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,19 +145,26 @@ PANEL = 64  # rows per backward panel, a whole number of blocks
 
 
 def mm(a: np.ndarray, b: np.ndarray, meter: Meter) -> np.ndarray:
-    """The chunk kernel's 2-D product, done by BLAS (numpy's matmul).
+    """The chunk kernel's product, done by BLAS (numpy's matmul).
 
     Adds the product's flops to ``meter`` from the operand shapes, so no
-    call site restates them.  Every chunkwise product, and only those, goes
-    through this name, so a profiler can time them all by rebinding it.
+    call site restates them.  Leading axes are a batch of 2-D products: a
+    batch of B m x k by k x n products counts as one Bm x k by k x n
+    product, B times one product's flops.  Every other metered op of the
+    chunk steps counts from array sizes, which carry the batch, so a
+    forward over a batch of B counts B x ``predict_cost``.  Every chunkwise
+    product, and only those, goes through this name, so a profiler can
+    time them all by rebinding it.
     """
-    meter.add_flops(mm_flops(a.shape[0], a.shape[1], b.shape[1]))
+    k = a.shape[-1]
+    meter.add_flops(mm_flops(a.size // k, k, b.shape[-1]))
     return np.matmul(a, b)
 
 
-def _row_blocks(c: int, size: int = BLOCK, start: int = 0):
+@cache
+def _row_blocks(c: int, size: int = BLOCK, start: int = 0) -> tuple[tuple[int, int], ...]:
     """(j0, n) per size-row block of rows [start, c): rows [j0, n) see the prefix [:n]."""
-    return [(j0, min(j0 + size, c)) for j0 in range(start, c, size)]
+    return tuple((j0, min(j0 + size, c)) for j0 in range(start, c, size))
 
 
 @cache
@@ -159,7 +175,7 @@ def _upper(b: int) -> np.ndarray:
 
 def _causal(W: np.ndarray, j0: int) -> np.ndarray:
     """Zero the scores of rows [j0, n) against later positions of their own block."""
-    W[:, j0:][_upper(W.shape[0])] = 0.0
+    np.copyto(W[..., j0:], 0.0, where=_upper(W.shape[-2]))
     return W
 
 
@@ -197,11 +213,20 @@ class ChunkPolicy:
         return CostReport(flops, 0, 0, N if backward else 0)
 
 
-def _decays(inst: GlaInstance, s: int, e: int, meter: Meter, out=None) -> ChunkDecays:
+class _LogGates(NamedTuple):
+    """A batch's raw log-gates under GateSeq's names, as chunk_factors reads them."""
+
+    log_alpha: np.ndarray
+    log_beta: np.ndarray
+
+
+def _decays(g, s: int, e: int, meter: Meter, out=None) -> ChunkDecays:
     """Chunk [s, e)'s decay factors, formed when a pass reaches it, metered; daggers in out."""
-    # prefix sums (c-1)d and dagger exps cd; gamma is dagger's last row
-    meter.add_flops((2 * (e - s) - 1) * (inst.dk + inst.dv))
-    return chunk_factors(inst.gates, s, e, out)
+    dec = chunk_factors(g, s, e, out)
+    # prefix sums (c-1)d and dagger exps cd per batch element; gamma is dagger's last row
+    meter.add_flops(2 * (dec.b_dagger.size + dec.d_dagger.size)
+                    - dec.log_gamma_b.size - dec.log_gamma_d.size)
+    return dec
 
 
 _LN_DBL_MAX = float(np.log(np.finfo(np.float64).max))  # 709.78
@@ -227,16 +252,18 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
             f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
-def _chunk(inst: GlaInstance, s: int, e: int, meter: Meter, dec=None):
+def _chunk(Q, K, V, g, s: int, e: int, meter: Meter, dec=None):
     """Chunk [s, e)'s decay factors and its Qt = Q (.) Bdag, Kt = K / Bdag, Vt = V / Ddag.
 
-    The factors are formed here unless a sweep formed them already (dec).
+    The factors are formed here from the log-gates g unless a sweep formed
+    them already (dec).
     """
     if dec is None:
-        dec = _decays(inst, s, e, meter)
-    Qt = inst.Q.data[s:e] * dec.b_dagger
-    Kt = inst.K.data[s:e] / dec.b_dagger
-    Vt = inst.V.data[s:e] / dec.d_dagger
+        dec = _decays(g, s, e, meter)
+    rows = (..., slice(s, e), slice(None))
+    Qt = Q[rows] * dec.b_dagger
+    Kt = K[rows] / dec.b_dagger
+    Vt = V[rows] / dec.d_dagger
     meter.add_flops(Qt.size + Kt.size + Vt.size)
     return dec, Qt, Kt, Vt
 
@@ -245,15 +272,17 @@ def _intra(Qt, Kt, Vt, meter: Meter, acc: np.ndarray, W=None) -> np.ndarray:
     """Within-chunk sums of the transformed output, one row block at a time, into acc.
 
     Given a panel's zeroed score matrix W, only the panel's rows (the last
-    W.shape[0] of Qt's) are taken, and each block's scores are kept in W too.
+    W.shape[-2] of Qt's) are taken, and each block's scores are kept in W too.
     """
-    c = Qt.shape[0]
-    p0 = 0 if W is None else c - W.shape[0]
+    c = Qt.shape[-2]
+    p0 = 0 if W is None else c - W.shape[-2]
+    KtT = Kt.swapaxes(-1, -2)
     for j0, n in _row_blocks(c, BLOCK, p0):
-        Wb = _causal(mm(Qt[j0:n], Kt[:n].T, meter), j0)
-        acc[j0:n] = mm(Wb, Vt[:n], meter)
+        rows = (..., slice(j0, n), slice(None))
+        Wb = _causal(mm(Qt[rows], KtT[..., :n], meter), j0)
+        acc[rows] = mm(Wb, Vt[..., :n, :], meter)
         if W is not None:
-            W[j0 - p0:n - p0, :n] = Wb
+            W[..., j0 - p0:n - p0, :n] = Wb
     return acc
 
 
@@ -322,30 +351,41 @@ def _carry(dec, X, T, meter: Meter) -> np.ndarray:
 def _state_update(dec, Kt, Vt, S, meter: Meter) -> np.ndarray:
     """S_new = (gamma_b^T gamma_d) (.) S + (Kt (.) gamma_b)^T (Vt (.) gamma_d); S None is chunk 0."""
     KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)
-    return _carry(dec, S, mm(KB.T, VD, meter), meter)
+    return _carry(dec, S, mm(KB.swapaxes(-1, -2), VD, meter), meter)
+
+
+def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
+    """The chunkwise forward on raw arrays, leading axes a batch.
+
+    Returns (O, chunk states or None, flops).  Every step is elementwise or
+    a product within one batch element, so each element gets the bits of
+    its own unbatched run; nothing is validated.
+    """
+    g = _LogGates(la, lb)
+    meter = Meter()
+    O = np.empty((*Q.shape[:-1], V.shape[-1]))
+    S = None
+    states = [] if materialize else None
+    for s, e in plan.boundaries:
+        dec, Qt, Kt, Vt = _chunk(Q, K, V, g, s, e, meter)
+        _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[..., s:e, :], meter)
+        S = _state_update(dec, Kt, Vt, S, meter)
+        if states is not None:
+            states.append(readonly(S))  # never written again: the next chunk rebinds S
+    return O, states, meter.flops
 
 
 @np.errstate(all="ignore")
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
     """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
     plan.check(inst.L)
-    K, V = inst.K.data, inst.V.data
-    meter = Meter()
-    O = np.empty((inst.L, inst.dv))
-    S = None
-    states = [] if policy.materialize else None
-    for s, e in plan.boundaries:
-        dec, Qt, Kt, Vt = _chunk(inst, s, e, meter)
-        _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[s:e], meter)
-        S = _state_update(dec, Kt, Vt, S, meter)
-        if states is not None:
-            states.append(readonly(S))  # never written again: the next chunk rebinds S
+    O, states, flops = _forward_raw(*inst.arrays, plan, policy.materialize)
     try:
         O = SeqTensor(O)
     except ValueError:
         _name_bad_chunk(inst, plan, O)
         raise
-    return O, states, policy.report(meter.flops, plan.num_chunks, False)
+    return O, states, policy.report(flops, plan.num_chunks, False)
 
 
 @np.errstate(all="ignore")
@@ -404,7 +444,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
         c = e - s
-        dec = _decays(inst, s, e, meter, (dQ[s:e], dlb[s:e]))
+        dec = _decays(inst.gates, s, e, meter, (dQ[s:e], dlb[s:e]))
         log_gamma[i, :dk] = dec.log_gamma_b
         log_gamma[i, dk:] = dec.log_gamma_d
         if i < N - 1:
@@ -430,7 +470,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     S = None
     for i, (s, e) in enumerate(plan.boundaries):
         b_dag, d_dag = dQ[s:e], dlb[s:e]
-        dec, Qt, Kt, Vt = _chunk(inst, s, e, meter, ChunkDecays(
+        dec, Qt, Kt, Vt = _chunk(Q, K, V, None, s, e, meter, ChunkDecays(
             b_dag, d_dag, log_gamma[i, :dk], log_gamma[i, dk:]))
         c = e - s
         dOt = dOa[s:e] * d_dag

@@ -109,11 +109,10 @@ class ModelKind:
 
 def make_instance(kind: ModelKind, L: int, dk: int, dv: int, seed: int,
                   gate_floor: float = 0.5) -> GlaInstance:
-    """Deterministic random instance of the requested model family.
-
-    L, dk and dv are checked where the arrays are made: numpy rejects a
-    negative size, and SeqTensor an empty matrix, naming its shape.
-    """
+    """Deterministic random instance of the requested model family."""
+    for name, size in (("L", L), ("dk", dk), ("dv", dv)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     if not (0.0 < gate_floor <= 1.0):
         raise ValueError(f"gate_floor must be in (0, 1], got {gate_floor}")
     rng = SplitMix64(seed)

@@ -119,6 +119,8 @@ class ChunkDecays(NamedTuple):
     that scales rows by broadcasting.  Position s+j's
     contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
     no array of those ratios is kept.  d_* mirror these with log_beta.
+    Leading axes are a batch: the daggers are (..., c, d), the log gammas
+    (..., d) and the gammas (..., 1, d) views.
     """
 
     b_dagger: np.ndarray
@@ -126,8 +128,8 @@ class ChunkDecays(NamedTuple):
     log_gamma_b: np.ndarray
     log_gamma_d: np.ndarray
 
-    gamma_b = property(lambda self: self.b_dagger[-1:])
-    gamma_d = property(lambda self: self.d_dagger[-1:])
+    gamma_b = property(lambda self: self.b_dagger[..., -1:, :])
+    gamma_d = property(lambda self: self.d_dagger[..., -1:, :])
 
 
 def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
@@ -144,24 +146,27 @@ def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
 def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
     """dagger and log_gamma from one chunk's log-gate rows; dagger in out if given.
 
+    Rows are axis -2; leading axes are a batch, each summed on its own.
     Every exponent is a sum over the chunk's own rows, so every factor is
     <= 1 exactly.  As in cumulative_log_decay, the preallocated out= traces
     less memory.
     """
-    lc = np.add.accumulate(lg, axis=0, out=np.empty_like(lg) if out is None else out)
-    log_gamma = lc[-1].copy()  # not a view: dagger's exp overwrites lc in place
+    lc = np.add.accumulate(lg, axis=-2, out=np.empty_like(lg) if out is None else out)
+    log_gamma = lc[..., -1, :].copy()  # not a view: dagger's exp overwrites lc in place
     return readonly(np.exp(lc, out=lc)), readonly(log_gamma)
 
 
 def chunk_factors(g: GateSeq, s: int, e: int, out=None) -> ChunkDecays:
     """Decay factors of the chunk [s, e), from its own log-gate rows only.
 
-    Given ``out``, a pair of (e - s) x dk and (e - s) x dv arrays, the two
-    daggers are formed in them, and the returned ones are read-only views.
+    ``g`` is a GateSeq, or any object with its log_alpha and log_beta as
+    arrays whose leading axes are a batch.  Given ``out``, a pair of
+    (e - s) x dk and (e - s) x dv arrays, the two daggers are formed in
+    them, and the returned ones are read-only views.
     """
     b_out, d_out = (None, None) if out is None else out
-    b_dag, lgb = _chunk_factors(g.log_alpha[s:e], b_out)
-    d_dag, lgd = _chunk_factors(g.log_beta[s:e], d_out)
+    b_dag, lgb = _chunk_factors(g.log_alpha[..., s:e, :], b_out)
+    d_dag, lgd = _chunk_factors(g.log_beta[..., s:e, :], d_out)
     return ChunkDecays(b_dag, d_dag, lgb, lgd)
 
 

@@ -286,6 +286,47 @@ def test_repeated_calls_are_byte_identical():
             assert a.tobytes() == b.tobytes(), (pol.mode, name)
 
 
+def _chunk_size(L, shape, r):
+    """C of the given shape: one-row chunks, a ragged last chunk (L >= 3), or one chunk."""
+    if shape == "ragged" and L >= 3:
+        ragged = [C for C in range(2, L) if L % C]
+        return ragged[r % len(ragged)]
+    return L + r % 8 if shape == "whole" else 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       L=st.integers(1, 40), dk=st.integers(1, 4), dv=st.integers(1, 4), B=st.integers(1, 4),
+       shape=st.sampled_from(["1", "ragged", "whole"]), r=st.integers(0, 99),
+       floor=st.sampled_from([0.5, 0.05, 1e-3, 1e-12, 1e-300]), seed=st.integers(0, 2**32))
+@example(kind="general", L=37, dk=3, dv=2, B=3, shape="ragged", r=5, floor=0.5, seed=1)
+@example(kind="general", L=24, dk=2, dv=2, B=2, shape="whole", r=0, floor=1e-300, seed=9)
+def test_batched_raw_forward_matches_each_elements_own_run(kind, L, dk, dv, B, shape, r,
+                                                          floor, seed):
+    # the causality check stacks a group of trials and runs the raw kernel
+    # once: every batch element gets the bytes of its own public call (O and
+    # each chunk state), or is non-finite where that call raises, and a
+    # batch of B counts B x predict_cost
+    insts = [make_instance(ModelKind(kind), L, dk, dv, seed=seed + b, gate_floor=floor)
+             for b in range(B)]
+    stacked = [np.stack(a) for a in zip(*(inst.arrays for inst in insts))]
+    plan = ChunkPlan(L, _chunk_size(L, shape, r))
+    for pol in (MAT, REC):
+        with np.errstate(all="ignore"):
+            O, states, flops = chunkwise._forward_raw(*stacked, plan, pol.materialize)
+        assert flops == B * predict_cost(L, dk, dv, plan, pol).flops
+        assert (states is None) == (pol is REC)
+        for b, inst in enumerate(insts):
+            try:
+                want, want_states, _ = forward_chunkwise(inst, plan, pol)
+            except ValueError:
+                assert not np.isfinite(O[b]).all()
+                continue
+            assert O[b].tobytes() == want.data.tobytes()
+            if states is not None:
+                assert [S[b].tobytes() for S in states] == [S.tobytes() for S in want_states]
+
+
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(1, 70), C=st.integers(1, 40), dk=st.integers(1, 4),
        dv=st.integers(1, 4), seed=st.integers(0, 2**32),

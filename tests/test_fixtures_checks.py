@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import glakit.checks
-from glakit import (ChunkPlan, ChunkPolicy, CheckReport, ModelKind, SeqTensor, SplitMix64,
-                    backward_chunkwise, backward_parallel, backward_recurrent_exact,
-                    backward_recurrent_fd, check_causality, check_equivalence,
-                    check_gradients, cumulative_log_decay, forward_chunkwise,
-                    forward_parallel, forward_recurrent, make_instance, rel_err)
+from glakit import (ChunkPlan, ChunkPolicy, CheckReport, GateSeq, GlaInstance, ModelKind,
+                    SeqTensor, SplitMix64, backward_chunkwise, backward_parallel,
+                    backward_recurrent_exact, backward_recurrent_fd, check_causality,
+                    check_equivalence, check_gradients, cumulative_log_decay,
+                    forward_chunkwise, forward_parallel, forward_recurrent, make_instance,
+                    rel_err)
 
 
 def test_same_seed_bitwise_identical():
@@ -65,6 +66,14 @@ def test_invalid_parameters_rejected():
         make_instance(ModelKind("general"), L=0, dk=2, dv=2, seed=1)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("name", ["L", "dk", "dv"])
+def test_make_instance_names_a_bad_size(name, size):
+    sizes = dict(L=4, dk=2, dv=3) | {name: size}
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {size}$"):
+        make_instance(ModelKind("general"), **sizes, seed=1)
+
+
 def test_check_equivalence_passes_and_reports():
     inst = make_instance(ModelKind("vanilla"), L=16, dk=3, dv=2, seed=5)
     reports = check_equivalence(inst, chunk_sizes=(1, 3, 8, 16), tol=1e-10)
@@ -96,17 +105,25 @@ def test_rel_err_of_a_small_magnitude_pair():
 
 
 def test_check_causality_draws_one_cut_per_trial(monkeypatch):
-    calls = []
-
-    def counted(inst, cut, rng):
-        calls.append(cut)
-        return perturb(inst, cut, rng)
-
-    perturb = glakit.checks._perturb_tail
-    monkeypatch.setattr(glakit.checks, "_perturb_tail", counted)
+    # each trial of a batch replaces the rows from its own cut on, in all
+    # five inputs, and no row before it
     inst = make_instance(ModelKind("general"), L=12, dk=2, dv=2, seed=11)
+    cuts = []
+    raw = glakit.chunkwise._forward_raw
+
+    def seen(*args):
+        if args[0].ndim == 3:  # a group of trials, not the reference run
+            for trial in zip(*args[:5]):
+                rows = [np.flatnonzero((a != base).any(axis=-1))
+                        for a, base in zip(trial, inst.arrays)]
+                assert rows[0].size, "a trial left its inputs as they were"
+                cuts.append(int(rows[0][0]))
+                assert all(np.array_equal(r, np.arange(cuts[-1], 12)) for r in rows)
+        return raw(*args)
+
+    monkeypatch.setattr(glakit.chunkwise, "_forward_raw", seen)
     assert check_causality(inst, trials=7, seed=12).passed
-    assert len(calls) == 7 and all(1 <= c < 12 for c in calls)
+    assert len(cuts) == 7 and all(1 <= c < 12 for c in cuts)
 
 
 def _leak(O, V):
@@ -144,13 +161,14 @@ def _leak_parallel(monkeypatch):
 
 
 def _leak_chunkwise(monkeypatch):
-    def leaking(inst, plan, policy):
-        O, states, cost = forward_chunkwise(inst, plan, policy)
-        O = O.data.copy()
-        _leak(O, inst.V.data)
-        return SeqTensor(O), states, cost
+    raw = glakit.chunkwise._forward_raw
 
-    monkeypatch.setattr(glakit.checks, "forward_chunkwise", leaking)
+    def leaking(Q, K, V, la, lb, plan, materialize):
+        O, states, flops = raw(Q, K, V, la, lb, plan, materialize)
+        _leak(O, V)
+        return O, states, flops
+
+    monkeypatch.setattr(glakit.chunkwise, "_forward_raw", leaking)
 
 
 def _assert_tol_0_catches_the_leak(monkeypatch, leak):
@@ -171,6 +189,15 @@ def test_check_causality_fails_a_leaking_chunkwise_form(monkeypatch):
     _assert_tol_0_catches_the_leak(monkeypatch, _leak_chunkwise)
 
 
+def _perturbed(inst, cut, rng):
+    """The trial's instance: fresh rows from cut on, drawn for Q, K, V, log_alpha, log_beta."""
+    n = inst.L - cut
+    fresh = (rng.fill_pm1(n, inst.dk), rng.fill_pm1(n, inst.dk), rng.fill_pm1(n, inst.dv),
+             rng.fill_log_gate(n, inst.dk, np.log(0.5)), rng.fill_log_gate(n, inst.dv, np.log(0.5)))
+    Q, K, V, la, lb = (np.concatenate([a[:cut], f]) for a, f in zip(inst.arrays, fresh))
+    return GlaInstance(SeqTensor(Q), SeqTensor(K), SeqTensor(V), GateSeq(la, lb))
+
+
 def _per_trial_causality(inst, trials, seed, chunk, tol=1e-12):
     """check_causality's report fields but elapsed, from one call of each public form per trial."""
     rng = SplitMix64(seed)
@@ -188,7 +215,7 @@ def _per_trial_causality(inst, trials, seed, chunk, tol=1e-12):
     exact_ok = True
     for _ in range(trials):
         cut = 1 + rng.next_u64() % (inst.L - 1)
-        pert = glakit.checks._perturb_tail(inst, cut, rng)
+        pert = _perturbed(inst, cut, rng)
         exact_ok &= np.array_equal(forward_recurrent(pert).O.data[:cut], ref_rec[:cut])
         for got, ref in ((forward_parallel(pert).data, ref_par), (chunkwise_O(pert), ref_chk)):
             if got is None or ref is None:
@@ -200,7 +227,8 @@ def _per_trial_causality(inst, trials, seed, chunk, tol=1e-12):
             exact_ok and worst_rel <= tol)
 
 
-@pytest.mark.parametrize("leaky", [False, True], ids=["sound", "leaky_parallel"])
+@pytest.mark.parametrize("leaky", [None, _leak_parallel, _leak_chunkwise],
+                         ids=["sound", "leaky_parallel", "leaky_chunkwise"])
 @pytest.mark.parametrize("L, d, C, floor, trials, groups", [
     (12, 2, 4, 0.5, 20, [20]),            # one group
     (40, 50, 8, 0.5, 20, [8, 8, 4]),      # B = 2**15 // (40 * 100) = 8, ragged
@@ -210,10 +238,10 @@ def _per_trial_causality(inst, trials, seed, chunk, tol=1e-12):
 def test_check_causality_groups_match_a_per_trial_loop(monkeypatch, leaky, L, d, C, floor,
                                                       trials, groups):
     # grouping moves no draw and no bit: every field but elapsed equals a
-    # per-trial loop over the public forms.  The leaky parallel form gives
-    # the worst errors a value that depends on every trial's draws
+    # per-trial loop over the public forms.  A leaky form gives the worst
+    # errors a value that depends on every trial's draws
     if leaky:
-        _leak_parallel(monkeypatch)
+        leaky(monkeypatch)
     batches = []
     rec_raw = glakit.recurrent._forward_raw
 
@@ -228,7 +256,7 @@ def test_check_causality_groups_match_a_per_trial_loop(monkeypatch, leaky, L, d,
     assert [b for b in batches if b] == [(n,) for n in groups]
     assert (r.name, r.max_abs_err, r.max_rel_err, r.tolerance, r.passed) == want
     assert math.isinf(r.max_rel_err) == (floor != 0.5)
-    assert (r.max_abs_err > 0) == (leaky or floor != 0.5)
+    assert (r.max_abs_err > 0) == (leaky is not None or floor != 0.5)
 
 
 def test_check_equivalence_adversarial_gate_floor():

@@ -61,8 +61,7 @@ MUTANTS = (
            "max(1e-8, float(", "max(1e-3, float(",
            "tests/test_fixtures_checks.py::test_rel_err_of_a_small_magnitude_pair"),
     Mutant("causality_one_trial", "checks.py",
-           "for _ in range(min(group, trials - first)):",
-           "for _ in range(min(group, trials - first, 1)):",
+           "for b in range(len(Q)):", "for b in range(min(len(Q), 1)):",
            "tests/test_fixtures_checks.py::test_check_causality_draws_one_cut_per_trial"),
     Mutant("gates_accept_positive_log_beta", "gates.py",
            "if la.max() > 0.0 or lb.max() > 0.0:", "if la.max() > 0.0:",
@@ -134,7 +133,7 @@ MUTANTS = (
            "tests/test_tensorfile.py::test_implausible_ndim_in_header"),
     # The chunk steps that the forward and both backward sweeps share.
     Mutant("intra_keeps_no_panel_scores", "chunkwise.py",
-           "            W[j0 - p0:n - p0, :n] = Wb\n", "            pass\n",
+           "            W[..., j0 - p0:n - p0, :n] = Wb\n", "            pass\n",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("output_drops_inter_term", "chunkwise.py",
            "        acc += mm(Qt, S, meter)\n", "        mm(Qt, S, meter)\n",
@@ -149,8 +148,8 @@ MUTANTS = (
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     Mutant("state_update_folds_gamma_into_Kt_Vt", "chunkwise.py",
            "    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)\n"
-           "    return _carry(dec, S, mm(KB.T, VD, meter), meter)\n",
-           "    T = mm(Kt.T, Vt, meter)\n"
+           "    return _carry(dec, S, mm(KB.swapaxes(-1, -2), VD, meter), meter)\n",
+           "    T = mm(Kt.swapaxes(-1, -2), Vt, meter)\n"
            "    return outer_gate(dec.log_gamma_b, dec.log_gamma_d) * (T if S is None else S + T)\n",
            "tests/test_chunkwise.py::"
            "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
@@ -232,8 +231,18 @@ MUTANTS = (
            "pars = parallel._forward_raw(*(np.stack([a] * len(cuts)) for a in inst.arrays))",
            "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_parallel_form"),
     Mutant("causality_chunkwise_runs_ref", "checks.py",
-           "chks.append(_chunkwise_O(perts[-1], plan,", "chks.append(_chunkwise_O(inst, plan,",
+           "chks, _, _ = chunkwise._forward_raw(*stacked, plan, False)",
+           "chks, _, _ = chunkwise._forward_raw("
+           "*(np.stack([a] * len(cuts)) for a in inst.arrays), plan, False)",
            "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_chunkwise_form"),
+    # Batch-only: on 2-D inputs each is the same op as the original, so
+    # only a batched forward tells them apart.
+    Mutant("chunk_prefix_sum_along_axis_0", "gates.py",
+           "np.add.accumulate(lg, axis=-2,", "np.add.accumulate(lg, axis=0,",
+           "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
+    Mutant("gamma_b_from_last_batch_element", "gates.py",
+           "self.b_dagger[..., -1:, :]", "self.b_dagger[-1:]",
+           "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
     # Below a tolerance by design: expected to survive.
     Mutant("parallel_backward_scores_1e-13_high", "parallel.py",
            "g = (Vd * dOa[t]).sum(axis=1)", "g = (Vd * dOa[t]).sum(axis=1) * (1 + 1e-13)",
