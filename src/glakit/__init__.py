@@ -12,8 +12,8 @@ from .chunkwise import (ChunkPolicy, CostReport, backward_chunkwise,
 from .checks import (CheckReport, check_causality, check_equivalence,
                      check_gradients, max_abs, rel_err)
 from .fixtures import ModelKind, SplitMix64, make_instance
-from .gates import (ChunkDecays, ChunkPlan, CumulativeDecay, GateSeq,
-                    chunk_relative_decays, cumulative_log_decay)
+from .gates import (ChunkDecays, ChunkPlan, GateSeq, chunk_relative_decays,
+                    cumulative_log_decay)
 from .parallel import backward_parallel, forward_parallel, parallel_forward_cost
 from .recurrent import (ForwardTrace, GlaInstance, GradBundle,
                         backward_recurrent_exact, backward_recurrent_fd,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChunkDecays", "ChunkPlan", "ChunkPolicy", "CheckReport", "CostReport",
-    "CumulativeDecay", "ForwardTrace", "GateSeq",
+    "ForwardTrace", "GateSeq",
     "GlaInstance", "GradBundle", "ModelKind", "RunConfig", "SeqTensor",
     "SplitMix64", "TensorFileError",
     "backward_chunkwise", "backward_parallel", "backward_recurrent_exact",

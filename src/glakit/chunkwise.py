@@ -63,8 +63,9 @@ the two policies agree bit for bit, and so do repeated calls.
 Each step of the paper's one generalized chunk step is one function, which
 every pass that takes the step calls:
 
-- ``_chunk``: a chunk's decay factors (unless a sweep has formed them) and
-  its transforms Qt, Kt and Vt;
+- ``_chunk``: a chunk's transforms Qt, Kt and Vt, from its rows and its
+  decay factors, which a pass forms with ``_decays`` from the chunk's
+  log-gate rows when it reaches the chunk;
 - ``_intra``: the masked score blocks and the within-chunk sums;
 - ``_output``: the inter-chunk term ``Qt S_prev`` and the ``Ddag`` scale;
 - ``_kv``: the key and value rows as they enter the outgoing state, rows
@@ -75,10 +76,10 @@ every pass that takes the step calls:
 
 The forward calls all five per chunk (``_kv`` and ``_carry`` through
 ``_state_update``).  It is one raw kernel, ``_forward_raw``, on arrays
-whose leading axes are a batch: the steps index rows as ``[..., s:e, :]``
-and transpose with ``swapaxes(-1, -2)``, and every op is elementwise or a
-product within one batch element, so each element gets the bits of its
-own unbatched run.  ``forward_chunkwise`` is that kernel on one
+whose leading axes are a batch: it slices each chunk's rows once, as
+``[..., s:e, :]``, the steps transpose with ``swapaxes(-1, -2)``, and
+every op is elementwise or a product within one batch element, so each
+element gets the bits of its own unbatched run.  ``forward_chunkwise`` is that kernel on one
 instance's arrays; the causality check runs it once per group of
 perturbed trials.  The backward calls the same steps unbatched, in two
 sweeps, as in the GLA paper: state cotangents in reverse order, then chunk
@@ -118,7 +119,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -213,16 +213,12 @@ class ChunkPolicy:
         return CostReport(flops, 0, 0, N if backward else 0)
 
 
-class _LogGates(NamedTuple):
-    """A batch's raw log-gates under GateSeq's names, as chunk_factors reads them."""
+def _decays(la, lb, meter: Meter, out=None) -> ChunkDecays:
+    """A chunk's decay factors from its log-gate rows, formed when a pass reaches it, metered.
 
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-
-
-def _decays(g, s: int, e: int, meter: Meter, out=None) -> ChunkDecays:
-    """Chunk [s, e)'s decay factors, formed when a pass reaches it, metered; daggers in out."""
-    dec = chunk_factors(g, s, e, out)
+    Given out, the daggers are formed in it.
+    """
+    dec = chunk_factors(la, lb, out)
     # prefix sums (c-1)d and dagger exps cd per batch element; gamma is dagger's last row
     meter.add_flops(2 * (dec.b_dagger.size + dec.d_dagger.size)
                     - dec.log_gamma_b.size - dec.log_gamma_d.size)
@@ -241,10 +237,11 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
     then spreads the damage to every later chunk, so the first bad chunk is
     where it started.
     """
+    _, _, _, la, lb = inst.arrays
     for i, (s, e) in enumerate(plan.boundaries):
         if all(np.isfinite(a[s:e]).all() for a in rows):
             continue
-        dec = chunk_factors(inst.gates, s, e)
+        dec = chunk_factors(la[s:e], lb[s:e])
         raise ValueError(
             f"non-finite values from chunk {i} (rows {s}..{e - 1}): its whole-chunk "
             f"log-decay reaches {dec.log_gamma_b.min():.2f} on the key side and "
@@ -252,20 +249,13 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
             f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
-def _chunk(Q, K, V, g, s: int, e: int, meter: Meter, dec=None):
-    """Chunk [s, e)'s decay factors and its Qt = Q (.) Bdag, Kt = K / Bdag, Vt = V / Ddag.
-
-    The factors are formed here from the log-gates g unless a sweep formed
-    them already (dec).
-    """
-    if dec is None:
-        dec = _decays(g, s, e, meter)
-    rows = (..., slice(s, e), slice(None))
-    Qt = Q[rows] * dec.b_dagger
-    Kt = K[rows] / dec.b_dagger
-    Vt = V[rows] / dec.d_dagger
+def _chunk(Qc, Kc, Vc, dec, meter: Meter):
+    """A chunk's Qt = Q (.) Bdag, Kt = K / Bdag and Vt = V / Ddag, from its rows and factors."""
+    Qt = Qc * dec.b_dagger
+    Kt = Kc / dec.b_dagger
+    Vt = Vc / dec.d_dagger
     meter.add_flops(Qt.size + Kt.size + Vt.size)
-    return dec, Qt, Kt, Vt
+    return Qt, Kt, Vt
 
 
 def _intra(Qt, Kt, Vt, meter: Meter, acc: np.ndarray, W=None) -> np.ndarray:
@@ -361,14 +351,15 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
     a product within one batch element, so each element gets the bits of
     its own unbatched run; nothing is validated.
     """
-    g = _LogGates(la, lb)
     meter = Meter()
     O = np.empty((*Q.shape[:-1], V.shape[-1]))
     S = None
     states = [] if materialize else None
     for s, e in plan.boundaries:
-        dec, Qt, Kt, Vt = _chunk(Q, K, V, g, s, e, meter)
-        _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[..., s:e, :], meter)
+        rows = (..., slice(s, e), slice(None))
+        dec = _decays(la[rows], lb[rows], meter)
+        Qt, Kt, Vt = _chunk(Q[rows], K[rows], V[rows], dec, meter)
+        _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[rows], meter)
         S = _state_update(dec, Kt, Vt, S, meter)
         if states is not None:
             states.append(readonly(S))  # never written again: the next chunk rebinds S
@@ -427,7 +418,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     """
     dOa = inst.cotangent(dO)
     plan.check(inst.L)
-    Q, K, V = inst.Q.data, inst.K.data, inst.V.data
+    Q, K, V, la, lb = inst.arrays
     L, dk, dv = inst.L, inst.dk, inst.dv
     N = plan.num_chunks
 
@@ -444,7 +435,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
         c = e - s
-        dec = _decays(inst.gates, s, e, meter, (dQ[s:e], dlb[s:e]))
+        dec = _decays(la[s:e], lb[s:e], meter, (dQ[s:e], dlb[s:e]))
         log_gamma[i, :dk] = dec.log_gamma_b
         log_gamma[i, dk:] = dec.log_gamma_d
         if i < N - 1:
@@ -470,8 +461,8 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     S = None
     for i, (s, e) in enumerate(plan.boundaries):
         b_dag, d_dag = dQ[s:e], dlb[s:e]
-        dec, Qt, Kt, Vt = _chunk(Q, K, V, None, s, e, meter, ChunkDecays(
-            b_dag, d_dag, log_gamma[i, :dk], log_gamma[i, dk:]))
+        dec = ChunkDecays(b_dag, d_dag, log_gamma[i, :dk], log_gamma[i, dk:])
+        Qt, Kt, Vt = _chunk(Q[s:e], K[s:e], V[s:e], dec, meter)
         c = e - s
         dOt = dOa[s:e] * d_dag
         meter.add_flops(c * dv)

@@ -5,7 +5,9 @@ underflow fp64 long before useful sequence lengths, so every decay factor
 is exp() of a sum of logs.  The parallel form differences whole-sequence
 prefix sums; the chunk factors sum only the chunk's own log-gates, so
 their exponents stay within C * |ln gate_floor| and their rounding does
-not grow with the position in the sequence.
+not grow with the position in the sequence.  ``GateSeq`` validates the
+gates where the public API takes them in; every decay function takes raw
+log-gate arrays whose rows are axis -2 and whose leading axes are a batch.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .tensor import _as_f64, _check_finite, readonly
 
 __all__ = [
     "GateSeq",
-    "CumulativeDecay",
     "ChunkPlan",
     "ChunkDecays",
     "cumulative_log_decay",
@@ -56,25 +57,6 @@ class GateSeq:
             raise ValueError("log-gates must be <= 0 (gates in (0, 1])")
         object.__setattr__(self, "log_alpha", readonly(la))
         object.__setattr__(self, "log_beta", readonly(lb))
-
-    @property
-    def L(self) -> int:
-        return self.log_alpha.shape[0]
-
-    @property
-    def dk(self) -> int:
-        return self.log_alpha.shape[1]
-
-    @property
-    def dv(self) -> int:
-        return self.log_beta.shape[1]
-
-
-class CumulativeDecay(NamedTuple):
-    """Prefix sums of log-gates: log_b[t] = sum_{j<=t} log_alpha[j], same for d."""
-
-    log_b: np.ndarray
-    log_d: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,15 +114,14 @@ class ChunkDecays(NamedTuple):
     gamma_d = property(lambda self: self.d_dagger[..., -1:, :])
 
 
-def cumulative_log_decay(g: GateSeq) -> CumulativeDecay:
-    """Running log-products of the gates (prefix sums in log space).
+def cumulative_log_decay(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of the log-gates along the rows (axis -2), as a read-only (log_b, log_d).
 
-    Accumulation along axis 0 is sequential: log_b[t] = log_b[t-1] + log_alpha[t].
-    The preallocated out= traces less memory than letting accumulate allocate.
+    log_b[..., t, :] = sum_{j<=t} la[..., j, :], and log_d likewise from lb.
+    The accumulation is sequential: log_b[t] = log_b[t-1] + la[t].  The
+    preallocated out= traces less memory than letting accumulate allocate.
     """
-    log_b = np.add.accumulate(g.log_alpha, axis=0, out=np.empty_like(g.log_alpha))
-    log_d = np.add.accumulate(g.log_beta, axis=0, out=np.empty_like(g.log_beta))
-    return CumulativeDecay(readonly(log_b), readonly(log_d))
+    return tuple(readonly(np.add.accumulate(x, axis=-2, out=np.empty_like(x))) for x in (la, lb))
 
 
 def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
@@ -156,24 +137,22 @@ def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
     return readonly(np.exp(lc, out=lc)), readonly(log_gamma)
 
 
-def chunk_factors(g: GateSeq, s: int, e: int, out=None) -> ChunkDecays:
-    """Decay factors of the chunk [s, e), from its own log-gate rows only.
+def chunk_factors(la: np.ndarray, lb: np.ndarray, out=None) -> ChunkDecays:
+    """Decay factors of one chunk, from its own log-gate rows la and lb only.
 
-    ``g`` is a GateSeq, or any object with its log_alpha and log_beta as
-    arrays whose leading axes are a batch.  Given ``out``, a pair of
-    (e - s) x dk and (e - s) x dv arrays, the two daggers are formed in
-    them, and the returned ones are read-only views.
+    Given ``out``, a pair of arrays shaped like la and lb, the two daggers
+    are formed in them, and the returned ones are read-only views.
     """
     b_out, d_out = (None, None) if out is None else out
-    b_dag, lgb = _chunk_factors(g.log_alpha[..., s:e, :], b_out)
-    d_dag, lgd = _chunk_factors(g.log_beta[..., s:e, :], d_out)
+    b_dag, lgb = _chunk_factors(la, b_out)
+    d_dag, lgd = _chunk_factors(lb, d_out)
     return ChunkDecays(b_dag, d_dag, lgb, lgd)
 
 
-def chunk_relative_decays(g: GateSeq, plan: ChunkPlan) -> list[ChunkDecays]:
+def chunk_relative_decays(la: np.ndarray, lb: np.ndarray, plan: ChunkPlan) -> list[ChunkDecays]:
     """chunk_factors for every chunk of the plan."""
-    plan.check(g.L)
-    return [chunk_factors(g, s, e) for s, e in plan.boundaries]
+    plan.check(la.shape[-2])
+    return [chunk_factors(la[..., s:e, :], lb[..., s:e, :]) for s, e in plan.boundaries]
 
 
 def outer_gate(la: np.ndarray, lb: np.ndarray) -> np.ndarray:

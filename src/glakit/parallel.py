@@ -3,7 +3,8 @@
 Output row t is a masked weighted sum over rows i <= t where query/key
 weights carry the cumulative key-decay ratio b_t/b_i and values carry the
 cumulative value-decay ratio d_t/d_i.  Every ratio is formed as
-exp(log_b[t] - log_b[i]); neither raw cumulative products nor their
+exp(log_b[t] - log_b[i]), from the prefix sums of
+``gates.cumulative_log_decay``; neither raw cumulative products nor their
 reciprocals are ever materialized, and the causal mask is realized purely
 as slice bounds.  One row kernel, ``_rows``, forms each row's ratios,
 decayed keys and values and weights on raw arrays whose leading axes are
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gates import cumulative_log_decay
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, suffix_sum_arr
 
@@ -41,8 +43,7 @@ def _rows(Q, K, V, la, lb):
     sum within one batch element, so each element gets the bits of its
     own unbatched run.
     """
-    log_b = np.add.accumulate(la, axis=-2, out=np.empty_like(la))
-    log_d = np.add.accumulate(lb, axis=-2, out=np.empty_like(lb))
+    log_b, log_d = cumulative_log_decay(la, lb)
     for t in range(Q.shape[-2]):
         brel = np.exp(log_b[..., t, None, :] - log_b[..., : t + 1, :])  # all <= 1
         drel = np.exp(log_d[..., t, None, :] - log_d[..., : t + 1, :])

@@ -47,22 +47,22 @@ class GlaInstance:
     gates: GateSeq
 
     def __post_init__(self):
-        Q, K, V, gates = self.Q, self.K, self.V, self.gates
-        if not (Q.shape == K.shape == (gates.L, gates.dk) and V.shape == (gates.L, gates.dv)):
+        Q, K, V, la, lb = self.Q, self.K, self.V, self.gates.log_alpha, self.gates.log_beta
+        if not (Q.shape == K.shape == la.shape and V.shape == lb.shape):
             raise ValueError(f"shapes disagree: Q {Q.shape}, K {K.shape}, V {V.shape}, log_alpha "
-                             f"{gates.log_alpha.shape}, log_beta {gates.log_beta.shape}")
+                             f"{la.shape}, log_beta {lb.shape}")
 
     @property
     def L(self) -> int:
-        return self.gates.L
+        return self.Q.shape[0]
 
     @property
     def dk(self) -> int:
-        return self.gates.dk
+        return self.Q.shape[1]
 
     @property
     def dv(self) -> int:
-        return self.gates.dv
+        return self.V.shape[1]
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -170,8 +170,7 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     Q, K, V, la, lb = inst.arrays
     L, dk, dv = inst.L, inst.dk, inst.dv
 
-    trace = forward_recurrent(inst, keep_states=True)
-    states = trace.states
+    _, states = _forward_raw(Q, K, V, la, lb, keep_states=True)
 
     dQ = np.zeros((L, dk))
     dK = np.zeros((L, dk))

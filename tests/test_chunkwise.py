@@ -420,17 +420,26 @@ def test_passes_hold_no_decay_table(pol):
 @pytest.mark.parametrize("L, C", [(1, 1), (8, 8), (11, 4), (5, 9)],
                          ids=["L=1", "one_chunk", "ragged", "C>L"])
 def test_backward_forms_each_chunks_factors_once(monkeypatch, pol, L, C):
+    # the forward forms each chunk's factors once, in order; the backward's
     # sweep R forms every chunk's factors, last chunk first, and parks them
     # for sweep F, which forms none
     inst = make_instance(ModelKind("general"), L, 3, 2, seed=30)
     plan = ChunkPlan(L, C)
+    la = inst.gates.log_alpha
     formed = []
 
-    def counted(g, s, e, *args):
-        formed.append((s, e))
-        return chunk_factors(g, s, e, *args)
+    def counted(la_rows, lb_rows, *args):
+        # the chunk is where its log-alpha rows sit in the instance's array
+        assert np.shares_memory(la_rows, la)
+        offset = la_rows.__array_interface__["data"][0] - la.__array_interface__["data"][0]
+        s = offset // la.strides[0]
+        formed.append((s, s + la_rows.shape[0]))
+        return chunk_factors(la_rows, lb_rows, *args)
 
     monkeypatch.setattr(chunkwise, "chunk_factors", counted)
+    forward_chunkwise(inst, plan, pol)
+    assert formed == list(plan.boundaries)
+    formed.clear()
     backward_chunkwise(inst, rand_dO(L, 2), plan, pol)
     assert formed == list(reversed(plan.boundaries))
 

@@ -34,15 +34,15 @@ def test_same_seed_bitwise_identical():
 
 def test_vanilla_has_zero_cumulative_decay():
     inst = make_instance(ModelKind("vanilla"), L=5, dk=2, dv=3, seed=1)
-    cd = cumulative_log_decay(inst.gates)
-    assert np.array_equal(cd.log_b, np.zeros((5, 2)))
-    assert np.array_equal(cd.log_d, np.zeros((5, 3)))
+    log_b, log_d = cumulative_log_decay(inst.gates.log_alpha, inst.gates.log_beta)
+    assert np.array_equal(log_b, np.zeros((5, 2)))
+    assert np.array_equal(log_d, np.zeros((5, 3)))
 
 
 def test_retnet_geometric_cumulative_decay():
     inst = make_instance(ModelKind("retnet", 0.9), L=3, dk=2, dv=2, seed=2)
-    cd = cumulative_log_decay(inst.gates)
-    b = np.exp(cd.log_b)
+    log_b, _ = cumulative_log_decay(inst.gates.log_alpha, inst.gates.log_beta)
+    b = np.exp(log_b)
     assert np.allclose(b[:, 0], [0.9, 0.81, 0.729], rtol=1e-14)
 
 

@@ -50,32 +50,32 @@ def test_empty_gate_sequence_rejected(la, lb):
 
 def test_cumulative_identity_gates():
     g = make_gates(np.zeros((5, 2)), np.zeros((5, 3)))
-    cd = cumulative_log_decay(g)
-    assert np.array_equal(cd.log_b, np.zeros((5, 2)))
-    assert np.array_equal(cd.log_d, np.zeros((5, 3)))
+    log_b, log_d = cumulative_log_decay(g.log_alpha, g.log_beta)
+    assert np.array_equal(log_b, np.zeros((5, 2)))
+    assert np.array_equal(log_d, np.zeros((5, 3)))
 
 
 def test_cumulative_half_powers():
     lhalf = math.log(0.5)
     g = make_gates([[lhalf]] * 3, [[0.0]] * 3)
-    cd = cumulative_log_decay(g)
-    assert np.allclose(np.exp(cd.log_b[:, 0]), [0.5, 0.25, 0.125], rtol=1e-15)
+    log_b, _ = cumulative_log_decay(g.log_alpha, g.log_beta)
+    assert np.allclose(np.exp(log_b[:, 0]), [0.5, 0.25, 0.125], rtol=1e-15)
 
 
 def test_cumulative_telescopes_to_gates():
     g = random_gates(20, 3, 2, seed=0)
-    cd = cumulative_log_decay(g)
-    steps = np.exp(cd.log_b[1:] - cd.log_b[:-1])
+    log_b, _ = cumulative_log_decay(g.log_alpha, g.log_beta)
+    steps = np.exp(log_b[1:] - log_b[:-1])
     assert np.max(np.abs(steps - np.exp(g.log_alpha[1:]))) < 1e-14
 
 
 def test_cumulative_monotone_and_anchored():
     g = random_gates(12, 2, 2, seed=1)
-    cd = cumulative_log_decay(g)
-    assert np.all(np.diff(cd.log_b, axis=0) <= 0)
-    assert np.all(np.diff(cd.log_d, axis=0) <= 0)
-    assert np.array_equal(cd.log_b[0], g.log_alpha[0])
-    assert np.array_equal(cd.log_d[0], g.log_beta[0])
+    log_b, log_d = cumulative_log_decay(g.log_alpha, g.log_beta)
+    assert np.all(np.diff(log_b, axis=0) <= 0)
+    assert np.all(np.diff(log_d, axis=0) <= 0)
+    assert np.array_equal(log_b[0], g.log_alpha[0])
+    assert np.array_equal(log_d[0], g.log_beta[0])
 
 
 @pytest.mark.parametrize("L,C,expected", [(10, 3, [(0, 3), (3, 6), (6, 9), (9, 10)]),
@@ -97,7 +97,7 @@ def test_chunk_plan_needs_positive_length_and_chunk(L, C):
 
 def test_chunk_factors_identity_gates():
     g = make_gates(np.zeros((6, 2)), np.zeros((6, 2)))
-    decs = chunk_relative_decays(g, ChunkPlan(6, 4))
+    decs = chunk_relative_decays(g.log_alpha, g.log_beta, ChunkPlan(6, 4))
     for d in decs:
         for arr in (d.b_dagger, d.d_dagger, d.gamma_b, d.gamma_d):
             assert np.array_equal(arr, np.ones_like(arr))
@@ -109,7 +109,7 @@ def test_chunk_factors_constant_gate():
     # dagger = (g, g^2), gamma = g^2
     g = 0.5
     gates = make_gates([[math.log(g)]] * 2, [[0.0]] * 2)
-    (d,) = chunk_relative_decays(gates, ChunkPlan(2, 2))
+    (d,) = chunk_relative_decays(gates.log_alpha, gates.log_beta, ChunkPlan(2, 2))
     assert np.allclose(d.b_dagger[:, 0], [g, g * g], rtol=1e-15)
     assert np.allclose(d.gamma_b, [g * g], rtol=1e-15)
     assert np.allclose(np.exp(d.log_gamma_b), [g * g], rtol=1e-15)
@@ -120,7 +120,7 @@ def test_gamma_over_dagger_matches_end_of_chunk_decay():
     # gamma / dagger, each row's decay to the chunk's end
     g = random_gates(23, 3, 2, seed=2)
     plan = ChunkPlan(23, 5)
-    for (s, e), d in zip(plan.boundaries, chunk_relative_decays(g, plan)):
+    for (s, e), d in zip(plan.boundaries, chunk_relative_decays(g.log_alpha, g.log_beta, plan)):
         for lg, dagger, gamma in ((g.log_alpha, d.b_dagger, d.gamma_b),
                                   (g.log_beta, d.d_dagger, d.gamma_d)):
             lc = np.add.accumulate(lg[s:e], axis=0)
@@ -129,7 +129,7 @@ def test_gamma_over_dagger_matches_end_of_chunk_decay():
 
 def test_factors_bounded():
     g = random_gates(17, 2, 3, seed=3, floor=0.25)
-    decs = chunk_relative_decays(g, ChunkPlan(17, 4))
+    decs = chunk_relative_decays(g.log_alpha, g.log_beta, ChunkPlan(17, 4))
     for d in decs:
         for arr in (d.b_dagger, d.d_dagger, d.gamma_b, d.gamma_d):
             assert np.all(arr > 0.0)
@@ -139,7 +139,7 @@ def test_factors_bounded():
 def test_plan_mismatch_rejected():
     g = random_gates(8, 2, 2, seed=4)
     with pytest.raises(ValueError):
-        chunk_relative_decays(g, ChunkPlan(9, 3))
+        chunk_relative_decays(g.log_alpha, g.log_beta, ChunkPlan(9, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,7 +155,7 @@ def test_chunk_factors_are_exps_of_within_chunk_sums(L, C, dk, dv, seed, kind, f
     # difference of whole-sequence prefix sums, and stay <= 1 exactly
     g = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor).gates
     plan = ChunkPlan(L, C)
-    decs = chunk_relative_decays(g, plan)
+    decs = chunk_relative_decays(g.log_alpha, g.log_beta, plan)
     assert len(decs) == plan.num_chunks
     for (s, e), d in zip(plan.boundaries, decs):
         for lg, dagger, gamma, log_gamma in (

@@ -63,9 +63,9 @@ def test_matches_recurrent():
 
 def decay_range(inst):
     """Largest log-decay any ratio log_b[t] - log_b[i] (or log_d) spans."""
-    cd = cumulative_log_decay(inst.gates)
-    return max(float(np.max(cd.log_b[0] - cd.log_b[-1])),
-               float(np.max(cd.log_d[0] - cd.log_d[-1])))
+    log_b, log_d = cumulative_log_decay(inst.gates.log_alpha, inst.gates.log_beta)
+    return max(float(np.max(log_b[0] - log_b[-1])),
+               float(np.max(log_d[0] - log_d[-1])))
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

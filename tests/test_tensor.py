@@ -111,9 +111,15 @@ def wide_range(rng, shape):
 def test_prefix_and_suffix_sums_are_sequential_bitwise(L):
     rng = np.random.default_rng(L)
     la, lb = -wide_range(rng, (L, 3)), -wide_range(rng, (L, 2))
-    cd = cumulative_log_decay(GateSeq(la, lb))
-    assert cd.log_b.tobytes() == sequential_prefix(la).tobytes()
-    assert cd.log_d.tobytes() == sequential_prefix(lb).tobytes()
+    log_b, log_d = cumulative_log_decay(la, lb)
+    assert log_b.tobytes() == sequential_prefix(la).tobytes()
+    assert log_d.tobytes() == sequential_prefix(lb).tobytes()
+    # leading axes are a batch: each element's rows are its own 2-D call's
+    bla, blb = -wide_range(rng, (3, L, 3)), -wide_range(rng, (3, L, 2))
+    batched = cumulative_log_decay(bla, blb)
+    for b in range(3):
+        own = cumulative_log_decay(bla[b], blb[b])
+        assert [x[b].tobytes() for x in batched] == [x.tobytes() for x in own]
 
     x = wide_range(rng, (L, 4)) * rng.choice([-1.0, 1.0], (L, 4))
     out = suffix_sum_arr(x)
@@ -175,19 +181,18 @@ def test_seqtensor_immutable():
 
 
 def _records():
-    """One instance of every record type, plus chunkwise and recurrent states."""
+    """One of every record type, the prefix-sum pair, and chunkwise and recurrent states."""
     inst = make_instance(ModelKind("general"), L=7, dk=3, dv=2, seed=1)
     plan = ChunkPlan(7, 3)
-    cd = cumulative_log_decay(inst.gates)
     trace = forward_recurrent(inst, keep_states=True)
     _, chunk_states, _ = forward_chunkwise(inst, plan, ChunkPolicy("materialize"))
     return {
         "SeqTensor": inst.Q,
         "GateSeq": inst.gates,
         "GlaInstance": inst,
-        "CumulativeDecay": cd,
+        "cumulative_log_decay": cumulative_log_decay(inst.gates.log_alpha, inst.gates.log_beta),
         "ChunkPlan": plan,
-        "ChunkDecays": chunk_relative_decays(inst.gates, plan)[1],
+        "ChunkDecays": chunk_relative_decays(inst.gates.log_alpha, inst.gates.log_beta, plan)[1],
         "ForwardTrace": trace,
         "GradBundle": backward_recurrent_exact(inst, SeqTensor(np.ones((7, 2)))),
         "chunk_states": chunk_states,

@@ -1,5 +1,6 @@
-"""Tooling: the benchmark's traced run rebinds library names that must all exist, and
-the test settings report every verdict when a property test fails."""
+"""Tooling: the benchmark's traced run rebinds library names that must all exist, its
+calls into the library run, and the test settings report every verdict when a property
+test fails."""
 
 import importlib
 import importlib.util
@@ -7,19 +8,48 @@ import subprocess
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_perfbench_span_bindings_resolve():
+def _load(monkeypatch, name: str, path: Path):
+    """Import the file at path as module name, registered until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_span_bindings_resolve(monkeypatch):
     # a binding that no longer resolves turns its per-layer metrics to null
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load(monkeypatch, "perfbench_spans", PERFBENCH / "spans.py")
     targets = [(mod, attr) for mod, attr, _ in spans.BINDINGS]
     targets.append(("glakit.cost", "mm_flops"))  # spans meters tensor.mm with it
     missing = [f"{mod}.{attr}" for mod, attr in targets
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_perfbench_calls_into_the_library_run(monkeypatch, tmp_path):
+    # the benchmark drives glakit from outside; a library change that breaks
+    # one of these calls fails here, not in a benchmark run
+    _load(monkeypatch, "spans", PERFBENCH / "spans.py")  # bench.py imports it by this name
+    bench = _load(monkeypatch, "bench", PERFBENCH / "bench.py")
+    wl = bench.Workload("tiny", bench.Shape(7, 3, 2, 3), bench.Shape(7, 3, 2, 3))
+    inst, nbytes = bench.gen_and_load(wl, 5, tmp_path, bench.NullTracer())
+    assert nbytes > 0
+    assert [a.shape for a in bench._inputs(inst)] == [(7, 3), (7, 3), (7, 2), (7, 3), (7, 2)]
+    dO = bench.make_cotangent(5, inst.L, inst.dv)
+    plan = bench.ChunkPlan(inst.L, wl.step.C)
+    for pass_ in bench.PASSES:
+        for mode in bench.POLICIES:
+            p = bench.Pass(pass_, mode, inst, dO, plan)
+            result = p.call()
+            assert p.check(result) is None, p.label
+            outputs = p.outputs(result)
+            assert outputs and all(isinstance(a, np.ndarray) for a in outputs), p.label
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -243,6 +243,13 @@ MUTANTS = (
     Mutant("gamma_b_from_last_batch_element", "gates.py",
            "self.b_dagger[..., -1:, :]", "self.b_dagger[-1:]",
            "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
+    Mutant("cumulative_decay_along_axis_0", "gates.py",
+           "np.add.accumulate(x, axis=-2,", "np.add.accumulate(x, axis=0,",
+           "tests/test_parallel.py::test_batched_raw_forms_match_each_elements_own_run"),
+    # The error path names a chunk from that chunk's own gate rows.
+    Mutant("bad_chunk_gate_rows_from_0", "chunkwise.py",
+           "chunk_factors(la[s:e], lb[s:e])", "chunk_factors(la[:e], lb[:e])",
+           "tests/test_chunkwise.py::test_non_finite_output_names_its_chunk[24-2-2-4-1e-300-1]"),
     # Below a tolerance by design: expected to survive.
     Mutant("parallel_backward_scores_1e-13_high", "parallel.py",
            "g = (Vd * dOa[t]).sum(axis=1)", "g = (Vd * dOa[t]).sum(axis=1) * (1 + 1e-13)",
