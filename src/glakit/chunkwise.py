@@ -6,10 +6,10 @@ elementwise state gating over whole chunks), while positions inside a
 chunk are handled by masked weighted sums whose decay factors are exps of
 sums over the chunk's own log-gates, so neither an exponent nor its
 rounding grows with the sequence length.  Each pass forms a chunk's factors
-once, when it reaches the chunk: the forward drops them with the chunk, and
-the backward parks them in gradient rows it has not written yet, so no pass
-allocates a table of every chunk's factors.  Output for chunk rows t in
-[s, e):
+once, when it reaches the chunk: the forward forms a whole group's at once
+and drops them with the group, and the backward parks them in gradient
+rows it has not written yet, so no pass allocates a table of every chunk's
+factors.  Output for chunk rows t in [s, e):
 
     o_t = [ (q_t (.) Bdag_t) S_prev  +  sum_{s<=i<=t} <q_t (.) Bdag_t, k_i / Bdag_i> (v_i / Ddag_i) ] (.) Ddag_t
 
@@ -53,12 +53,15 @@ away, but its larger products run faster: on a 2-vCPU x86 VM a 16x64 by
 64x64 product runs at ~31 GFlop/s and a 64x64 by 64x64 one at ~63.  At
 C <= 64 a chunk is one panel.
 
-Every product, intra-chunk and state alike, goes through ``mm``, one
-2-D BLAS product that meters itself from its operand shapes.  BLAS may
-sum in any order, so these products are not the pinned ascending-k
-``tensor.mm`` of the reference forms; they are deterministic for equal
-shapes and inputs, which is what the chunkwise bitwise promises rest on:
-the two policies agree bit for bit, and so do repeated calls.
+Every product, intra-chunk and state alike, goes through ``mm``: numpy's
+matmul, whose operands' leading axes are a batch of 2-D BLAS products (a
+batch of trials, a group's chunks, or both), metered from the operand
+shapes.  BLAS may sum in any order, so these products are not the pinned
+ascending-k ``tensor.mm`` of the reference forms; they are deterministic
+for equal shapes and inputs, and each 2-D product of a batch is the one
+an unbatched call makes, which is what the chunkwise bitwise promises
+rest on: the two policies agree bit for bit, so do repeated calls, and so
+do a batch's elements and their own runs.
 
 Each step of the paper's one generalized chunk step is one function, which
 every pass that takes the step calls:
@@ -67,30 +70,47 @@ every pass that takes the step calls:
   decay factors, which a pass forms with ``_decays`` from the chunk's
   log-gate rows when it reaches the chunk;
 - ``_intra``: the masked score blocks and the within-chunk sums;
-- ``_output``: the inter-chunk term ``Qt S_prev`` and the ``Ddag`` scale;
+- ``_inter``: the inter-chunk term ``Qt S_prev``;
+- ``_output``: the ``Ddag`` scale of the summed rows;
 - ``_kv``: the key and value rows as they enter the outgoing state, rows
   times given factors: ``Kt (.) gamma_b`` and ``Vt (.) gamma_d`` from the
   transforms that the forward and sweep F hold;
-- ``_carry``: ``(gamma_b^T gamma_d) (.) X + T``, the gated carry.  Going
-  forward X is the state; going back it is the state's cotangent.
+- ``_gate``: the gate matrix ``gamma_b^T gamma_d``, from the log gammas;
+- ``_carry``: ``Gm (.) X + T``, the gated carry.  Going forward X is the
+  state; going back it is the state's cotangent.
 
-The forward calls all five per chunk (``_kv`` and ``_carry`` through
-``_state_update``).  It is one raw kernel, ``_forward_raw``, on arrays
-whose leading axes are a batch: it slices each chunk's rows once, as
-``[..., s:e, :]``, the steps transpose with ``swapaxes(-1, -2)``, and
-every op is elementwise or a product within one batch element, so each
-element gets the bits of its own unbatched run.  ``forward_chunkwise`` is that kernel on one
-instance's arrays; the causality check runs it once per group of
-perturbed trials.  The backward calls the same steps unbatched, in two
-sweeps, as in the GLA paper: state cotangents in reverse order, then chunk
-states in forward order.
+The forward is one raw kernel, ``_forward_raw``, on arrays whose leading
+axes are a batch, and it walks the plan in groups of up to G equal-length
+chunks; a ragged last chunk is a group of one.  A group's rows [s, s + Gc)
+are viewed as (..., G, c, d), the chunks on axis -3 after any batch axes,
+and the group makes one call of each step: ``_decays``, ``_chunk`` and
+``_intra``; ``_kv``, which forms the state rows over Kt and Vt, and one
+``mm`` for the state products T_k of all its chunks; one ``_gate`` for
+their gate matrices.  Only the carry S_k = Gm_k (.) S_{k-1} + T_k is a
+Python loop over the group's chunks, on dk x dv arrays, and then one
+``_inter`` adds Qt_k S_{k-1} for all of them (the sequence's first chunk
+has no state entering it, so it forms no Gm and no inter term).  The
+states live in one array, and the intra sums are written straight into
+O's rows.  As in the GLA paper's chunkwise form, only the state pass is
+sequential; the chunks' own work is independent, which is what lets a
+group batch it.  ``_group_size`` picks G from per-instance bytes, a few
+chunks where the sequence is long and the whole sequence where it is
+short.  The steps transpose with ``swapaxes(-1, -2)``, and every op is
+elementwise or a product within one batch element and one chunk, so each
+element gets the bits of its own unbatched per-chunk run.
+``forward_chunkwise`` is that kernel on one instance's arrays; the
+causality check runs it once per group of perturbed trials.  The backward
+calls the same steps unbatched and one chunk at a time, in two sweeps, as
+in the GLA paper: state cotangents in reverse order, then chunk states in
+forward order.
 Sweep R is the only place the backward forms decay factors.  It parks each
 chunk's daggers in that chunk's rows of dQ and of the dlog_beta buffer,
 which nothing has written yet, and its log gammas in one small array of
 N rows of dk + dv.  Holding no transforms, it calls ``_kv`` on K and V
 with the factors ``gamma_b / Bdag`` and ``gamma_d / Ddag`` (one divide
-each, no exp), and ``_carry``.  Sweep F calls all five steps, ``_chunk`` on the
-parked factors and ``_intra`` once per panel; its state update reads
+each, no exp), ``_gate`` and ``_carry``.  Sweep F calls every step,
+``_chunk`` on the parked factors and ``_intra`` once per panel; its state
+update (``_state_update``: ``_kv``, ``mm``, ``_gate`` and ``_carry``) reads
 gamma, the daggers' last rows, so it runs before dq and O are written over
 the daggers.  Once dQ, dK and dV are final, one step after the sweeps
 assembles the gate gradients, as in the GLA paper's memory-efficient
@@ -144,7 +164,7 @@ BLOCK = 16  # rows per forward block; see the module docstring for why 16
 PANEL = 64  # rows per backward panel, a whole number of blocks
 
 
-def mm(a: np.ndarray, b: np.ndarray, meter: Meter) -> np.ndarray:
+def mm(a: np.ndarray, b: np.ndarray, meter: Meter, out=None) -> np.ndarray:
     """The chunk kernel's product, done by BLAS (numpy's matmul).
 
     Adds the product's flops to ``meter`` from the operand shapes, so no
@@ -154,11 +174,13 @@ def mm(a: np.ndarray, b: np.ndarray, meter: Meter) -> np.ndarray:
     chunk steps counts from array sizes, which carry the batch, so a
     forward over a batch of B counts B x ``predict_cost``.  Every chunkwise
     product, and only those, goes through this name, so a profiler can
-    time them all by rebinding it.
+    time them all by rebinding it.  Given out, the product is written there.
     """
     k = a.shape[-1]
     meter.add_flops(mm_flops(a.size // k, k, b.shape[-1]))
-    return np.matmul(a, b)
+    if out is None:  # matmul's keyword parsing would cost ~1% of a small backward
+        return np.matmul(a, b)
+    return np.matmul(a, b, out=out)
 
 
 @cache
@@ -312,58 +334,142 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     return dqt, dkt, dvt, acc
 
 
-def _output(acc, Qt, S, dec, out, meter: Meter) -> None:
-    """out = (acc + Qt S) (.) Ddag: a chunk's output rows from its intra sums; S None is chunk 0."""
-    if S is not None:  # the inter-chunk term
-        acc += mm(Qt, S, meter)
-        meter.add_flops(acc.size)
+def _inter(acc, Qt, S, meter: Meter) -> None:
+    """acc += Qt S: the inter-chunk term, from the state S entering each chunk."""
+    acc += mm(Qt, S, meter)
+    meter.add_flops(acc.size)
+
+
+def _output(acc, dec, out, meter: Meter) -> None:
+    """out = acc (.) Ddag: output rows from their intra sums and inter terms."""
     np.multiply(acc, dec.d_dagger, out=out)
     meter.add_flops(acc.size)
 
 
-def _kv(Kc, Vc, fb, fd, meter: Meter):
-    """Kc (.) fb and Vc (.) fd: a chunk's key and value rows as they enter its outgoing state."""
-    KB = Kc * fb
-    VD = Vc * fd
+def _kv(Kc, Vc, fb, fd, meter: Meter, out=(None, None)):
+    """Kc (.) fb and Vc (.) fd: key and value rows as they enter their chunk's outgoing state.
+
+    Given out, a pair of arrays shaped like Kc and Vc, the rows are formed in them.
+    """
+    KB = np.multiply(Kc, fb, out=out[0])
+    VD = np.multiply(Vc, fd, out=out[1])
     meter.add_flops(KB.size + VD.size)
     return KB, VD
 
 
-def _carry(dec, X, T, meter: Meter) -> np.ndarray:
-    """(gamma_b^T gamma_d) (.) X + T: the gated carry of a state or of its cotangent; X None is T."""
-    if X is None:
-        return T
-    Gm = outer_gate(dec.log_gamma_b, dec.log_gamma_d)
-    meter.add_flops(2 * Gm.size + 2 * T.size)  # Gm's add + exp, gate X, add T
-    return Gm * X + T
+def _gate(lgb, lgd, meter: Meter) -> np.ndarray:
+    """gamma_b^T gamma_d from the log gammas: the gate matrix of a carry, one per chunk."""
+    Gm = outer_gate(lgb, lgd)
+    meter.add_flops(2 * Gm.size)  # an add and an exp per entry
+    return Gm
+
+
+def _carry(Gm, X, T, meter: Meter) -> np.ndarray:
+    """Gm (.) X + T, in place over T: the gated carry of a state or of its cotangent."""
+    T += Gm * X
+    meter.add_flops(2 * T.size)  # gate X, add T
+    return T
 
 
 def _state_update(dec, Kt, Vt, S, meter: Meter) -> np.ndarray:
-    """S_new = (gamma_b^T gamma_d) (.) S + (Kt (.) gamma_b)^T (Vt (.) gamma_d); S None is chunk 0."""
-    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)
-    return _carry(dec, S, mm(KB.swapaxes(-1, -2), VD, meter), meter)
+    """S_new = (gamma_b^T gamma_d) (.) S + (Kt (.) gamma_b)^T (Vt (.) gamma_d) for one chunk.
+
+    S None is the sequence's first chunk.  Kt and Vt are scaled in place.
+    The backward's sweep F takes it chunk by chunk; the forward takes the
+    same steps once per group.
+    """
+    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))
+    T = mm(KB.swapaxes(-1, -2), VD, meter)
+    if S is None:
+        return T
+    return _carry(_gate(dec.log_gamma_b, dec.log_gamma_d, meter), S, T, meter)
+
+
+# A group's chunks share one call of each step, so a few groups amortize
+# the Python-level cost of the steps better than many chunks do, while the
+# group's temporaries (its daggers, transforms and inter term, about three
+# times its rows of K and V) grow with it.  A group's rows of K and V take
+# at most an eighth of the whole sequence's K and V, clamped to
+# [_GROUP_MIN_BYTES, _GROUP_MAX_BYTES].  Forward time against G, relative
+# to a forward that calls each step once per chunk, on a 2-vCPU x86 VM with
+# 2 BLAS threads (recompute, median of interleaved rounds of fastest-of-10):
+#   L=4096, dk=dv=64, C=64:  G=1 1.07, 2 0.87, 3 0.82, 4 0.79, 6 0.76, 8 0.87
+#   L=4096, dk=dv=8,  C=64:  G=1 1.18, 2 0.72, 4 0.50, 8 0.38, 16 0.37
+#   L=16,   dk=dv=8,  C=8:   G=1 1.36, 2 (the whole sequence) 0.87
+# A group of one costs more than a chunk of that forward, so the floor makes
+# a short sequence one group; the ceiling keeps the long wide sequence at
+# four chunks, before larger groups slow it again; the eighth keeps the
+# forward's peak under 2.5 O-sized arrays at L=1024, dk=dv=16, C=64 (two
+# chunks per group).
+_GROUP_MIN_BYTES = 32 * 1024
+_GROUP_MAX_BYTES = 256 * 1024
+
+
+def _group_size(L: int, dk: int, dv: int, c: int) -> int:
+    """Chunks of c rows per group in a forward over L rows, from per-instance bytes."""
+    budget = max(_GROUP_MIN_BYTES, min(_GROUP_MAX_BYTES, L * (dk + dv)))
+    return max(1, budget // (8 * c * (dk + dv)))
+
+
+def _groups(plan: ChunkPlan, G: int):
+    """(k0, k1, s, c) per group: chunks [k0, k1) of c rows each, from row s.
+
+    Up to G consecutive chunks of the plan's length make a group; a ragged
+    last chunk is a group of one.
+    """
+    C = plan.boundaries[0][1]  # the plan's chunk length, L if C > L
+    full = plan.L // C
+    for k0 in range(0, full, G):
+        yield k0, min(k0 + G, full), k0 * C, C
+    if full < plan.num_chunks:
+        yield full, full + 1, full * C, plan.L - full * C
 
 
 def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
-    """The chunkwise forward on raw arrays, leading axes a batch.
+    """The chunkwise forward on raw arrays, leading axes a batch, one group of chunks at a time.
 
-    Returns (O, chunk states or None, flops).  Every step is elementwise or
-    a product within one batch element, so each element gets the bits of
-    its own unbatched run; nothing is validated.
+    Returns (O, chunk states or None, flops); nothing is validated.  Each
+    batch element, and each chunk of a group, gets the bits of its own
+    unbatched per-chunk run.  The states live in one array St: under
+    materialize slot k is the state leaving chunk k, and the record is its
+    read-only slots; under recompute it holds one group, slot 0 being the
+    state entering the group and slot j the one leaving its chunk j - 1.
     """
     meter = Meter()
-    O = np.empty((*Q.shape[:-1], V.shape[-1]))
-    S = None
-    states = [] if materialize else None
-    for s, e in plan.boundaries:
-        rows = (..., slice(s, e), slice(None))
-        dec = _decays(la[rows], lb[rows], meter)
-        Qt, Kt, Vt = _chunk(Q[rows], K[rows], V[rows], dec, meter)
-        _output(_intra(Qt, Kt, Vt, meter, np.empty_like(Vt)), Qt, S, dec, O[rows], meter)
-        S = _state_update(dec, Kt, Vt, S, meter)
-        if states is not None:
-            states.append(readonly(S))  # never written again: the next chunk rebinds S
-    return O, states, meter.flops
+    *batch, L, dk = Q.shape
+    dv = V.shape[-1]
+    G = _group_size(L, dk, dv, plan.boundaries[0][1])
+    O = np.empty((*batch, L, dv))
+    St = np.empty((*batch, plan.num_chunks if materialize else min(G, plan.num_chunks) + 1,
+                   dk, dv))
+    for k0, k1, s, c in _groups(plan, G):
+        g = k1 - k0
+        f = 1 if k0 == 0 else 0  # the sequence's first chunk has no state entering it
+        a = k0 if materialize else 1  # the St slot of the state leaving chunk k0
+
+        def view(X):  # the group's rows of X, its chunks on axis -3
+            return X[..., s:s + g * c, :].reshape(*batch, g, c, X.shape[-1])
+
+        dec = _decays(view(la), view(lb), meter)
+        Qt, Kt, Vt = _chunk(view(Q), view(K), view(V), dec, meter)
+        acc = _intra(Qt, Kt, Vt, meter, view(O))
+        # T_k = (Kt (.) gamma_b)^T (Vt (.) gamma_d) over Kt and Vt, in the
+        # slot of the state that chunk k leaves
+        KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))
+        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])
+        del Kt, Vt, KB, VD  # freed before the inter term's temporaries
+        if g > f:
+            Gm = _gate(dec.log_gamma_b[..., f:, :], dec.log_gamma_d[..., f:, :], meter)
+            for j in range(f, g):  # S_k = Gm_k (.) S_{k-1} + T_k, over T_k
+                _carry(Gm[..., j - f, :, :], St[..., a + j - 1, :, :], Sout[..., j, :, :], meter)
+            _inter(acc[..., f:, :, :], Qt[..., f:, :, :], St[..., a + f - 1:a + g - 1, :, :], meter)
+        _output(acc, dec, acc, meter)
+        if not materialize:
+            St[..., 0, :, :] = St[..., g, :, :]
+    if not materialize:
+        return O, None, meter.flops
+    readonly(St)  # the record: never written again
+    return O, [St[..., k, :, :] for k in range(plan.num_chunks)], meter.flops
 
 
 @np.errstate(all="ignore")
@@ -393,15 +499,16 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     the log gammas in a small N x (dk + dv) array.  It writes the chunk's
     K/V path through dS into dK and dV, from rows that ``_kv`` forms from K
     and V and each row's decay to the chunk's end, gamma / Bdag (it holds no
-    Kt or Vt), and it carries dS back, which is ``_carry`` as in the state
-    update.  (F) A forward-order sweep then runs the state recurrence once
-    and does everything that needs S_{i-1} or only the chunk itself, with
-    the parked factors read as views.  It calls the forward's steps:
-    ``_chunk`` for the transforms, ``_intra`` inside the panels of
-    ``_intra_backward`` for the intra-chunk cotangents, ``_kv`` and
-    ``_carry`` for the state update, and ``_output`` for the chunk's output
-    rows O (bit for bit the forward's, re-formed from the score blocks
-    rather than by replaying the forward).  It also adds the inter-chunk dq
+    Kt or Vt), and it carries dS back, which is ``_gate`` and ``_carry`` as
+    in the state update.  (F) A forward-order sweep then runs the state
+    recurrence once and does everything that needs S_{i-1} or only the
+    chunk itself, with the parked factors read as views.  It calls the
+    forward's steps: ``_chunk`` for the transforms, ``_intra`` inside the
+    panels of ``_intra_backward`` for the intra-chunk cotangents, ``_kv``,
+    ``_gate`` and ``_carry`` for the state update, and ``_inter`` and
+    ``_output`` for the chunk's output rows O (bit for bit the forward's,
+    re-formed from the score blocks rather than by replaying the
+    forward).  It also adds the inter-chunk dq
     term and scales dq, dk and dv back; dk and dv are added onto sweep R's
     rows, or assigned on the last chunk, which sweep R gives none.  The
     state update reads gamma, the daggers' last rows, so it runs before dq
@@ -451,10 +558,12 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             Qt = Q[s:e] * dec.b_dagger
             dOt = dOa[s:e] * dec.d_dagger
             meter.add_flops(c * dk + c * dv)
-            dS = _carry(dec, dS, mm(Qt.T, dOt, meter), meter)
+            T = mm(Qt.T, dOt, meter)
+            dS = T if dS is None else _carry(
+                _gate(dec.log_gamma_b, dec.log_gamma_d, meter), dS, T, meter)
     # drop sweep R's chunk temporaries (rebound, not deleted: a one-chunk
     # plan never binds fb, fd, KB, VD, Qt or dOt)
-    dec = fb = fd = KB = VD = Qt = dOt = dS = None
+    dec = fb = fd = KB = VD = Qt = dOt = T = dS = None
 
     # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
     # only the chunk itself, in forward order, on the factors sweep R parked.
@@ -480,7 +589,9 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         # the state update reads gamma, the daggers' last rows, so it runs
         # before O and dq are written over the daggers
         S_new = _state_update(dec, Kt, Vt, S, meter)
-        _output(Oc, Qt, S, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
+        if i > 0:
+            _inter(Oc, Qt, S, meter)
+        _output(Oc, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
         np.multiply(dqt, b_dag, out=dQ[s:e])
         meter.add_flops(2 * c * dk + c * dv)
         S = S_new
@@ -555,9 +666,10 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         # the chunk step, in the forward and in the backward's sweep F:
         # _chunk's decays (prefix sums and dagger; in the backward, sweep R
         # forms them and sweep F reads them) and Qt, Kt, Vt; _intra's
-        # row blocks (scores, then scores x values); _output's inter term, its
-        # add and the Ddag scale; _state_update's Kt (.) gamma_b and
-        # Vt (.) gamma_d, their product and, after the first chunk, the carry
+        # row blocks (scores, then scores x values); after the first chunk,
+        # _inter's product and add; _output's Ddag scale; _kv's Kt (.) gamma_b
+        # and Vt (.) gamma_d, their product and, after the first chunk, the
+        # gate matrix and the carry
         flops += (2 * c - 1) * d + 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
         flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
         flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)

@@ -90,7 +90,7 @@ class ChunkPlan:
 
 
 class ChunkDecays(NamedTuple):
-    """Decay factors for one chunk [s, e), all in [0, 1].
+    """Decay factors for one chunk [s, e), or for a group of equal-length chunks, all in [0, 1].
 
     With lc the running sum of the chunk's own log_alpha rows:
     b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j,
@@ -102,7 +102,9 @@ class ChunkDecays(NamedTuple):
     contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
     no array of those ratios is kept.  d_* mirror these with log_beta.
     Leading axes are a batch: the daggers are (..., c, d), the log gammas
-    (..., d) and the gammas (..., 1, d) views.
+    (..., d) and the gammas (..., 1, d) views.  A group of chunks is one
+    more batch axis: the chunkwise forward views a group's rows as
+    (..., G, c, d), and each chunk's factors are its own.
     """
 
     b_dagger: np.ndarray

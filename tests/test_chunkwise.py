@@ -327,6 +327,72 @@ def test_batched_raw_forward_matches_each_elements_own_run(kind, L, dk, dv, B, s
                 assert [S[b].tobytes() for S in states] == [S.tobytes() for S in want_states]
 
 
+def _forward_in_groups_of(G, arrays, plan, materialize):
+    """_forward_raw with G chunks per group (None: the module's own rule)."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if G is not None:  # a budget of exactly G chunks of the plan's length
+            dk, dv = arrays[0].shape[-1], arrays[2].shape[-1]
+            budget = G * 8 * plan.boundaries[0][1] * (dk + dv)
+            mp.setattr(chunkwise, "_GROUP_MIN_BYTES", budget)
+            mp.setattr(chunkwise, "_GROUP_MAX_BYTES", budget)
+        return chunkwise._forward_raw(*arrays, plan, materialize)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       L=st.integers(1, 40), dk=st.integers(1, 4), dv=st.integers(1, 4), B=st.integers(0, 3),
+       shape=st.sampled_from(["1", "ragged", "whole"]), r=st.integers(0, 99),
+       floor=st.sampled_from([0.5, 0.05, 1e-3, 1e-12, 1e-300]),
+       G=st.sampled_from([None, 2, 3]), seed=st.integers(0, 2**32))
+@example(kind="general", L=37, dk=3, dv=2, B=0, shape="ragged", r=5, floor=0.5, G=None, seed=1)
+@example(kind="general", L=37, dk=3, dv=2, B=2, shape="ragged", r=5, floor=0.5, G=3, seed=2)
+@example(kind="general", L=1, dk=1, dv=1, B=0, shape="1", r=0, floor=0.5, G=None, seed=3)
+@example(kind="retnet", L=9, dk=2, dv=3, B=0, shape="whole", r=3, floor=0.5, G=None, seed=4)
+@example(kind="general", L=20, dk=1, dv=1, B=3, shape="1", r=0, floor=1e-300, G=2, seed=5)
+def test_grouped_forward_matches_per_chunk_forward(kind, L, dk, dv, B, shape, r, floor, G,
+                                                   seed):
+    # a group runs each step once over its chunks' rows, and only the carry
+    # loops over its chunks; one chunk per group is the per-chunk forward.
+    # Both must give the same bytes (O and each chunk state, non-finite
+    # values included) and the same flops, B x predict_cost (B = 0: one
+    # unbatched instance)
+    insts = [make_instance(ModelKind(kind), L, dk, dv, seed=seed + b, gate_floor=floor)
+             for b in range(max(B, 1))]
+    arrays = insts[0].arrays if B == 0 else [np.stack(a) for a in zip(*(i.arrays for i in insts))]
+    plan = ChunkPlan(L, _chunk_size(L, shape, r))
+    for pol in (MAT, REC):
+        O, states, flops = _forward_in_groups_of(G, arrays, plan, pol.materialize)
+        want_O, want_states, want_flops = _forward_in_groups_of(1, arrays, plan, pol.materialize)
+        assert flops == want_flops == max(B, 1) * predict_cost(L, dk, dv, plan, pol).flops
+        assert O.tobytes() == want_O.tobytes()
+        if pol is REC:
+            assert states is want_states is None
+        else:
+            assert [S.tobytes() for S in states] == [S.tobytes() for S in want_states]
+
+
+def test_group_size_rule():
+    # chunks per group from per-instance bytes: four at the anchor shape,
+    # at most two where the forward's peak test sits (L=1024, d=16, C=64),
+    # and the whole sequence at the small shapes the checks run at
+    def groups(L, dk, dv, C):
+        plan = ChunkPlan(L, C)
+        return list(chunkwise._groups(plan, chunkwise._group_size(L, dk, dv, min(C, L))))
+
+    assert chunkwise._group_size(4096, 64, 64, 64) == 4
+    assert groups(4096, 64, 64, 64)[:2] == [(0, 4, 0, 64), (4, 8, 256, 64)]
+    assert chunkwise._group_size(1024, 16, 16, 64) <= 2
+    assert chunkwise._group_size(64, 128, 128, 4) == 4  # the mid-group non-finite case
+    # the oracle and anchor benchmark shapes' verify runs, and a ragged plan,
+    # whose equal-length chunks make one group
+    for L, d, C in ((16, 8, 8), (16, 4, 4), (16, 8, 5)):
+        whole = [(0, L // C, 0, C)] + ([(L // C, L // C + 1, L // C * C, L % C)] if L % C else [])
+        assert groups(L, d, d, C) == whole
+    # a ragged last chunk is a group of one; so is a chunk longer than L
+    assert groups(11, 3, 2, 4) == [(0, 2, 0, 4), (2, 3, 8, 3)]
+    assert groups(5, 3, 2, 9) == [(0, 1, 0, 5)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(1, 70), C=st.integers(1, 40), dk=st.integers(1, 4),
        dv=st.integers(1, 4), seed=st.integers(0, 2**32),
@@ -420,9 +486,9 @@ def test_passes_hold_no_decay_table(pol):
 @pytest.mark.parametrize("L, C", [(1, 1), (8, 8), (11, 4), (5, 9)],
                          ids=["L=1", "one_chunk", "ragged", "C>L"])
 def test_backward_forms_each_chunks_factors_once(monkeypatch, pol, L, C):
-    # the forward forms each chunk's factors once, in order; the backward's
-    # sweep R forms every chunk's factors, last chunk first, and parks them
-    # for sweep F, which forms none
+    # the forward forms each group's factors once, in order, and the groups
+    # tile the plan's chunks; the backward's sweep R forms every chunk's
+    # factors, last chunk first, and parks them for sweep F, which forms none
     inst = make_instance(ModelKind("general"), L, 3, 2, seed=30)
     plan = ChunkPlan(L, C)
     la = inst.gates.log_alpha
@@ -433,12 +499,15 @@ def test_backward_forms_each_chunks_factors_once(monkeypatch, pol, L, C):
         assert np.shares_memory(la_rows, la)
         offset = la_rows.__array_interface__["data"][0] - la.__array_interface__["data"][0]
         s = offset // la.strides[0]
-        formed.append((s, s + la_rows.shape[0]))
+        formed.append((s, s + la_rows.size // la_rows.shape[-1]))
         return chunk_factors(la_rows, lb_rows, *args)
 
     monkeypatch.setattr(chunkwise, "chunk_factors", counted)
     forward_chunkwise(inst, plan, pol)
-    assert formed == list(plan.boundaries)
+    starts, ends = [s for s, _ in plan.boundaries], [e for _, e in plan.boundaries]
+    assert [s for s, _ in formed] == [0] + [e for _, e in formed[:-1]]
+    assert {s for s, _ in formed} <= set(starts) and {e for _, e in formed} <= set(ends)
+    assert formed[-1][1] == L
     formed.clear()
     backward_chunkwise(inst, rand_dO(L, 2), plan, pol)
     assert formed == list(reversed(plan.boundaries))
@@ -553,6 +622,7 @@ def test_state_rows_scaled_before_their_product_at_large_chunk_decay(log_decay):
 @pytest.mark.parametrize("L, C, dk, seed, floor, chunk", [
     (200, 64, 3, 104, 1e-12, 0),  # the strict xfail's instance
     (24, 2, 2, 4, 1e-300, 1),     # chunk 0 stays finite
+    (64, 4, 128, 1, 1e-82, 6),    # the third chunk of the second group of four
 ])
 def test_non_finite_output_names_its_chunk(L, C, dk, seed, floor, chunk):
     inst = make_instance(ModelKind("general"), L, dk, dk, seed=seed, gate_floor=floor)

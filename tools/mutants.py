@@ -136,23 +136,38 @@ MUTANTS = (
            "            W[..., j0 - p0:n - p0, :n] = Wb\n", "            pass\n",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("output_drops_inter_term", "chunkwise.py",
-           "        acc += mm(Qt, S, meter)\n", "        mm(Qt, S, meter)\n",
+           "    acc += mm(Qt, S, meter)\n", "    mm(Qt, S, meter)\n",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     Mutant("carry_gates_T_not_X", "chunkwise.py",
-           "return Gm * X + T", "return X + Gm * T",
+           "    T += Gm * X\n", "    T[...] = Gm * T + X\n",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
-    # The state rows: each side scaled by its own gamma before the product.
+    # The forward's state rows: each side scaled by its own gamma before
+    # the product, over a whole group of chunks.
     Mutant("kv_scales_Kt_by_value_gamma", "chunkwise.py",
-           "_kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)",
-           "_kv(Kt, Vt, dec.gamma_d, dec.gamma_d, meter)",
+           "        KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))",
+           "        KB, VD = _kv(Kt, Vt, dec.gamma_d, dec.gamma_d, meter, (Kt, Vt))",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     Mutant("state_update_folds_gamma_into_Kt_Vt", "chunkwise.py",
-           "    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter)\n"
-           "    return _carry(dec, S, mm(KB.swapaxes(-1, -2), VD, meter), meter)\n",
-           "    T = mm(Kt.swapaxes(-1, -2), Vt, meter)\n"
-           "    return outer_gate(dec.log_gamma_b, dec.log_gamma_d) * (T if S is None else S + T)\n",
+           "        KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))\n"
+           "        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n",
+           "        KB, VD = Kt, Vt\n"
+           "        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n"
+           "        Sout *= outer_gate(dec.log_gamma_b, dec.log_gamma_d)\n",
            "tests/test_chunkwise.py::"
            "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
+    # A group's carry: only it loops over the group's chunks, and it gates
+    # the state carried into the group like any other.
+    Mutant("group_carry_skips_first_gate", "chunkwise.py",
+           "_carry(Gm[..., j - f, :, :], St",
+           "_carry(Gm[..., j - f, :, :] if j else 1.0, St",
+           "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
+    Mutant("group_inter_reads_outgoing_state", "chunkwise.py",
+           "St[..., a + f - 1:a + g - 1, :, :], meter)",
+           "St[..., a + f:a + g, :, :], meter)",
+           "tests/test_chunkwise.py::test_all_chunk_sizes_match_recurrent"),
+    Mutant("recompute_loses_group_carry", "chunkwise.py",
+           "            St[..., 0, :, :] = St[..., g, :, :]\n", "            pass\n",
+           "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
     Mutant("sweep_r_factor_without_dagger", "chunkwise.py",
            "fb = dec.gamma_b / dec.b_dagger", "fb = dec.gamma_b",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
@@ -163,8 +178,12 @@ MUTANTS = (
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("o_written_before_state_update", "chunkwise.py",
            "        S_new = _state_update(dec, Kt, Vt, S, meter)\n"
-           "        _output(Oc, Qt, S, dec, dlb[s:e], meter)",
-           "        _output(Oc, Qt, S, dec, dlb[s:e], meter)\n"
+           "        if i > 0:\n"
+           "            _inter(Oc, Qt, S, meter)\n"
+           "        _output(Oc, dec, dlb[s:e], meter)",
+           "        if i > 0:\n"
+           "            _inter(Oc, Qt, S, meter)\n"
+           "        _output(Oc, dec, dlb[s:e], meter)\n"
            "        S_new = _state_update(dec, Kt, Vt, S, meter)",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The gate-gradient step after sweep R, and its cost.
@@ -183,7 +202,7 @@ MUTANTS = (
            "N - 1 if backward else 0", "N if backward else 0",
            "tests/test_chunkwise.py::test_policy_gradients_identical_and_counters"),
     Mutant("forward_records_no_states", "chunkwise.py",
-           "            states.append(readonly(S))", "            pass",
+           "[St[..., k, :, :] for k in range(plan.num_chunks)]", "[]",
            "tests/test_chunkwise.py::test_state_write_counts"),
     # The public forms own their floating-point state; the checks keep none.
     Mutant("forward_chunkwise_without_errstate", "chunkwise.py",
