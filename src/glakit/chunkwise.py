@@ -101,30 +101,16 @@ element gets the bits of its own unbatched per-chunk run.
 ``forward_chunkwise`` is that kernel on one instance's arrays; the
 causality check runs it once per group of perturbed trials.  The backward
 calls the same steps unbatched and one chunk at a time, in two sweeps, as
-in the GLA paper: state cotangents in reverse order, then chunk states in
-forward order.
-Sweep R is the only place the backward forms decay factors.  It parks each
-chunk's daggers in that chunk's rows of dQ and of the dlog_beta buffer,
-which nothing has written yet, and its log gammas in one small array of
-N rows of dk + dv.  Holding no transforms, it calls ``_kv`` on K and V
-with the factors ``gamma_b / Bdag`` and ``gamma_d / Ddag`` (one divide
-each, no exp), ``_gate`` and ``_carry``.  Sweep F calls every step,
-``_chunk`` on the parked factors and ``_intra`` once per panel; its state
-update (``_state_update``: ``_kv``, ``mm``, ``_gate`` and ``_carry``) reads
-gamma, the daggers' last rows, so it runs before dq and O are written over
-the daggers.  Once dQ, dK and dV are final, one step after the sweeps
-assembles the gate gradients, as in the GLA paper's memory-efficient
-dalpha and dbeta: two identities and one reverse cumulative sum over each
-whole array, with no state gradient.  The backward never replays the
-forward: the output O that the value-gate identity needs is re-formed
-chunk by chunk from the score blocks the backward builds anyway, bit for
-bit the forward's.  The two policies of the GLA paper's chunkwise training
-(its section 4) decide only whether the forward returns its chunk states
-(``materialize``) or not (``recompute``), and which state traffic a
-CostReport books; ``ChunkPolicy.report`` states that traffic once, for both
-passes and for ``predict_cost``.  The backward keeps no record and runs the
-state recurrence once under either policy, so both count the same flops
-and give identical numbers.  The meter counts flops only: every executed
+in the GLA paper, and then assembles the gate gradients:
+``backward_chunkwise`` states the sweeps, where they park each chunk's
+factors and O's rows, and the gate step.  The two policies of the GLA
+paper's chunkwise training (its section 4) decide only whether the
+forward returns its chunk states (``materialize``) or not
+(``recompute``), and which state traffic a CostReport books;
+``ChunkPolicy.report`` states that traffic once, for both passes and for
+``predict_cost``.  The backward keeps no record and runs the state
+recurrence once under either policy, so both count the same flops and
+give identical numbers.  The meter counts flops only: every executed
 array op is metered with the exact flop convention from ``cost``, products
 inside ``mm``, the rest at their call sites, so a batch of B counts
 B x ``predict_cost`` (``mm`` states how).  ``predict_cost`` mirrors the
@@ -495,12 +481,13 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     factors are formed once, by the sweep that runs first.  (R) A reverse
     sweep does what needs the state cotangent dS, which reads only Q, K, V,
     dO and the gates.  At each chunk it forms the chunk's factors, parking
-    the daggers in the chunk's rows of dQ and of the dlog_beta buffer and
-    the log gammas in a small N x (dk + dv) array.  It writes the chunk's
-    K/V path through dS into dK and dV, from rows that ``_kv`` forms from K
-    and V and each row's decay to the chunk's end, gamma / Bdag (it holds no
-    Kt or Vt), and it carries dS back, which is ``_gate`` and ``_carry`` as
-    in the state update.  (F) A forward-order sweep then runs the state
+    the daggers in the chunk's rows of dQ and of the dlog_beta buffer,
+    which nothing has written yet, and the log gammas in a small
+    N x (dk + dv) array.  It writes the chunk's K/V path through dS into dK
+    and dV, from rows that ``_kv`` forms from K and V and each row's decay
+    to the chunk's end, gamma / Bdag (one divide per side, no exp; it holds
+    no Kt or Vt), and it carries dS back, which is ``_gate`` and ``_carry``
+    as in the state update.  (F) A forward-order sweep then runs the state
     recurrence once and does everything that needs S_{i-1} or only the
     chunk itself, with the parked factors read as views.  It calls the
     forward's steps: ``_chunk`` for the transforms, ``_intra`` inside the
@@ -516,12 +503,13 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     the gate step.  No record of the states is kept under either policy,
     and neither sweep reads ``policy``: it picks only the state traffic of
     the returned CostReport, which ``ChunkPolicy.report`` states.  After
-    both sweeps, with dQ, dK and dV final, the gate gradients are the
-    identities dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv
-    (query term positive; the finite-difference oracle pins the sign),
-    formed a chunk of rows at a time in the rows they end up in, and then
-    one suffix sum over each whole array, in place.  dlog_alpha is
-    allocated only then.
+    both sweeps, with dQ, dK and dV final, the gate gradients come as in
+    the GLA paper's memory-efficient dalpha and dbeta, with no state
+    gradient: the identities dlogb = q (.) dq - k (.) dk and
+    dlogd = o (.) do - v (.) dv (query term positive; the finite-difference
+    oracle pins the sign), formed a chunk of rows at a time in the rows
+    they end up in, and then one suffix sum over each whole array, in
+    place.  dlog_alpha is allocated only then.
     """
     dOa = inst.cotangent(dO)
     plan.check(inst.L)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import _as_f64, _check_finite, readonly
+from .tensor import readonly, record_array
 
 __all__ = [
     "GateSeq",
@@ -34,29 +34,24 @@ __all__ = [
 class GateSeq:
     """Per-position log-gates: log_alpha is L x dk, log_beta is L x dv.
 
-    Entries must be finite and <= 0; 0.0 encodes a gate of exactly 1.
+    Each side is checked by ``record_array``, the array rules every record
+    shares, and then by GateSeq's own two: no entry is above 0 (0.0 encodes
+    a gate of exactly 1), and the sides agree on L.
     """
 
     log_alpha: np.ndarray
     log_beta: np.ndarray
 
     def __post_init__(self):
-        la = _as_f64(self.log_alpha)
-        lb = _as_f64(self.log_beta)
-        if la.ndim != 2 or lb.ndim != 2:
-            raise ValueError(f"log-gates must be 2-D, got shapes {la.shape} and {lb.shape}")
-        if la.shape[0] != lb.shape[0]:
-            raise ValueError(
-                f"log-gate shapes disagree on L: {la.shape} vs {lb.shape}"
-            )
-        if la.shape[0] < 1 or la.shape[1] < 1 or lb.shape[1] < 1:
-            raise ValueError("empty gate sequence")
-        _check_finite(la)
-        _check_finite(lb)
-        if la.max() > 0.0 or lb.max() > 0.0:
-            raise ValueError("log-gates must be <= 0 (gates in (0, 1])")
-        object.__setattr__(self, "log_alpha", readonly(la))
-        object.__setattr__(self, "log_beta", readonly(lb))
+        for side in ("log_alpha", "log_beta"):
+            a, hi = record_array(getattr(self, side), side)
+            if hi > 0.0:
+                raise ValueError(f"{side} must be <= 0 (gates in (0, 1]), got a max of {hi} "
+                                 f"in shape {a.shape}")
+            object.__setattr__(self, side, a)
+        if self.log_alpha.shape[0] != self.log_beta.shape[0]:
+            raise ValueError(f"log-gate shapes disagree on L: {self.log_alpha.shape} "
+                             f"vs {self.log_beta.shape}")
 
 
 @dataclass(frozen=True, slots=True)

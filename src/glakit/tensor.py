@@ -22,29 +22,31 @@ import numpy as np
 __all__ = ["SeqTensor", "mm", "readonly", "suffix_sum_arr"]
 
 
-def _as_f64(data) -> np.ndarray:
-    """data as a C-contiguous fp64 array that owns its data.
-
-    An input that does not own its data is copied, so a caller's writable
-    base cannot change the record it goes into.
-    """
-    a = np.asarray(data, dtype=np.float64)
-    return np.ascontiguousarray(a) if a.flags.owndata else a.copy()
-
-
-def _check_finite(a: np.ndarray) -> None:
-    """Reject NaN and +-inf in a non-empty array, with no full-size temporary.
-
-    NaN carries through min and max, and an infinity is one of them.
-    """
-    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
-        raise ValueError("non-finite value (NaN/Inf) in tensor data")
-
-
 def readonly(a: np.ndarray) -> np.ndarray:
     """Clear a's write flag and return it; records carry only read-only arrays."""
     a.setflags(write=False)
     return a
+
+
+def record_array(data, name: str) -> tuple[np.ndarray, float]:
+    """data as a record's array, and its max: the one statement of the array rules.
+
+    The array is C-contiguous fp64 and owns its data: an input that does
+    not is copied, so a caller's writable base cannot change the record it
+    goes into.  It must be 2-D and non-empty, and finite: NaN carries
+    through min and max and an infinity is one of them, so one min and one
+    max check it with no record-sized temporary.  It is then read-only.
+    The max is returned so that a caller's own bound (the log-gates' sign)
+    reads the array no third time.  ``name`` names the array in errors.
+    """
+    a = np.asarray(data, dtype=np.float64)
+    a = np.ascontiguousarray(a) if a.flags.owndata else a.copy()
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} needs a non-empty 2-D array, got shape {a.shape}")
+    lo, hi = a.min(), a.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"non-finite value (NaN/Inf) in {name} of shape {a.shape}")
+    return readonly(a), hi
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -58,11 +60,7 @@ class SeqTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        a = _as_f64(self.data)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"SeqTensor needs a non-empty 2-D array, got shape {a.shape}")
-        _check_finite(a)
-        object.__setattr__(self, "data", readonly(a))
+        object.__setattr__(self, "data", record_array(self.data, "SeqTensor")[0])
 
     @property
     def shape(self) -> tuple[int, int]:

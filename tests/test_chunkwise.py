@@ -286,6 +286,44 @@ def test_repeated_calls_are_byte_identical():
             assert a.tobytes() == b.tobytes(), (pol.mode, name)
 
 
+def _nan_filled(make):
+    """np.empty or np.empty_like, with every float array it returns filled with NaN."""
+    def filled(*args, **kwargs):
+        out = make(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+    return filled
+
+
+def test_passes_read_no_unwritten_memory(monkeypatch):
+    # np.empty often hands back zeroed memory, so a pass that reads rows it
+    # never wrote (adds onto them, say) can still give the right bytes.
+    # Filled with NaN, such a read shows: each pass must give the bytes,
+    # states and counters of a run on numpy's own np.empty.  The configs:
+    # L=1, C > L, a ragged last chunk, a forward of several chunk groups,
+    # and a backward of two-panel chunks.
+    configs = [(1, 3, 2, 1), (5, 3, 2, 9), (11, 3, 2, 4), (4096, 8, 8, 64),
+               (2 * PANEL + 30, 2, 1, PANEL + 9)]
+    assert chunkwise._group_size(4096, 8, 8, 64) < 4096 // 64
+    for L, dk, dv, C in configs:
+        inst = make_instance(ModelKind("general"), L, dk, dv, seed=L)
+        plan, dO = ChunkPlan(L, C), rand_dO(L, dv)
+        for pol in (MAT, REC):
+            runs = []
+            for nan in (False, True):
+                with monkeypatch.context() as m:
+                    if nan:
+                        m.setattr(np, "empty", _nan_filled(np.empty))
+                        m.setattr(np, "empty_like", _nan_filled(np.empty_like))
+                    O, states, fcost = forward_chunkwise(inst, plan, pol)
+                    grads, bcost = backward_chunkwise(inst, dO, plan, pol)
+                runs.append(([O.data.tobytes()] + [S.tobytes() for S in states or ()]
+                             + [getattr(grads, f).data.tobytes() for f in GRAD_FIELDS],
+                             fcost, bcost))
+            assert runs[0] == runs[1], (L, C, pol.mode)
+
+
 def _chunk_size(L, shape, r):
     """C of the given shape: one-row chunks, a ragged last chunk (L >= 3), or one chunk."""
     if shape == "ragged" and L >= 3:

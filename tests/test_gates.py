@@ -23,28 +23,31 @@ def random_gates(L, dk, dv, seed, floor=0.5):
 
 
 def test_rejects_positive_log_gates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^log_alpha must be <= 0 .* in shape \(1, 1\)$"):
         make_gates([[0.1]], [[0.0]])
-    with pytest.raises(ValueError, match="must be <= 0"):
+    with pytest.raises(ValueError, match=r"^log_beta must be <= 0 .* in shape \(1, 1\)$"):
         make_gates([[0.0]], [[0.1]])
 
 
 @pytest.mark.parametrize("la,lb,match", [
-    (np.zeros(3), np.zeros(3), r"must be 2-D, got shapes \(3,\) and \(3,\)"),
-    (np.zeros((2, 3, 1)), np.zeros((2, 3)), r"must be 2-D, got shapes \(2, 3, 1\) and \(2, 3\)"),
+    (np.zeros(3), np.zeros(3), r"^log_alpha needs a non-empty 2-D array, got shape \(3,\)$"),
+    (np.zeros((2, 3, 1)), np.zeros((2, 3)),
+     r"^log_alpha needs a non-empty 2-D array, got shape \(2, 3, 1\)$"),
     (np.zeros((3, 2)), np.zeros((4, 2)), r"disagree on L: \(3, 2\) vs \(4, 2\)"),
+    (np.zeros((3, 2)), np.zeros(3), r"^log_beta needs a non-empty 2-D array, got shape \(3,\)$"),
 ])
 def test_gate_shape_errors_name_the_fault(la, lb, match):
     with pytest.raises(ValueError, match=match):
         GateSeq(la, lb)
 
 
-@pytest.mark.parametrize("la,lb", [
-    (np.zeros((0, 2)), np.zeros((0, 3))),
-    (np.zeros((3, 0)), np.zeros((3, 2))),
-], ids=["no-rows", "no-key-columns"])
-def test_empty_gate_sequence_rejected(la, lb):
-    with pytest.raises(ValueError, match="empty gate sequence"):
+@pytest.mark.parametrize("la,lb,match", [
+    (np.zeros((0, 2)), np.zeros((0, 3)), r"^log_alpha needs a non-empty 2-D array, got shape \(0, 2\)$"),
+    (np.zeros((3, 0)), np.zeros((3, 2)), r"^log_alpha needs a non-empty 2-D array, got shape \(3, 0\)$"),
+    (np.zeros((3, 2)), np.zeros((3, 0)), r"^log_beta needs a non-empty 2-D array, got shape \(3, 0\)$"),
+], ids=["no-rows", "no-key-columns", "no-value-columns"])
+def test_empty_gate_sequence_rejected(la, lb, match):
+    with pytest.raises(ValueError, match=match):
         GateSeq(la, lb)
 
 

@@ -136,8 +136,8 @@ def test_constructors_reject_nonfinite():
         with pytest.raises(ValueError):
             SeqTensor([[1.0, bad]])
         # a NaN log-gate fails no sign comparison, so finiteness is checked first
-        for la, lb in (([[-1.0, bad]], [[0.0]]), ([[0.0]], [[bad]])):
-            with pytest.raises(ValueError, match="non-finite"):
+        for la, lb, side in (([[-1.0, bad]], [[0.0]], "log_alpha"), ([[0.0]], [[bad]], "log_beta")):
+            with pytest.raises(ValueError, match=f"non-finite value .* in {side} of shape"):
                 GateSeq(la, lb)
 
 

@@ -64,7 +64,7 @@ MUTANTS = (
            "for b in range(len(Q)):", "for b in range(min(len(Q), 1)):",
            "tests/test_fixtures_checks.py::test_check_causality_draws_one_cut_per_trial"),
     Mutant("gates_accept_positive_log_beta", "gates.py",
-           "if la.max() > 0.0 or lb.max() > 0.0:", "if la.max() > 0.0:",
+           "if hi > 0.0:", 'if hi > 0.0 and side == "log_alpha":',
            "tests/test_gates.py::test_rejects_positive_log_gates"),
     Mutant("causality_ignores_recurrent_leak", "checks.py",
            "exact_ok = False", "pass",
@@ -80,7 +80,7 @@ MUTANTS = (
            "passed = exact_ok and worst_rel <= tol", "passed = exact_ok",
            "tests/test_fixtures_checks.py::test_check_causality_reports_underflowing_chunk_as_fail"),
     Mutant("records_accept_non_finite", "tensor.py",
-           "if not (math.isfinite(a.min()) and math.isfinite(a.max())):", "if False:",
+           "if not (math.isfinite(lo) and math.isfinite(hi)):", "if False:",
            "tests/test_tensor.py::test_constructors_reject_nonfinite"),
     Mutant("fixtures_accept_retnet_gamma_1", "fixtures.py",
            "not (0.0 < self.gamma < 1.0)", "not (0.0 < self.gamma <= 1.0)",
@@ -108,8 +108,8 @@ MUTANTS = (
     Mutant("chunk_plan_accepts_bad_L_or_C", "gates.py",
            "if self.L < 1 or self.C < 1:", "if False:",
            "tests/test_gates.py::test_chunk_plan_needs_positive_length_and_chunk"),
-    Mutant("gates_accept_empty_sequence", "gates.py",
-           "if la.shape[0] < 1 or la.shape[1] < 1 or lb.shape[1] < 1:", "if False:",
+    Mutant("gates_accept_empty_sequence", "tensor.py",
+           "if a.ndim != 2 or a.size == 0:", "if a.ndim != 2:",
            "tests/test_gates.py::test_empty_gate_sequence_rejected"),
     Mutant("run_config_accepts_chunk_0", "runconfig.py",
            " or self.chunk < 1:", ":",
@@ -175,7 +175,7 @@ MUTANTS = (
     Mutant("last_chunk_dk_added_not_assigned", "chunkwise.py",
            "            np.divide(dkt, b_dag, out=dK[s:e])\n",
            "            dK[s:e] += np.divide(dkt, b_dag, out=dkt)\n",
-           "tests/test_chunkwise.py::test_backward_matches_fd"),
+           "tests/test_chunkwise.py::test_passes_read_no_unwritten_memory"),
     Mutant("o_written_before_state_update", "chunkwise.py",
            "        S_new = _state_update(dec, Kt, Vt, S, meter)\n"
            "        if i > 0:\n"
