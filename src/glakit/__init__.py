@@ -12,8 +12,7 @@ from .chunkwise import (ChunkPolicy, CostReport, backward_chunkwise,
 from .checks import (CheckReport, check_causality, check_equivalence,
                      check_gradients, max_abs, rel_err)
 from .fixtures import ModelKind, SplitMix64, make_instance
-from .gates import (ChunkDecays, ChunkPlan, GateSeq, chunk_relative_decays,
-                    cumulative_log_decay)
+from .gates import ChunkPlan, GateSeq, chunk_relative_decays, cumulative_log_decay
 from .parallel import backward_parallel, forward_parallel, parallel_forward_cost
 from .recurrent import (ForwardTrace, GlaInstance, GradBundle,
                         backward_recurrent_exact, backward_recurrent_fd,
@@ -25,7 +24,7 @@ from .tensorfile import TensorFileError, read_tensor, write_tensor
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChunkDecays", "ChunkPlan", "ChunkPolicy", "CheckReport", "CostReport",
+    "ChunkPlan", "ChunkPolicy", "CheckReport", "CostReport",
     "ForwardTrace", "GateSeq",
     "GlaInstance", "GradBundle", "ModelKind", "RunConfig", "SeqTensor",
     "SplitMix64", "TensorFileError",

@@ -129,7 +129,7 @@ from functools import cache
 import numpy as np
 
 from .cost import CostReport, Meter, mm_flops
-from .gates import ChunkDecays, ChunkPlan, chunk_factors, outer_gate
+from .gates import ChunkPlan, chunk_factors, outer_gate
 from .gates import chunk_relative_decays, cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds them
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, readonly, suffix_sum_arr
@@ -221,16 +221,15 @@ class ChunkPolicy:
         return CostReport(flops, 0, 0, N if backward else 0)
 
 
-def _decays(la, lb, meter: Meter, out=None) -> ChunkDecays:
-    """A chunk's decay factors from its log-gate rows, formed when a pass reaches it, metered.
+def _decays(la, lb, meter: Meter, out=None):
+    """A chunk's chunk_factors from its log-gate rows, formed when a pass reaches it, metered.
 
     Given out, the daggers are formed in it.
     """
-    dec = chunk_factors(la, lb, out)
+    bd, dd, lgb, lgd = factors = chunk_factors(la, lb, out)
     # prefix sums (c-1)d and dagger exps cd per batch element; gamma is dagger's last row
-    meter.add_flops(2 * (dec.b_dagger.size + dec.d_dagger.size)
-                    - dec.log_gamma_b.size - dec.log_gamma_d.size)
-    return dec
+    meter.add_flops(2 * (bd.size + dd.size) - lgb.size - lgd.size)
+    return factors
 
 
 _LN_DBL_MAX = float(np.log(np.finfo(np.float64).max))  # 709.78
@@ -249,19 +248,19 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
     for i, (s, e) in enumerate(plan.boundaries):
         if all(np.isfinite(a[s:e]).all() for a in rows):
             continue
-        dec = chunk_factors(la[s:e], lb[s:e])
+        _, _, lgb, lgd = chunk_factors(la[s:e], lb[s:e])
         raise ValueError(
             f"non-finite values from chunk {i} (rows {s}..{e - 1}): its whole-chunk "
-            f"log-decay reaches {dec.log_gamma_b.min():.2f} on the key side and "
-            f"{dec.log_gamma_d.min():.2f} on the value side, against "
+            f"log-decay reaches {lgb.min():.2f} on the key side and "
+            f"{lgd.min():.2f} on the value side, against "
             f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
-def _chunk(Qc, Kc, Vc, dec, meter: Meter):
-    """A chunk's Qt = Q (.) Bdag, Kt = K / Bdag and Vt = V / Ddag, from its rows and factors."""
-    Qt = Qc * dec.b_dagger
-    Kt = Kc / dec.b_dagger
-    Vt = Vc / dec.d_dagger
+def _chunk(Qc, Kc, Vc, bd, dd, meter: Meter):
+    """A chunk's Qt = Q (.) Bdag, Kt = K / Bdag and Vt = V / Ddag, from its rows and daggers."""
+    Qt = Qc * bd
+    Kt = Kc / bd
+    Vt = Vc / dd
     meter.add_flops(Qt.size + Kt.size + Vt.size)
     return Qt, Kt, Vt
 
@@ -326,9 +325,9 @@ def _inter(acc, Qt, S, meter: Meter) -> None:
     meter.add_flops(acc.size)
 
 
-def _output(acc, dec, out, meter: Meter) -> None:
+def _output(acc, dd, out, meter: Meter) -> None:
     """out = acc (.) Ddag: output rows from their intra sums and inter terms."""
-    np.multiply(acc, dec.d_dagger, out=out)
+    np.multiply(acc, dd, out=out)
     meter.add_flops(acc.size)
 
 
@@ -355,20 +354,6 @@ def _carry(Gm, X, T, meter: Meter) -> np.ndarray:
     T += Gm * X
     meter.add_flops(2 * T.size)  # gate X, add T
     return T
-
-
-def _state_update(dec, Kt, Vt, S, meter: Meter) -> np.ndarray:
-    """S_new = (gamma_b^T gamma_d) (.) S + (Kt (.) gamma_b)^T (Vt (.) gamma_d) for one chunk.
-
-    S None is the sequence's first chunk.  Kt and Vt are scaled in place.
-    The backward's sweep F takes it chunk by chunk; the forward takes the
-    same steps once per group.
-    """
-    KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))
-    T = mm(KB.swapaxes(-1, -2), VD, meter)
-    if S is None:
-        return T
-    return _carry(_gate(dec.log_gamma_b, dec.log_gamma_d, meter), S, T, meter)
 
 
 # A group's chunks share one call of each step, so a few groups amortize
@@ -436,20 +421,20 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
         def view(X):  # the group's rows of X, its chunks on axis -3
             return X[..., s:s + g * c, :].reshape(*batch, g, c, X.shape[-1])
 
-        dec = _decays(view(la), view(lb), meter)
-        Qt, Kt, Vt = _chunk(view(Q), view(K), view(V), dec, meter)
+        bd, dd, lgb, lgd = _decays(view(la), view(lb), meter)
+        Qt, Kt, Vt = _chunk(view(Q), view(K), view(V), bd, dd, meter)
         acc = _intra(Qt, Kt, Vt, meter, view(O))
         # T_k = (Kt (.) gamma_b)^T (Vt (.) gamma_d) over Kt and Vt, in the
         # slot of the state that chunk k leaves
-        KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))
+        KB, VD = _kv(Kt, Vt, bd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))
         Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])
         del Kt, Vt, KB, VD  # freed before the inter term's temporaries
         if g > f:
-            Gm = _gate(dec.log_gamma_b[..., f:, :], dec.log_gamma_d[..., f:, :], meter)
+            Gm = _gate(lgb[..., f:, :], lgd[..., f:, :], meter)
             for j in range(f, g):  # S_k = Gm_k (.) S_{k-1} + T_k, over T_k
                 _carry(Gm[..., j - f, :, :], St[..., a + j - 1, :, :], Sout[..., j, :, :], meter)
             _inter(acc[..., f:, :, :], Qt[..., f:, :, :], St[..., a + f - 1:a + g - 1, :, :], meter)
-        _output(acc, dec, acc, meter)
+        _output(acc, dd, acc, meter)
         if not materialize:
             St[..., 0, :, :] = St[..., g, :, :]
     if not materialize:
@@ -530,61 +515,62 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     for i in range(N - 1, -1, -1):
         s, e = plan.boundaries[i]
         c = e - s
-        dec = _decays(la[s:e], lb[s:e], meter, (dQ[s:e], dlb[s:e]))
-        log_gamma[i, :dk] = dec.log_gamma_b
-        log_gamma[i, dk:] = dec.log_gamma_d
+        bd, dd, lgb, lgd = _decays(la[s:e], lb[s:e], meter, (dQ[s:e], dlb[s:e]))
+        log_gamma[i, :dk], log_gamma[i, dk:] = lgb, lgd
         if i < N - 1:
             # chunk i's own K/V contribution to S_i, weighted by the carried
             # cotangent; fb and fd are each row's decay to the chunk's end
-            fb = dec.gamma_b / dec.b_dagger
-            fd = dec.gamma_d / dec.d_dagger
+            fb = bd[-1:] / bd
+            fd = dd[-1:] / dd
             KB, VD = _kv(K[s:e], V[s:e], fb, fd, meter)
             np.multiply(mm(VD, dS.T, meter), fb, out=dK[s:e])
             np.multiply(mm(KB, dS, meter), fd, out=dV[s:e])
             meter.add_flops(2 * c * dk + 2 * c * dv)  # fb and fd, then the scale
         if i > 0:  # dS_{i-1}: chunk i's output rows' cotangent, plus dS_i carried back
-            Qt = Q[s:e] * dec.b_dagger
-            dOt = dOa[s:e] * dec.d_dagger
+            Qt = Q[s:e] * bd
+            dOt = dOa[s:e] * dd
             meter.add_flops(c * dk + c * dv)
             T = mm(Qt.T, dOt, meter)
-            dS = T if dS is None else _carry(
-                _gate(dec.log_gamma_b, dec.log_gamma_d, meter), dS, T, meter)
+            dS = T if dS is None else _carry(_gate(lgb, lgd, meter), dS, T, meter)
     # drop sweep R's chunk temporaries (rebound, not deleted: a one-chunk
     # plan never binds fb, fd, KB, VD, Qt or dOt)
-    dec = fb = fd = KB = VD = Qt = dOt = T = dS = None
+    bd = dd = lgb = lgd = fb = fd = KB = VD = Qt = dOt = T = dS = None
 
     # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
     # only the chunk itself, in forward order, on the factors sweep R parked.
     S = None
     for i, (s, e) in enumerate(plan.boundaries):
-        b_dag, d_dag = dQ[s:e], dlb[s:e]
-        dec = ChunkDecays(b_dag, d_dag, log_gamma[i, :dk], log_gamma[i, dk:])
-        Qt, Kt, Vt = _chunk(Q[s:e], K[s:e], V[s:e], dec, meter)
+        bd, dd = dQ[s:e], dlb[s:e]
+        Qt, Kt, Vt = _chunk(Q[s:e], K[s:e], V[s:e], bd, dd, meter)
         c = e - s
-        dOt = dOa[s:e] * d_dag
+        dOt = dOa[s:e] * dd
         meter.add_flops(c * dv)
         dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
         if i > 0:  # dq's inter-chunk term
             dqt += mm(dOt, S.T, meter)
             meter.add_flops(c * dk)
         if i == N - 1:  # sweep R gives the last chunk no K/V term
-            np.divide(dkt, b_dag, out=dK[s:e])
-            np.divide(dvt, d_dag, out=dV[s:e])
+            np.divide(dkt, bd, out=dK[s:e])
+            np.divide(dvt, dd, out=dV[s:e])
         else:
-            dK[s:e] += np.divide(dkt, b_dag, out=dkt)
-            dV[s:e] += np.divide(dvt, d_dag, out=dvt)
+            dK[s:e] += np.divide(dkt, bd, out=dkt)
+            dV[s:e] += np.divide(dvt, dd, out=dvt)
             meter.add_flops(c * dk + c * dv)
-        # the state update reads gamma, the daggers' last rows, so it runs
-        # before O and dq are written over the daggers
-        S_new = _state_update(dec, Kt, Vt, S, meter)
         if i > 0:
             _inter(Oc, Qt, S, meter)
-        _output(Oc, dec, dlb[s:e], meter)  # the forward's O rows, bit for bit
-        np.multiply(dqt, b_dag, out=dQ[s:e])
+        # the state update reads gamma, the daggers' last rows, so it runs
+        # before O and dq are written over the daggers.  Its rows are formed
+        # over Kt and Vt under no other name, which would keep them alive
+        # through the next chunk's panels.
+        _kv(Kt, Vt, bd[-1:], dd[-1:], meter, (Kt, Vt))
+        T = mm(Kt.T, Vt, meter)
+        S = T if i == 0 else _carry(
+            _gate(log_gamma[i, :dk], log_gamma[i, dk:], meter), S, T, meter)
+        _output(Oc, dd, dlb[s:e], meter)  # the forward's O rows, bit for bit
+        np.multiply(dqt, bd, out=dQ[s:e])
         meter.add_flops(2 * c * dk + c * dv)
-        S = S_new
     # drop sweep F's chunk temporaries and the parked views before dla is allocated
-    del S, S_new, dec, b_dag, d_dag, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc, log_gamma
+    del S, T, bd, dd, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc, log_gamma
 
     # Gate gradients, once dQ, dK and dV are final: the identities, a chunk
     # of rows at a time into the rows they end up in, then one suffix sum

@@ -13,7 +13,6 @@ log-gate arrays whose rows are axis -2 and whose leading axes are a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .tensor import readonly, record_array
 __all__ = [
     "GateSeq",
     "ChunkPlan",
-    "ChunkDecays",
     "cumulative_log_decay",
     "chunk_factors",
     "chunk_relative_decays",
@@ -84,33 +82,6 @@ class ChunkPlan:
             raise ValueError(f"plan covers L={self.L} but the sequence has L={L}")
 
 
-class ChunkDecays(NamedTuple):
-    """Decay factors for one chunk [s, e), or for a group of equal-length chunks, all in [0, 1].
-
-    With lc the running sum of the chunk's own log_alpha rows:
-    b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j,
-    and log_gamma_b = lc[-1] is the log of the whole-chunk decay, kept so
-    the carried gate can exponentiate sums rather than multiply
-    exponentials.  The decay itself, gamma_b = exp(lc[-1:]), is
-    b_dagger's last row: a property, not a field, giving a 1 x dk view
-    that scales rows by broadcasting.  Position s+j's
-    contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
-    no array of those ratios is kept.  d_* mirror these with log_beta.
-    Leading axes are a batch: the daggers are (..., c, d), the log gammas
-    (..., d) and the gammas (..., 1, d) views.  A group of chunks is one
-    more batch axis: the chunkwise forward views a group's rows as
-    (..., G, c, d), and each chunk's factors are its own.
-    """
-
-    b_dagger: np.ndarray
-    d_dagger: np.ndarray
-    log_gamma_b: np.ndarray
-    log_gamma_d: np.ndarray
-
-    gamma_b = property(lambda self: self.b_dagger[..., -1:, :])
-    gamma_d = property(lambda self: self.d_dagger[..., -1:, :])
-
-
 def cumulative_log_decay(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of the log-gates along the rows (axis -2), as a read-only (log_b, log_d).
 
@@ -134,19 +105,35 @@ def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
     return readonly(np.exp(lc, out=lc)), readonly(log_gamma)
 
 
-def chunk_factors(la: np.ndarray, lb: np.ndarray, out=None) -> ChunkDecays:
-    """Decay factors of one chunk, from its own log-gate rows la and lb only.
+def chunk_factors(la: np.ndarray, lb: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
+    """Decay factors of one chunk [s, e), from its own log-gate rows la and lb only.
 
-    Given ``out``, a pair of arrays shaped like la and lb, the two daggers
-    are formed in them, and the returned ones are read-only views.
+    Returns four arrays, (b_dagger, d_dagger, log_gamma_b, log_gamma_d);
+    the daggers and the decays they hold are in [0, 1].
+    With lc the running sum of the chunk's own log_alpha rows:
+    b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j,
+    and log_gamma_b = lc[-1] is the log of the whole-chunk decay, kept so
+    the carried gate can exponentiate sums rather than multiply
+    exponentials.  The decay itself, gamma_b = exp(lc[-1:]), is
+    b_dagger's last row, ``b_dagger[..., -1:, :]``: a 1 x dk view, taken
+    where it is used, that scales rows by broadcasting.  Position s+j's
+    contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
+    no array of those ratios is kept.  d_dagger and log_gamma_d mirror
+    these with log_beta.  Leading axes are a batch: the daggers are
+    (..., c, d) and the log gammas (..., d).  A group of chunks is one more
+    batch axis: the chunkwise forward views a group's rows as
+    (..., G, c, d), and each chunk's factors are its own.  Given ``out``, a
+    pair of arrays shaped like la and lb, the two daggers are formed in
+    them, and the returned ones are read-only views.
     """
     b_out, d_out = (None, None) if out is None else out
     b_dag, lgb = _chunk_factors(la, b_out)
     d_dag, lgd = _chunk_factors(lb, d_out)
-    return ChunkDecays(b_dag, d_dag, lgb, lgd)
+    return b_dag, d_dag, lgb, lgd
 
 
-def chunk_relative_decays(la: np.ndarray, lb: np.ndarray, plan: ChunkPlan) -> list[ChunkDecays]:
+def chunk_relative_decays(la: np.ndarray, lb: np.ndarray,
+                          plan: ChunkPlan) -> list[tuple[np.ndarray, ...]]:
     """chunk_factors for every chunk of the plan."""
     plan.check(la.shape[-2])
     return [chunk_factors(la[..., s:e, :], lb[..., s:e, :]) for s, e in plan.boundaries]

@@ -101,10 +101,10 @@ def test_chunk_plan_needs_positive_length_and_chunk(L, C):
 def test_chunk_factors_identity_gates():
     g = make_gates(np.zeros((6, 2)), np.zeros((6, 2)))
     decs = chunk_relative_decays(g.log_alpha, g.log_beta, ChunkPlan(6, 4))
-    for d in decs:
-        for arr in (d.b_dagger, d.d_dagger, d.gamma_b, d.gamma_d):
+    for bd, dd, lgb, _ in decs:
+        for arr in (bd, dd, bd[-1:], dd[-1:]):
             assert np.array_equal(arr, np.ones_like(arr))
-        assert np.array_equal(np.exp(d.log_gamma_b), np.ones(2))
+        assert np.array_equal(np.exp(lgb), np.ones(2))
 
 
 def test_chunk_factors_constant_gate():
@@ -112,10 +112,10 @@ def test_chunk_factors_constant_gate():
     # dagger = (g, g^2), gamma = g^2
     g = 0.5
     gates = make_gates([[math.log(g)]] * 2, [[0.0]] * 2)
-    (d,) = chunk_relative_decays(gates.log_alpha, gates.log_beta, ChunkPlan(2, 2))
-    assert np.allclose(d.b_dagger[:, 0], [g, g * g], rtol=1e-15)
-    assert np.allclose(d.gamma_b, [g * g], rtol=1e-15)
-    assert np.allclose(np.exp(d.log_gamma_b), [g * g], rtol=1e-15)
+    ((bd, _, lgb, _),) = chunk_relative_decays(gates.log_alpha, gates.log_beta, ChunkPlan(2, 2))
+    assert np.allclose(bd[:, 0], [g, g * g], rtol=1e-15)
+    assert np.allclose(bd[-1:], [g * g], rtol=1e-15)
+    assert np.allclose(np.exp(lgb), [g * g], rtol=1e-15)
 
 
 def test_gamma_over_dagger_matches_end_of_chunk_decay():
@@ -123,9 +123,9 @@ def test_gamma_over_dagger_matches_end_of_chunk_decay():
     # gamma / dagger, each row's decay to the chunk's end
     g = random_gates(23, 3, 2, seed=2)
     plan = ChunkPlan(23, 5)
-    for (s, e), d in zip(plan.boundaries, chunk_relative_decays(g.log_alpha, g.log_beta, plan)):
-        for lg, dagger, gamma in ((g.log_alpha, d.b_dagger, d.gamma_b),
-                                  (g.log_beta, d.d_dagger, d.gamma_d)):
+    for (s, e), (bd, dd, _, _) in zip(plan.boundaries,
+                                      chunk_relative_decays(g.log_alpha, g.log_beta, plan)):
+        for lg, dagger, gamma in ((g.log_alpha, bd, bd[-1:]), (g.log_beta, dd, dd[-1:])):
             lc = np.add.accumulate(lg[s:e], axis=0)
             assert np.max(np.abs(gamma / dagger - np.exp(lc[-1] - lc))) <= 1e-12
 
@@ -133,8 +133,8 @@ def test_gamma_over_dagger_matches_end_of_chunk_decay():
 def test_factors_bounded():
     g = random_gates(17, 2, 3, seed=3, floor=0.25)
     decs = chunk_relative_decays(g.log_alpha, g.log_beta, ChunkPlan(17, 4))
-    for d in decs:
-        for arr in (d.b_dagger, d.d_dagger, d.gamma_b, d.gamma_d):
+    for bd, dd, _, _ in decs:
+        for arr in (bd, dd, bd[-1:], dd[-1:]):
             assert np.all(arr > 0.0)
             assert np.all(arr <= 1.0 + 1e-15)
 
@@ -160,10 +160,9 @@ def test_chunk_factors_are_exps_of_within_chunk_sums(L, C, dk, dv, seed, kind, f
     plan = ChunkPlan(L, C)
     decs = chunk_relative_decays(g.log_alpha, g.log_beta, plan)
     assert len(decs) == plan.num_chunks
-    for (s, e), d in zip(plan.boundaries, decs):
-        for lg, dagger, gamma, log_gamma in (
-                (g.log_alpha, d.b_dagger, d.gamma_b, d.log_gamma_b),
-                (g.log_beta, d.d_dagger, d.gamma_d, d.log_gamma_d)):
+    for (s, e), (bd, dd, lgb, lgd) in zip(plan.boundaries, decs):
+        for lg, dagger, gamma, log_gamma in ((g.log_alpha, bd, bd[-1:], lgb),
+                                             (g.log_beta, dd, dd[-1:], lgd)):
             lc = np.add.accumulate(lg[s:e], axis=0)
             assert dagger.tobytes() == np.exp(lc).tobytes()
             assert gamma.tobytes() == np.exp(lc[-1]).tobytes()

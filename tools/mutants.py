@@ -144,15 +144,15 @@ MUTANTS = (
     # The forward's state rows: each side scaled by its own gamma before
     # the product, over a whole group of chunks.
     Mutant("kv_scales_Kt_by_value_gamma", "chunkwise.py",
-           "        KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))",
-           "        KB, VD = _kv(Kt, Vt, dec.gamma_d, dec.gamma_d, meter, (Kt, Vt))",
+           "        KB, VD = _kv(Kt, Vt, bd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))",
+           "        KB, VD = _kv(Kt, Vt, dd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     Mutant("state_update_folds_gamma_into_Kt_Vt", "chunkwise.py",
-           "        KB, VD = _kv(Kt, Vt, dec.gamma_b, dec.gamma_d, meter, (Kt, Vt))\n"
+           "        KB, VD = _kv(Kt, Vt, bd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))\n"
            "        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n",
            "        KB, VD = Kt, Vt\n"
            "        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n"
-           "        Sout *= outer_gate(dec.log_gamma_b, dec.log_gamma_d)\n",
+           "        Sout *= outer_gate(lgb, lgd)\n",
            "tests/test_chunkwise.py::"
            "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
     # A group's carry: only it loops over the group's chunks, and it gates
@@ -169,22 +169,24 @@ MUTANTS = (
            "            St[..., 0, :, :] = St[..., g, :, :]\n", "            pass\n",
            "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
     Mutant("sweep_r_factor_without_dagger", "chunkwise.py",
-           "fb = dec.gamma_b / dec.b_dagger", "fb = dec.gamma_b",
+           "fb = bd[-1:] / bd", "fb = bd[-1:]",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     # Sweep F on the daggers that sweep R parked in the rows of dQ and dlb.
     Mutant("last_chunk_dk_added_not_assigned", "chunkwise.py",
-           "            np.divide(dkt, b_dag, out=dK[s:e])\n",
-           "            dK[s:e] += np.divide(dkt, b_dag, out=dkt)\n",
+           "            np.divide(dkt, bd, out=dK[s:e])\n",
+           "            dK[s:e] += np.divide(dkt, bd, out=dkt)\n",
            "tests/test_chunkwise.py::test_passes_read_no_unwritten_memory"),
     Mutant("o_written_before_state_update", "chunkwise.py",
-           "        S_new = _state_update(dec, Kt, Vt, S, meter)\n"
-           "        if i > 0:\n"
-           "            _inter(Oc, Qt, S, meter)\n"
-           "        _output(Oc, dec, dlb[s:e], meter)",
-           "        if i > 0:\n"
-           "            _inter(Oc, Qt, S, meter)\n"
-           "        _output(Oc, dec, dlb[s:e], meter)\n"
-           "        S_new = _state_update(dec, Kt, Vt, S, meter)",
+           "        _kv(Kt, Vt, bd[-1:], dd[-1:], meter, (Kt, Vt))\n"
+           "        T = mm(Kt.T, Vt, meter)\n"
+           "        S = T if i == 0 else _carry(\n"
+           "            _gate(log_gamma[i, :dk], log_gamma[i, dk:], meter), S, T, meter)\n"
+           "        _output(Oc, dd, dlb[s:e], meter)",
+           "        _output(Oc, dd, dlb[s:e], meter)\n"
+           "        _kv(Kt, Vt, bd[-1:], dd[-1:], meter, (Kt, Vt))\n"
+           "        T = mm(Kt.T, Vt, meter)\n"
+           "        S = T if i == 0 else _carry(\n"
+           "            _gate(log_gamma[i, :dk], log_gamma[i, dk:], meter), S, T, meter)",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The gate-gradient step after sweep R, and its cost.
     Mutant("gate_grads_skip_dla_suffix_sum", "chunkwise.py",
@@ -254,13 +256,13 @@ MUTANTS = (
            "chks, _, _ = chunkwise._forward_raw("
            "*(np.stack([a] * len(cuts)) for a in inst.arrays), plan, False)",
            "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_chunkwise_form"),
-    # Batch-only: on 2-D inputs each is the same op as the original, so
-    # only a batched forward tells them apart.
+    # Batch-only: on one chunk's 2-D rows each is the same op as the
+    # original, so only a batched forward (or a group of chunks) tells them apart.
     Mutant("chunk_prefix_sum_along_axis_0", "gates.py",
            "np.add.accumulate(lg, axis=-2,", "np.add.accumulate(lg, axis=0,",
            "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
-    Mutant("gamma_b_from_last_batch_element", "gates.py",
-           "self.b_dagger[..., -1:, :]", "self.b_dagger[-1:]",
+    Mutant("gamma_b_from_last_batch_element", "chunkwise.py",
+           "_kv(Kt, Vt, bd[..., -1:, :],", "_kv(Kt, Vt, bd[-1:],",
            "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
     Mutant("cumulative_decay_along_axis_0", "gates.py",
            "np.add.accumulate(x, axis=-2,", "np.add.accumulate(x, axis=0,",
