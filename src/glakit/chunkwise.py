@@ -70,14 +70,15 @@ every pass that takes the step calls:
   decay factors, which a pass forms with ``_decays`` from the chunk's
   log-gate rows when it reaches the chunk;
 - ``_intra``: the masked score blocks and the within-chunk sums;
-- ``_inter``: the inter-chunk term ``Qt S_prev``;
-- ``_output``: the ``Ddag`` scale of the summed rows;
 - ``_kv``: the key and value rows as they enter the outgoing state, rows
   times given factors: ``Kt (.) gamma_b`` and ``Vt (.) gamma_d`` from the
   transforms that the forward and sweep F hold;
 - ``_gate``: the gate matrix ``gamma_b^T gamma_d``, from the log gammas;
 - ``_carry``: ``Gm (.) X + T``, the gated carry.  Going forward X is the
-  state; going back it is the state's cotangent.
+  state; going back it is the state's cotangent;
+- ``_scan``: the state scan of a group's chunks, a ``_gate`` and then a
+  ``_carry`` per chunk, and then their inter terms ``Qt S_prev`` in one
+  product.  A pass then scales the summed rows by ``Ddag``.
 
 The forward is one raw kernel, ``_forward_raw``, on arrays whose leading
 axes are a batch, and it walks the plan in groups of up to G equal-length
@@ -85,11 +86,11 @@ chunks; a ragged last chunk is a group of one.  A group's rows [s, s + Gc)
 are viewed as (..., G, c, d), the chunks on axis -3 after any batch axes,
 and the group makes one call of each step: ``_decays``, ``_chunk`` and
 ``_intra``; ``_kv``, which forms the state rows over Kt and Vt, and one
-``mm`` for the state products T_k of all its chunks; one ``_gate`` for
-their gate matrices.  Only the carry S_k = Gm_k (.) S_{k-1} + T_k is a
-Python loop over the group's chunks, on dk x dv arrays, and then one
-``_inter`` adds Qt_k S_{k-1} for all of them (the sequence's first chunk
-has no state entering it, so it forms no Gm and no inter term).  The
+``mm`` for the state products T_k of all its chunks; one ``_scan``.  Only
+the scan's carry S_k = Gm_k (.) S_{k-1} + T_k is a Python loop over the
+group's chunks, on dk x dv arrays, and then one product adds
+Qt_k S_{k-1} for all of them (the sequence's first chunk has no state
+entering it, so it forms no Gm and no inter term).  The
 states live in one array, and the intra sums are written straight into
 O's rows.  As in the GLA paper's chunkwise form, only the state pass is
 sequential; the chunks' own work is independent, which is what lets a
@@ -100,10 +101,14 @@ elementwise or a product within one batch element and one chunk, so each
 element gets the bits of its own unbatched per-chunk run.
 ``forward_chunkwise`` is that kernel on one instance's arrays; the
 causality check runs it once per group of perturbed trials.  The backward
-calls the same steps unbatched and one chunk at a time, in two sweeps, as
-in the GLA paper, and then assembles the gate gradients:
-``backward_chunkwise`` states the sweeps, where they park each chunk's
-factors and O's rows, and the gate step.  The two policies of the GLA
+calls the same steps in two sweeps, as in the GLA paper, over the same
+groups of chunks (``_backward_group_size`` picks G from the backward's
+own scratch), and then assembles the gate gradients.  Each sweep makes
+one call of each step per group, and only its dk x dv scan runs chunk by
+chunk: the state cotangent going back in sweep R, the state going
+forward, through ``_scan``, in sweep F.  ``backward_chunkwise`` states
+the sweeps, where they park each chunk's factors and O's rows, and the
+gate step.  The two policies of the GLA
 paper's chunkwise training (its section 4) decide only whether the
 forward returns its chunk states (``materialize``) or not
 (``recompute``), and which state traffic a CostReport books;
@@ -163,7 +168,7 @@ def mm(a: np.ndarray, b: np.ndarray, meter: Meter, out=None) -> np.ndarray:
     time them all by rebinding it.  Given out, the product is written there.
     """
     k = a.shape[-1]
-    meter.add_flops(mm_flops(a.size // k, k, b.shape[-1]))
+    meter.flops += mm_flops(a.size // k, k, b.shape[-1])
     if out is None:  # matmul's keyword parsing would cost ~1% of a small backward
         return np.matmul(a, b)
     return np.matmul(a, b, out=out)
@@ -228,7 +233,7 @@ def _decays(la, lb, meter: Meter, out=None):
     """
     bd, dd, lgb, lgd = factors = chunk_factors(la, lb, out)
     # prefix sums (c-1)d and dagger exps cd per batch element; gamma is dagger's last row
-    meter.add_flops(2 * (bd.size + dd.size) - lgb.size - lgd.size)
+    meter.flops += 2 * (bd.size + dd.size) - lgb.size - lgd.size
     return factors
 
 
@@ -261,7 +266,7 @@ def _chunk(Qc, Kc, Vc, bd, dd, meter: Meter):
     Qt = Qc * bd
     Kt = Kc / bd
     Vt = Vc / dd
-    meter.add_flops(Qt.size + Kt.size + Vt.size)
+    meter.flops += Qt.size + Kt.size + Vt.size
     return Qt, Kt, Vt
 
 
@@ -276,10 +281,9 @@ def _intra(Qt, Kt, Vt, meter: Meter, acc: np.ndarray, W=None) -> np.ndarray:
     KtT = Kt.swapaxes(-1, -2)
     for j0, n in _row_blocks(c, BLOCK, p0):
         rows = (..., slice(j0, n), slice(None))
-        Wb = _causal(mm(Qt[rows], KtT[..., :n], meter), j0)
-        acc[rows] = mm(Wb, Vt[..., :n, :], meter)
-        if W is not None:
-            W[..., j0 - p0:n - p0, :n] = Wb
+        Wb = _causal(mm(Qt[rows], KtT[..., :n], meter,
+                        None if W is None else W[..., j0 - p0:n - p0, :n]), j0)
+        mm(Wb, Vt[..., :n, :], meter, acc[rows])
     return acc
 
 
@@ -291,44 +295,34 @@ def _intra_backward(Qt, Kt, Vt, dOt, meter: Meter):
     earlier panels add to their prefixes.  The fourth result is the
     forward's within-chunk sum, bit for bit: each panel runs ``_intra`` on
     its own rows, which forms the forward's score blocks and keeps them in
-    the panel's W, so the backward never replays the forward.
+    the panel's W, so the backward never replays the forward.  Leading
+    axes are a batch, as in ``_intra``.
     """
-    c, dk = Qt.shape
-    dv = Vt.shape[1]
-    dqt = np.empty((c, dk))
-    acc = np.empty((c, dv))
+    *lead, c, dk = Qt.shape
+    dv = Vt.shape[-1]
+    dqt = np.empty((*lead, c, dk))
+    acc = np.empty((*lead, c, dv))
     dkt = dvt = None
     for p0, p1 in reversed(_row_blocks(c, PANEL)):
-        W = np.zeros((p1 - p0, p1))
-        _intra(Qt[:p1], Kt[:p1], Vt[:p1], meter, acc[:p1], W)
-        dvp = mm(W.T, dOt[p0:p1], meter)
+        W = np.zeros((*lead, p1 - p0, p1))
+        _intra(Qt[..., :p1, :], Kt[..., :p1, :], Vt[..., :p1, :], meter, acc[..., :p1, :], W)
+        dOp = dOt[..., p0:p1, :]
+        dvp = mm(W.swapaxes(-1, -2), dOp, meter)
         del W  # one PANEL x p1 score array at a time
         # a masked entry pairs row t with a later row, whose 1 / Ddag can
         # dwarf Ddag_t: it may overflow (quietly, under backward_chunkwise's
         # errstate), and the zeroing drops it
-        G = _causal(mm(dOt[p0:p1], Vt[:p1].T, meter), p0)
-        dqt[p0:p1] = mm(G, Kt[:p1], meter)
-        dkp = mm(G.T, Qt[p0:p1], meter)
+        G = _causal(mm(dOp, Vt[..., :p1, :].swapaxes(-1, -2), meter), p0)
+        mm(G, Kt[..., :p1, :], meter, dqt[..., p0:p1, :])
+        dkp = mm(G.swapaxes(-1, -2), Qt[..., p0:p1, :], meter)
         del G
         if dkt is None:
             dkt, dvt = dkp, dvp
         else:
-            dkt[:p1] += dkp
-            dvt[:p1] += dvp
-            meter.add_flops(p1 * (dk + dv))  # the two accumulating adds
+            dkt[..., :p1, :] += dkp
+            dvt[..., :p1, :] += dvp
+            meter.flops += dkp.size + dvp.size  # the two accumulating adds
     return dqt, dkt, dvt, acc
-
-
-def _inter(acc, Qt, S, meter: Meter) -> None:
-    """acc += Qt S: the inter-chunk term, from the state S entering each chunk."""
-    acc += mm(Qt, S, meter)
-    meter.add_flops(acc.size)
-
-
-def _output(acc, dd, out, meter: Meter) -> None:
-    """out = acc (.) Ddag: output rows from their intra sums and inter terms."""
-    np.multiply(acc, dd, out=out)
-    meter.add_flops(acc.size)
 
 
 def _kv(Kc, Vc, fb, fd, meter: Meter, out=(None, None)):
@@ -338,22 +332,39 @@ def _kv(Kc, Vc, fb, fd, meter: Meter, out=(None, None)):
     """
     KB = np.multiply(Kc, fb, out=out[0])
     VD = np.multiply(Vc, fd, out=out[1])
-    meter.add_flops(KB.size + VD.size)
+    meter.flops += KB.size + VD.size
     return KB, VD
 
 
 def _gate(lgb, lgd, meter: Meter) -> np.ndarray:
     """gamma_b^T gamma_d from the log gammas: the gate matrix of a carry, one per chunk."""
     Gm = outer_gate(lgb, lgd)
-    meter.add_flops(2 * Gm.size)  # an add and an exp per entry
+    meter.flops += 2 * Gm.size  # an add and an exp per entry
     return Gm
 
 
 def _carry(Gm, X, T, meter: Meter) -> np.ndarray:
     """Gm (.) X + T, in place over T: the gated carry of a state or of its cotangent."""
     T += Gm * X
-    meter.add_flops(2 * T.size)  # gate X, add T
+    meter.flops += 2 * T.size  # gate X, add T
     return T
+
+
+def _scan(acc, Qt, lgb, lgd, St, meter: Meter) -> None:
+    """The state scan over a group's chunks that a state enters, then their inter terms.
+
+    The chunks are on axis -3, and St has one slot more than there are
+    chunks: the state entering the first chunk, then each chunk's T_j, the
+    product of its state rows.  The scan carries S_j = Gm_j (.) S_{j-1} + T_j
+    over the T_j, chunk by chunk, and then acc gains every chunk's inter
+    term Qt_j S_{j-1} in one product.
+    """
+    g = Qt.shape[-3]
+    Gm = _gate(lgb, lgd, meter)
+    for j in range(g):
+        _carry(Gm[..., j, :, :], St[..., j, :, :], St[..., j + 1, :, :], meter)
+    acc += mm(Qt, St[..., :g, :, :], meter)
+    meter.flops += acc.size
 
 
 # A group's chunks share one call of each step, so a few groups amortize
@@ -375,6 +386,28 @@ def _carry(Gm, X, T, meter: Meter) -> np.ndarray:
 _GROUP_MIN_BYTES = 32 * 1024
 _GROUP_MAX_BYTES = 256 * 1024
 
+# The backward's groups hold more scratch than the forward's: sweep F keeps
+# about a dozen group-sized arrays alive at once (the transforms, dOt, the
+# panel's cotangents and scores), so its peak grows with G c / L over the
+# ~5.1 O-sized arrays (L dv 8 bytes) of a backward with one chunk per
+# group.  A backward group holds at most a sixteenth of the sequence's rows
+# and no more chunks than the forward's.  Backward peak against G, in
+# O-sized arrays:
+#   L=1024, dk=dv=16, C=64:  G=1 5.08, 2 5.61, 4 7.14
+#   L=4096, dk=dv=8,  C=64:  G=1 5.02, 2 5.02, 4 5.06, 8 6.06, 16 8.08
+# and backward time against G, relative to a backward that calls each step
+# once per chunk (same VM and threads, recompute, median of 6-8
+# interleaved rounds of fastest-of-5 to -300):
+#   L=4096, dk=dv=64, C=64:  G=1 1.05, 2 0.94, 3 0.92, 4 0.85, 6 0.85, 8 0.89
+#   L=4096, dk=dv=8,  C=64:  G=1 1.08, 2 0.73, 4 0.56, 8 0.46, 16 0.43
+#   L=1024, dk=dv=16, C=64:  G=1 1.07, 2 0.80, 4 0.64
+#   L=16,   dk=dv=8,  C=8:   G=1 1.13, 2 (the whole sequence) 0.87
+# Groups pay wherever the peak allows them.  The sixteenth keeps two shapes
+# at one chunk per group: L=1024, d=16, whose peak is bounded by 5.6, and
+# L=16, d=8, C=8, whose whole peak is ~18 KB, to which a group of two adds
+# 4.5 KB.
+_BACKWARD_GROUP_SHARE = 16
+
 
 def _group_size(L: int, dk: int, dv: int, c: int) -> int:
     """Chunks of c rows per group in a forward over L rows, from per-instance bytes."""
@@ -382,18 +415,27 @@ def _group_size(L: int, dk: int, dv: int, c: int) -> int:
     return max(1, budget // (8 * c * (dk + dv)))
 
 
-def _groups(plan: ChunkPlan, G: int):
-    """(k0, k1, s, c) per group: chunks [k0, k1) of c rows each, from row s.
+def _backward_group_size(L: int, dk: int, dv: int, c: int) -> int:
+    """Chunks of c rows per group in a backward over L rows: at most a sixteenth of the rows."""
+    return max(1, min(L // (_BACKWARD_GROUP_SHARE * c), _group_size(L, dk, dv, c)))
 
-    Up to G consecutive chunks of the plan's length make a group; a ragged
-    last chunk is a group of one.
+
+@cache
+def _groups(L: int, c: int, G: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(k0, k1, s, c) per group of a plan of c-row chunks over L rows.
+
+    A group is chunks [k0, k1) of c rows each, from row s: up to G
+    consecutive chunks of the plan's length; a ragged last chunk is a group
+    of one.
     """
-    C = plan.boundaries[0][1]  # the plan's chunk length, L if C > L
-    full = plan.L // C
-    for k0 in range(0, full, G):
-        yield k0, min(k0 + G, full), k0 * C, C
-    if full < plan.num_chunks:
-        yield full, full + 1, full * C, plan.L - full * C
+    full = L // c
+    groups = tuple((k0, min(k0 + G, full), k0 * c, c) for k0 in range(0, full, G))
+    return groups + (((full, full + 1, full * c, L - full * c),) if full * c < L else ())
+
+
+def _rows(X, s: int, g: int, c: int) -> np.ndarray:
+    """X's rows [s, s + g c) as a view (..., g, c, d): a group's chunks on axis -3."""
+    return X[..., s:s + g * c, :].reshape(*X.shape[:-2], g, c, X.shape[-1])
 
 
 def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
@@ -413,28 +455,23 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
     O = np.empty((*batch, L, dv))
     St = np.empty((*batch, plan.num_chunks if materialize else min(G, plan.num_chunks) + 1,
                    dk, dv))
-    for k0, k1, s, c in _groups(plan, G):
+    for k0, k1, s, c in _groups(L, plan.boundaries[0][1], G):
         g = k1 - k0
         f = 1 if k0 == 0 else 0  # the sequence's first chunk has no state entering it
         a = k0 if materialize else 1  # the St slot of the state leaving chunk k0
-
-        def view(X):  # the group's rows of X, its chunks on axis -3
-            return X[..., s:s + g * c, :].reshape(*batch, g, c, X.shape[-1])
-
-        bd, dd, lgb, lgd = _decays(view(la), view(lb), meter)
-        Qt, Kt, Vt = _chunk(view(Q), view(K), view(V), bd, dd, meter)
-        acc = _intra(Qt, Kt, Vt, meter, view(O))
+        bd, dd, lgb, lgd = _decays(_rows(la, s, g, c), _rows(lb, s, g, c), meter)
+        Qt, Kt, Vt = _chunk(_rows(Q, s, g, c), _rows(K, s, g, c), _rows(V, s, g, c), bd, dd, meter)
+        acc = _intra(Qt, Kt, Vt, meter, _rows(O, s, g, c))
         # T_k = (Kt (.) gamma_b)^T (Vt (.) gamma_d) over Kt and Vt, in the
         # slot of the state that chunk k leaves
         KB, VD = _kv(Kt, Vt, bd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))
-        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])
+        mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])
         del Kt, Vt, KB, VD  # freed before the inter term's temporaries
         if g > f:
-            Gm = _gate(lgb[..., f:, :], lgd[..., f:, :], meter)
-            for j in range(f, g):  # S_k = Gm_k (.) S_{k-1} + T_k, over T_k
-                _carry(Gm[..., j - f, :, :], St[..., a + j - 1, :, :], Sout[..., j, :, :], meter)
-            _inter(acc[..., f:, :, :], Qt[..., f:, :, :], St[..., a + f - 1:a + g - 1, :, :], meter)
-        _output(acc, dd, acc, meter)
+            _scan(acc[..., f:, :, :], Qt[..., f:, :, :], lgb[..., f:, :], lgd[..., f:, :],
+                  St[..., a + f - 1:a + g, :, :], meter)
+        np.multiply(acc, dd, out=acc)  # O's rows: the Ddag scale
+        meter.flops += acc.size
         if not materialize:
             St[..., 0, :, :] = St[..., g, :, :]
     if not materialize:
@@ -459,48 +496,58 @@ def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
 @np.errstate(all="ignore")
 def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
                        policy: ChunkPolicy):
-    """Gradients of <O, dO> computed chunk by chunk.  Returns (GradBundle, CostReport).
+    """Gradients of <O, dO> computed a group of chunks at a time.  Returns (GradBundle, CostReport).
 
-    Two sweeps, as in the GLA paper's chunkwise backward; no full-length
-    array is allocated besides the five gradients, and each chunk's decay
-    factors are formed once, by the sweep that runs first.  (R) A reverse
-    sweep does what needs the state cotangent dS, which reads only Q, K, V,
-    dO and the gates.  At each chunk it forms the chunk's factors, parking
-    the daggers in the chunk's rows of dQ and of the dlog_beta buffer,
-    which nothing has written yet, and the log gammas in a small
-    N x (dk + dv) array.  It writes the chunk's K/V path through dS into dK
-    and dV, from rows that ``_kv`` forms from K and V and each row's decay
-    to the chunk's end, gamma / Bdag (one divide per side, no exp; it holds
-    no Kt or Vt), and it carries dS back, which is ``_gate`` and ``_carry``
-    as in the state update.  (F) A forward-order sweep then runs the state
-    recurrence once and does everything that needs S_{i-1} or only the
-    chunk itself, with the parked factors read as views.  It calls the
-    forward's steps: ``_chunk`` for the transforms, ``_intra`` inside the
-    panels of ``_intra_backward`` for the intra-chunk cotangents, ``_kv``,
-    ``_gate`` and ``_carry`` for the state update, and ``_inter`` and
-    ``_output`` for the chunk's output rows O (bit for bit the forward's,
-    re-formed from the score blocks rather than by replaying the
-    forward).  It also adds the inter-chunk dq
-    term and scales dq, dk and dv back; dk and dv are added onto sweep R's
-    rows, or assigned on the last chunk, which sweep R gives none.  The
-    state update reads gamma, the daggers' last rows, so it runs before dq
-    and O are written over the daggers; O stays in the dlog_beta rows until
-    the gate step.  No record of the states is kept under either policy,
-    and neither sweep reads ``policy``: it picks only the state traffic of
-    the returned CostReport, which ``ChunkPolicy.report`` states.  After
-    both sweeps, with dQ, dK and dV final, the gate gradients come as in
-    the GLA paper's memory-efficient dalpha and dbeta, with no state
-    gradient: the identities dlogb = q (.) dq - k (.) dk and
-    dlogd = o (.) do - v (.) dv (query term positive; the finite-difference
-    oracle pins the sign), formed a chunk of rows at a time in the rows
-    they end up in, and then one suffix sum over each whole array, in
-    place.  dlog_alpha is allocated only then.
+    Two sweeps, as in the GLA paper's chunkwise backward, each over the
+    forward's groups of up to G equal-length chunks (a ragged last chunk is
+    a group of one; ``_backward_group_size`` picks G from the backward's
+    own scratch).  Each sweep calls each step once per group, on the
+    group's rows viewed as (g, c, d), and only its dk x dv scan runs chunk
+    by chunk.  No full-length array is allocated besides the five
+    gradients, and each chunk's decay factors are formed once, by the sweep
+    that runs first.  (R) A reverse sweep, last group first, does what
+    needs the state cotangent dS, which reads only Q, K, V, dO and the
+    gates.  It forms the group's factors, parking the daggers in the
+    group's rows of dQ and of the dlog_beta buffer, which nothing has
+    written yet, and the log gammas in a small N x (dk + dv) array.  It
+    forms the products Qt^T dOt of the chunks that a state enters, then
+    scans dS back through them, later chunk first (``_gate``, then a
+    ``_carry`` per chunk), and then writes every chunk's K/V path through
+    its dS into dK and dV at once, from rows that ``_kv`` forms from K and
+    V and each row's decay to the chunk's end, gamma / Bdag (one divide
+    per side, no exp; it holds no Kt or Vt).  (F) A forward-order sweep
+    then runs the state recurrence once and does everything that needs
+    S_{j-1} or only the group itself, with the parked factors read as
+    views.  It calls the forward's steps: ``_chunk`` for the transforms,
+    ``_intra`` inside the panels of ``_intra_backward`` for the
+    intra-chunk cotangents, ``_kv`` and one product for the state rows, and
+    ``_scan``, the forward's state scan with its inter terms, for the O
+    rows (bit for bit the forward's, re-formed from the score blocks
+    rather than by replaying the forward).  It also adds the inter-chunk
+    dq term and scales dq, dk and dv back; dk and dv are added onto sweep
+    R's rows, or assigned on the sequence's last chunk, which sweep R gives
+    none.  The state rows read gamma, the daggers' last rows, so they are
+    formed before O and dq are written over the daggers; O stays in the
+    dlog_beta rows until the gate step.  Both scans carry their dk x dv
+    arrays in min(G, N) + 1 slots, and each group's temporaries are freed
+    before the next group's.  No record of the states is kept under either
+    policy, and neither sweep reads ``policy``: it picks only the state
+    traffic of the returned CostReport, which ``ChunkPolicy.report``
+    states.  After both sweeps, with dQ, dK and dV final, the gate
+    gradients come as in the GLA paper's memory-efficient dalpha and
+    dbeta, with no state gradient: the identities dlogb = q (.) dq - k (.) dk
+    and dlogd = o (.) do - v (.) dv (query term positive; the
+    finite-difference oracle pins the sign), formed a chunk of rows at a
+    time in the rows they end up in, and then one suffix sum over each
+    whole array, in place.  dlog_alpha is allocated only then.
     """
     dOa = inst.cotangent(dO)
     plan.check(inst.L)
     Q, K, V, la, lb = inst.arrays
     L, dk, dv = inst.L, inst.dk, inst.dv
     N = plan.num_chunks
+    G = _backward_group_size(L, dk, dv, plan.boundaries[0][1])
+    groups = _groups(L, plan.boundaries[0][1], G)
 
     meter = Meter()
     dQ = np.empty((L, dk))  # each chunk's b_dagger until sweep F writes the chunk's dq
@@ -508,69 +555,90 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     dV = np.empty((L, dv))
     dlb = np.empty((L, dv))  # each chunk's d_dagger, then its O rows until the gate step
     log_gamma = np.empty((N, dk + dv))  # each chunk's log gamma_b, then log gamma_d
+    # the two scans' dk x dv slots: slot j + 1 holds what belongs to the
+    # state leaving a group's chunk j (dS in sweep R, S in sweep F), and
+    # slot 0 to the state entering the group
+    X = np.empty((min(G, N) + 1, dk, dv))
 
-    # Sweep R: every chunk's decay factors, and the state cotangent's K/V
-    # path and its carry, in reverse order.
-    dS = None
-    for i in range(N - 1, -1, -1):
-        s, e = plan.boundaries[i]
-        c = e - s
-        bd, dd, lgb, lgd = _decays(la[s:e], lb[s:e], meter, (dQ[s:e], dlb[s:e]))
-        log_gamma[i, :dk], log_gamma[i, dk:] = lgb, lgd
-        if i < N - 1:
-            # chunk i's own K/V contribution to S_i, weighted by the carried
-            # cotangent; fb and fd are each row's decay to the chunk's end
-            fb = bd[-1:] / bd
-            fd = dd[-1:] / dd
-            KB, VD = _kv(K[s:e], V[s:e], fb, fd, meter)
-            np.multiply(mm(VD, dS.T, meter), fb, out=dK[s:e])
-            np.multiply(mm(KB, dS, meter), fd, out=dV[s:e])
-            meter.add_flops(2 * c * dk + 2 * c * dv)  # fb and fd, then the scale
-        if i > 0:  # dS_{i-1}: chunk i's output rows' cotangent, plus dS_i carried back
-            Qt = Q[s:e] * bd
-            dOt = dOa[s:e] * dd
-            meter.add_flops(c * dk + c * dv)
-            T = mm(Qt.T, dOt, meter)
-            dS = T if dS is None else _carry(_gate(lgb, lgd, meter), dS, T, meter)
-    # drop sweep R's chunk temporaries (rebound, not deleted: a one-chunk
-    # plan never binds fb, fd, KB, VD, Qt or dOt)
-    bd = dd = lgb = lgd = fb = fd = KB = VD = Qt = dOt = T = dS = None
+    # Sweep R: every group's decay factors, and the state cotangent's K/V
+    # path and its scan, last group first.
+    for k0, k1, s, c in reversed(groups):
+        g = k1 - k0
+        e = s + g * c
+        f = 1 if k0 == 0 else 0  # the sequence's first chunk has no state entering it
+        n = g - (k1 == N)  # the chunks whose leaving state has a cotangent: not the last
+        bd, dd, lgb, lgd = _decays(la[s:e].reshape(g, c, -1), lb[s:e].reshape(g, c, -1), meter,
+                                   (dQ[s:e].reshape(g, c, -1), dlb[s:e].reshape(g, c, -1)))
+        log_gamma[k0:k1, :dk], log_gamma[k0:k1, dk:] = lgb, lgd
+        if n == g:  # dS of the state leaving the group, where the later group left it
+            X[g] = X[0]
+        if g > f:
+            # T_j = Qt_j^T dOt_j, chunk j's output rows' cotangent of the
+            # state entering them, into slot j; then the scan, later chunk
+            # first: dS_{j-1} = Gm_j (.) dS_j + T_j
+            Qt = Q[s:e].reshape(g, c, -1)[f:] * bd[f:]
+            dOt = dOa[s:e].reshape(g, c, -1)[f:] * dd[f:]
+            meter.flops += Qt.size + dOt.size
+            mm(Qt.swapaxes(-1, -2), dOt, meter, X[f:g])
+            if n > f:
+                Gm = _gate(lgb[f:n], lgd[f:n], meter)
+                for j in range(n - 1, f - 1, -1):
+                    _carry(Gm[j - f], X[j + 1], X[j], meter)
+        if n:
+            # chunk j's own K/V contribution to S_j, weighted by dS_j; fb
+            # and fd are each row's decay to the chunk's end
+            en = s + n * c
+            fb = bd[:n, -1:] / bd[:n]
+            fd = dd[:n, -1:] / dd[:n]
+            KB, VD = _kv(K[s:en].reshape(n, c, -1), V[s:en].reshape(n, c, -1), fb, fd, meter)
+            dS = X[1:n + 1]
+            np.multiply(mm(VD, dS.swapaxes(-1, -2), meter), fb, out=dK[s:en].reshape(n, c, -1))
+            np.multiply(mm(KB, dS, meter), fd, out=dV[s:en].reshape(n, c, -1))
+            meter.flops += 2 * fb.size + 2 * fd.size  # fb and fd, then the scale
+    # drop sweep R's group temporaries (rebound, not deleted: a one-chunk
+    # plan never binds fb, fd, KB, VD, dS, Qt, dOt or Gm)
+    bd = dd = lgb = lgd = fb = fd = KB = VD = dS = Qt = dOt = Gm = None
 
-    # Sweep F: the state recurrence, and every piece that needs S_{i-1} or
-    # only the chunk itself, in forward order, on the factors sweep R parked.
-    S = None
-    for i, (s, e) in enumerate(plan.boundaries):
-        bd, dd = dQ[s:e], dlb[s:e]
-        Qt, Kt, Vt = _chunk(Q[s:e], K[s:e], V[s:e], bd, dd, meter)
-        c = e - s
-        dOt = dOa[s:e] * dd
-        meter.add_flops(c * dv)
-        dqt, dkt, dvt, Oc = _intra_backward(Qt, Kt, Vt, dOt, meter)
-        if i > 0:  # dq's inter-chunk term
-            dqt += mm(dOt, S.T, meter)
-            meter.add_flops(c * dk)
-        if i == N - 1:  # sweep R gives the last chunk no K/V term
-            np.divide(dkt, bd, out=dK[s:e])
-            np.divide(dvt, dd, out=dV[s:e])
-        else:
-            dK[s:e] += np.divide(dkt, bd, out=dkt)
-            dV[s:e] += np.divide(dvt, dd, out=dvt)
-            meter.add_flops(c * dk + c * dv)
-        if i > 0:
-            _inter(Oc, Qt, S, meter)
-        # the state update reads gamma, the daggers' last rows, so it runs
-        # before O and dq are written over the daggers.  Its rows are formed
-        # over Kt and Vt under no other name, which would keep them alive
-        # through the next chunk's panels.
-        _kv(Kt, Vt, bd[-1:], dd[-1:], meter, (Kt, Vt))
-        T = mm(Kt.T, Vt, meter)
-        S = T if i == 0 else _carry(
-            _gate(log_gamma[i, :dk], log_gamma[i, dk:], meter), S, T, meter)
-        _output(Oc, dd, dlb[s:e], meter)  # the forward's O rows, bit for bit
-        np.multiply(dqt, bd, out=dQ[s:e])
-        meter.add_flops(2 * c * dk + c * dv)
-    # drop sweep F's chunk temporaries and the parked views before dla is allocated
-    del S, T, bd, dd, Qt, Kt, Vt, dOt, dqt, dkt, dvt, Oc, log_gamma
+    # Sweep F: the state scan, and every piece that needs S_{j-1} or only
+    # the group itself, in forward order, on the factors sweep R parked.
+    for k0, k1, s, c in groups:
+        g = k1 - k0
+        e = s + g * c
+        f = 1 if k0 == 0 else 0
+        n = g - (k1 == N)
+        bd, dd = dQ[s:e].reshape(g, c, -1), dlb[s:e].reshape(g, c, -1)
+        Qt, Kt, Vt = _chunk(Q[s:e].reshape(g, c, -1), K[s:e].reshape(g, c, -1),
+                            V[s:e].reshape(g, c, -1), bd, dd, meter)
+        dOt = dOa[s:e].reshape(g, c, -1) * dd
+        meter.flops += dOt.size
+        dqt, dkt, dvt, acc = _intra_backward(Qt, Kt, Vt, dOt, meter)
+        # dk and dv scaled back, onto sweep R's rows, or assigned in the
+        # sequence's last chunk, which sweep R gives none
+        dKg, dVg = dK[s:e].reshape(g, c, -1), dV[s:e].reshape(g, c, -1)
+        if n:
+            dKg[:n] += np.divide(dkt[:n], bd[:n], out=dkt[:n])
+            dVg[:n] += np.divide(dvt[:n], dd[:n], out=dvt[:n])
+            meter.flops += n * c * (dk + dv)
+        if n < g:
+            np.divide(dkt[n:], bd[n:], out=dKg[n:])
+            np.divide(dvt[n:], dd[n:], out=dVg[n:])
+        # the state rows read gamma from the daggers, so they come before
+        # the forward's O rows, bit for bit, are written over d_dagger
+        KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))
+        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])
+        del Kt, Vt, KB, VD
+        if g > f:  # the scan, then the inter terms of O and of dq
+            _scan(acc[f:], Qt[f:], log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:],
+                  X[f:g + 1], meter)
+            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)
+            meter.flops += dqt[f:].size
+        np.multiply(acc, dd, out=dd)
+        meter.flops += acc.size
+        np.multiply(dqt, bd, out=bd)
+        meter.flops += dqt.size + dkt.size + dvt.size  # dq, dk and dv scaled back
+        X[0] = X[g]
+        del Qt, dOt, dqt, dkt, dvt, acc, dKg, dVg  # freed before the next group's
+    del X, bd, dd, log_gamma  # and the parked views, before dla is allocated
 
     # Gate gradients, once dQ, dK and dV are final: the identities, a chunk
     # of rows at a time into the rows they end up in, then one suffix sum
@@ -583,7 +651,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         dlb[s:e] -= V[s:e] * dV[s:e]
     suffix_sum_arr(dla, out=dla)
     suffix_sum_arr(dlb, out=dlb)
-    meter.add_flops((4 * L - 1) * (dk + dv))
+    meter.flops += (4 * L - 1) * (dk + dv)
     try:
         grads = GradBundle(dQ, dK, dV, dla, dlb)
     except ValueError:
@@ -641,9 +709,9 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         # _chunk's decays (prefix sums and dagger; in the backward, sweep R
         # forms them and sweep F reads them) and Qt, Kt, Vt; _intra's
         # row blocks (scores, then scores x values); after the first chunk,
-        # _inter's product and add; _output's Ddag scale; _kv's Kt (.) gamma_b
-        # and Vt (.) gamma_d, their product and, after the first chunk, the
-        # gate matrix and the carry
+        # _scan's inter-term product and add; the Ddag scale; _kv's
+        # Kt (.) gamma_b and Vt (.) gamma_d, their product and, after the
+        # first chunk, _scan's gate matrix and carry
         flops += (2 * c - 1) * d + 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
         flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
         flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)

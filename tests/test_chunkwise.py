@@ -414,8 +414,8 @@ def test_group_size_rule():
     # at most two where the forward's peak test sits (L=1024, d=16, C=64),
     # and the whole sequence at the small shapes the checks run at
     def groups(L, dk, dv, C):
-        plan = ChunkPlan(L, C)
-        return list(chunkwise._groups(plan, chunkwise._group_size(L, dk, dv, min(C, L))))
+        c = min(C, L)
+        return list(chunkwise._groups(L, c, chunkwise._group_size(L, dk, dv, c)))
 
     assert chunkwise._group_size(4096, 64, 64, 64) == 4
     assert groups(4096, 64, 64, 64)[:2] == [(0, 4, 0, 64), (4, 8, 256, 64)]
@@ -429,6 +429,62 @@ def test_group_size_rule():
     # a ragged last chunk is a group of one; so is a chunk longer than L
     assert groups(11, 3, 2, 4) == [(0, 2, 0, 4), (2, 3, 8, 3)]
     assert groups(5, 3, 2, 9) == [(0, 1, 0, 5)]
+
+
+def _backward_in_groups_of(G, inst, dO, plan, pol):
+    """backward_chunkwise with G chunks per group (None: the module's own rule).
+
+    Returns the five gradients' bytes and the CostReport, or the message it raised.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if G is not None:
+            mp.setattr(chunkwise, "_backward_group_size", lambda L, dk, dv, c: G)
+        try:
+            grads, cost = backward_chunkwise(inst, dO, plan, pol)
+        except ValueError as exc:
+            return str(exc)
+    return [getattr(grads, f).data.tobytes() for f in GRAD_FIELDS], cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       L=st.integers(1, 40), dk=st.integers(1, 4), dv=st.integers(1, 4),
+       shape=st.sampled_from(["1", "ragged", "whole"]), r=st.integers(0, 99),
+       floor=st.sampled_from([0.5, 1e-3]), G=st.sampled_from([None, 2, 3]),
+       seed=st.integers(0, 2**32))
+@example(kind="general", L=1, dk=2, dv=1, shape="1", r=0, floor=0.5, G=2, seed=1)  # L=1
+@example(kind="general", L=9, dk=2, dv=3, shape="whole", r=3, floor=0.5, G=2, seed=2)  # C>L
+@example(kind="vanilla", L=20, dk=1, dv=2, shape="1", r=0, floor=0.5, G=3, seed=3)  # C=1
+@example(kind="retnet", L=37, dk=3, dv=2, shape="ragged", r=5, floor=1e-3, G=3,
+         seed=4)                                                       # ragged last chunk
+@example(kind="gla_beta_one", L=9, dk=3, dv=1, shape="1", r=0, floor=1e-3, G=3,
+         seed=5)                                 # the last group: three chunks, the last one
+def test_grouped_backward_matches_per_chunk_backward(kind, L, dk, dv, shape, r, floor, G,
+                                                     seed):
+    # a group runs each step of both sweeps once over its chunks' rows, and
+    # only the two dk x dv scans loop over its chunks; one chunk per group
+    # is the per-chunk backward.  Both must give the same five gradients
+    # byte for byte (or raise the same message) and the same CostReport,
+    # which is predict_cost's
+    inst = make_instance(ModelKind(kind), L, dk, dv, seed=seed, gate_floor=floor)
+    plan = ChunkPlan(L, _chunk_size(L, shape, r))
+    dO = rand_dO(L, dv, seed=seed + 1)
+    for pol in (MAT, REC):
+        got = _backward_in_groups_of(G, inst, dO, plan, pol)
+        assert got == _backward_in_groups_of(1, inst, dO, plan, pol), pol.mode
+        if not isinstance(got, str):
+            assert got[1] == predict_cost(L, dk, dv, plan, pol, "backward")
+
+
+def test_backward_group_size_rule():
+    # the backward's own rule, sized on its scratch: four chunks at the
+    # anchor shape and at L=4096, dk=dv=8, C=64; one at the oracle shape and
+    # where the backward's peak test sits (L=1024, d=16, C=64), where groups
+    # of two would take the peak past its bound
+    assert chunkwise._backward_group_size(4096, 64, 64, 64) == 4
+    assert chunkwise._backward_group_size(4096, 8, 8, 64) == 4
+    assert chunkwise._backward_group_size(16, 8, 8, 8) == 1
+    assert chunkwise._backward_group_size(1024, 16, 16, 64) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,35 +561,39 @@ def test_backward_allocates_no_full_length_temporaries(pol):
 def test_passes_hold_no_decay_table(pol):
     # each pass forms a chunk's decay factors when it reaches the chunk, so
     # neither holds 4 L*d of them: the forward holds O (and the states), the
-    # backward the five gradients plus chunk-local scratch.  The backward's
+    # backward the five gradients plus group-local scratch.  The backward's
     # sweep R parks each chunk's daggers in the chunk's rows of dQ and
     # dlog_beta, where sweep F reads them.  dlog_alpha is allocated only
-    # after both sweeps, once their chunk temporaries are dropped, so the
-    # backward's peak is sweep F's (~5.1)
-    L, d = 1024, 16
-    inst = make_instance(ModelKind("general"), L, d, d, seed=20)
-    plan = ChunkPlan(L, 64)
-    dO = rand_dO(L, d, seed=21)
-    fwd = _traced_peak(lambda: forward_chunkwise(inst, plan, pol))
-    bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
-    assert fwd <= 2.5 * L * d * 8, fwd / (L * d * 8)
-    assert bwd <= 5.6 * L * d * 8, bwd / (L * d * 8)
+    # after both sweeps, once their group temporaries are dropped, so the
+    # backward's peak is sweep F's (~5.1 at L=1024, d=16, whose groups are
+    # one chunk).  At L=4096, d=8 the forward and the backward group four
+    # chunks or more, and the same bounds hold.
+    for L, d in ((1024, 16), (4096, 8)):
+        inst = make_instance(ModelKind("general"), L, d, d, seed=20)
+        plan = ChunkPlan(L, 64)
+        dO = rand_dO(L, d, seed=21)
+        fwd = _traced_peak(lambda: forward_chunkwise(inst, plan, pol))
+        bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
+        assert fwd <= 2.5 * L * d * 8, (L, d, fwd / (L * d * 8))
+        assert bwd <= 5.6 * L * d * 8, (L, d, bwd / (L * d * 8))
 
 
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
-@pytest.mark.parametrize("L, C", [(1, 1), (8, 8), (11, 4), (5, 9)],
-                         ids=["L=1", "one_chunk", "ragged", "C>L"])
+@pytest.mark.parametrize("L, C", [(1, 1), (8, 8), (11, 4), (5, 9), (70, 2)],
+                         ids=["L=1", "one_chunk", "ragged", "C>L", "groups"])
 def test_backward_forms_each_chunks_factors_once(monkeypatch, pol, L, C):
-    # the forward forms each group's factors once, in order, and the groups
-    # tile the plan's chunks; the backward's sweep R forms every chunk's
-    # factors, last chunk first, and parks them for sweep F, which forms none
+    # each pass forms each chunk's factors once, a group of chunks at a
+    # time, and the groups tile the plan's chunks: the forward's in order,
+    # and the backward's sweep R's last group first; sweep F forms none, it
+    # reads the factors sweep R parked.  At L=70, C=2 a backward group holds
+    # two chunks.
     inst = make_instance(ModelKind("general"), L, 3, 2, seed=30)
     plan = ChunkPlan(L, C)
     la = inst.gates.log_alpha
     formed = []
 
     def counted(la_rows, lb_rows, *args):
-        # the chunk is where its log-alpha rows sit in the instance's array
+        # the group is where its log-alpha rows sit in the instance's array
         assert np.shares_memory(la_rows, la)
         offset = la_rows.__array_interface__["data"][0] - la.__array_interface__["data"][0]
         s = offset // la.strides[0]
@@ -548,7 +608,11 @@ def test_backward_forms_each_chunks_factors_once(monkeypatch, pol, L, C):
     assert formed[-1][1] == L
     formed.clear()
     backward_chunkwise(inst, rand_dO(L, 2), plan, pol)
-    assert formed == list(reversed(plan.boundaries))
+    assert [e for _, e in formed] == [L] + [s for s, _ in formed[:-1]]
+    assert {s for s, _ in formed} <= set(starts) and {e for _, e in formed} <= set(ends)
+    assert formed[-1][0] == 0
+    if (L, C) == (70, 2):
+        assert len(formed) < plan.num_chunks
 
 
 def test_backward_scratch_at_one_long_chunk():

@@ -21,7 +21,9 @@ form's O and five gradients, ``forward_recurrent``'s O, and the five
 gradients of ``backward_recurrent_exact`` and of ``backward_recurrent_fd``
 (at its default eps), and the report rows of ``check_equivalence`` and
 ``check_causality`` at the config's chunk size: each row's name, errors
-and verdict, not its elapsed time.  BLAS runs one thread unless the
+and verdict, not its elapsed time.  The config after the anchor, whose
+backward groups four 16-row chunks and ends in a ragged chunk, skips the
+judges too: it pins the chunkwise passes only.  BLAS runs one thread unless the
 environment sets otherwise, so the digest does not depend on the core
 count.
 """
@@ -50,6 +52,7 @@ from glakit.tensor import SeqTensor  # noqa: E402
 # (name, kind, L, dk, dv, seed, gate floor, chunk size)
 GRID = (
     ("anchor", "general", 4096, 64, 64, 1, 0.5, 64),
+    ("grouped backward", "general", 1100, 8, 8, 2, 0.5, 16),
     *((f"general C={C}", "general", 300, 5, 4, 7, 0.5, C) for C in (16, 11, 64, 73, 131)),
     ("L=1", "general", 1, 3, 2, 3, 0.5, 4),
     ("retnet", "retnet", 100, 4, 3, 5, 0.5, 16),
@@ -59,6 +62,7 @@ GRID = (
     ("floor 1e-300", "general", 24, 2, 2, 9, 1e-300, 2),  # raises
 )
 GRADS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
+NO_JUDGES = ("anchor", "grouped backward")
 
 
 def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, judges: bool) -> None:
@@ -117,7 +121,7 @@ def main() -> int:
         hc.update(b)
 
     for name, *cfg in GRID:
-        _digest_config(bits, counts, *cfg, judges=name != "anchor")
+        _digest_config(bits, counts, *cfg, judges=name not in NO_JUDGES)
     print(h.hexdigest())
     print(f"bits {hb.hexdigest()}")
     print(f"counters {hc.hexdigest()}")

@@ -133,10 +133,10 @@ MUTANTS = (
            "tests/test_tensorfile.py::test_implausible_ndim_in_header"),
     # The chunk steps that the forward and both backward sweeps share.
     Mutant("intra_keeps_no_panel_scores", "chunkwise.py",
-           "            W[..., j0 - p0:n - p0, :n] = Wb\n", "            pass\n",
+           "None if W is None else W[..., j0 - p0:n - p0, :n]", "None",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("output_drops_inter_term", "chunkwise.py",
-           "    acc += mm(Qt, S, meter)\n", "    mm(Qt, S, meter)\n",
+           "    acc += mm(Qt, St[..., :g, :, :], meter)\n", "    mm(Qt, St[..., :g, :, :], meter)\n",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     Mutant("carry_gates_T_not_X", "chunkwise.py",
            "    T += Gm * X\n", "    T[...] = Gm * T + X\n",
@@ -149,44 +149,60 @@ MUTANTS = (
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     Mutant("state_update_folds_gamma_into_Kt_Vt", "chunkwise.py",
            "        KB, VD = _kv(Kt, Vt, bd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))\n"
-           "        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n",
+           "        mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n",
            "        KB, VD = Kt, Vt\n"
-           "        Sout = mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n"
-           "        Sout *= outer_gate(lgb, lgd)\n",
+           "        mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n"
+           "        St[..., a:a + g, :, :] *= outer_gate(lgb, lgd)\n",
            "tests/test_chunkwise.py::"
            "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
     # A group's carry: only it loops over the group's chunks, and it gates
     # the state carried into the group like any other.
     Mutant("group_carry_skips_first_gate", "chunkwise.py",
-           "_carry(Gm[..., j - f, :, :], St",
-           "_carry(Gm[..., j - f, :, :] if j else 1.0, St",
+           "_carry(Gm[..., j, :, :], St",
+           "_carry(Gm[..., j, :, :] if j else 1.0, St",
            "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
     Mutant("group_inter_reads_outgoing_state", "chunkwise.py",
-           "St[..., a + f - 1:a + g - 1, :, :], meter)",
-           "St[..., a + f:a + g, :, :], meter)",
+           "mm(Qt, St[..., :g, :, :], meter)",
+           "mm(Qt, St[..., 1:, :, :], meter)",
            "tests/test_chunkwise.py::test_all_chunk_sizes_match_recurrent"),
     Mutant("recompute_loses_group_carry", "chunkwise.py",
            "            St[..., 0, :, :] = St[..., g, :, :]\n", "            pass\n",
            "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
     Mutant("sweep_r_factor_without_dagger", "chunkwise.py",
-           "fb = bd[-1:] / bd", "fb = bd[-1:]",
+           "fb = bd[:n, -1:] / bd[:n]", "fb = bd[:n, -1:]",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
+    # The backward's two scans, chunk by chunk within a group and carried
+    # from group to group: dS back in sweep R, S forward in sweep F.
+    Mutant("ds_scan_carries_from_the_slot_it_writes", "chunkwise.py",
+           "_carry(Gm[j - f], X[j + 1], X[j], meter)", "_carry(Gm[j - f], X[j], X[j], meter)",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
+    Mutant("sweep_f_state_not_carried_into_next_group", "chunkwise.py",
+           "        X[0] = X[g]\n", "        pass\n",
+           "tests/test_chunkwise.py::test_backward_agrees_with_parallel_closed_form"),
     # Sweep F on the daggers that sweep R parked in the rows of dQ and dlb.
     Mutant("last_chunk_dk_added_not_assigned", "chunkwise.py",
-           "            np.divide(dkt, bd, out=dK[s:e])\n",
-           "            dK[s:e] += np.divide(dkt, bd, out=dkt)\n",
+           "            np.divide(dkt[n:], bd[n:], out=dKg[n:])\n",
+           "            dKg[n:] += np.divide(dkt[n:], bd[n:], out=dkt[n:])\n",
            "tests/test_chunkwise.py::test_passes_read_no_unwritten_memory"),
     Mutant("o_written_before_state_update", "chunkwise.py",
-           "        _kv(Kt, Vt, bd[-1:], dd[-1:], meter, (Kt, Vt))\n"
-           "        T = mm(Kt.T, Vt, meter)\n"
-           "        S = T if i == 0 else _carry(\n"
-           "            _gate(log_gamma[i, :dk], log_gamma[i, dk:], meter), S, T, meter)\n"
-           "        _output(Oc, dd, dlb[s:e], meter)",
-           "        _output(Oc, dd, dlb[s:e], meter)\n"
-           "        _kv(Kt, Vt, bd[-1:], dd[-1:], meter, (Kt, Vt))\n"
-           "        T = mm(Kt.T, Vt, meter)\n"
-           "        S = T if i == 0 else _carry(\n"
-           "            _gate(log_gamma[i, :dk], log_gamma[i, dk:], meter), S, T, meter)",
+           "        KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))\n"
+           "        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])\n"
+           "        del Kt, Vt, KB, VD\n"
+           "        if g > f:  # the scan, then the inter terms of O and of dq\n"
+           "            _scan(acc[f:], Qt[f:], log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:],\n"
+           "                  X[f:g + 1], meter)\n"
+           "            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)\n"
+           "            meter.flops += dqt[f:].size\n"
+           "        np.multiply(acc, dd, out=dd)\n",
+           "        np.multiply(acc, dd, out=dd)\n"
+           "        KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))\n"
+           "        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])\n"
+           "        del Kt, Vt, KB, VD\n"
+           "        if g > f:  # the scan, then the inter terms of O and of dq\n"
+           "            _scan(acc[f:], Qt[f:], log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:],\n"
+           "                  X[f:g + 1], meter)\n"
+           "            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)\n"
+           "            meter.flops += dqt[f:].size\n",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The gate-gradient step after sweep R, and its cost.
     Mutant("gate_grads_skip_dla_suffix_sum", "chunkwise.py",
