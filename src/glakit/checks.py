@@ -194,6 +194,8 @@ def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
     """
     if inst.L < 2:
         raise ValueError("causality check needs L >= 2")
+    if trials < 1:
+        raise ValueError(f"causality check needs trials >= 1, got {trials}")
     rng = SplitMix64(seed)
     plan = _plan(inst.L, chunk)
     group = max(1, min(trials, 2**15 // (inst.L * (inst.dk + inst.dv))))

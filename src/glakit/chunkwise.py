@@ -73,12 +73,12 @@ every pass that takes the step calls:
 - ``_kv``: the key and value rows as they enter the outgoing state, rows
   times given factors: ``Kt (.) gamma_b`` and ``Vt (.) gamma_d`` from the
   transforms that the forward and sweep F hold;
-- ``_gate``: the gate matrix ``gamma_b^T gamma_d``, from the log gammas;
-- ``_carry``: ``Gm (.) X + T``, the gated carry.  Going forward X is the
-  state; going back it is the state's cotangent;
-- ``_scan``: the state scan of a group's chunks, a ``_gate`` and then a
-  ``_carry`` per chunk, and then their inter terms ``Qt S_prev`` in one
-  product.  A pass then scales the summed rows by ``Ddag``.
+- ``_scan``: the gated carry over a group's chunks, ``X_j += Gm_j (.)
+  X_{j-1}`` chunk by chunk, with one gate matrix ``gamma_b^T gamma_d``
+  per chunk formed for the whole group.  Going forward X is the state;
+  on reversed views it is the state's cotangent, carried back.  The
+  inter terms ``Qt S_prev`` are the callers' own product, and a pass then
+  scales the summed rows by ``Ddag``.
 
 The forward is one raw kernel, ``_forward_raw``, on arrays whose leading
 axes are a batch, and it walks the plan in groups of up to G equal-length
@@ -105,10 +105,10 @@ calls the same steps in two sweeps, as in the GLA paper, over the same
 groups of chunks (``_backward_group_size`` picks G from the backward's
 own scratch), and then assembles the gate gradients.  Each sweep makes
 one call of each step per group, and only its dk x dv scan runs chunk by
-chunk: the state cotangent going back in sweep R, the state going
-forward, through ``_scan``, in sweep F.  ``backward_chunkwise`` states
-the sweeps, where they park each chunk's factors and O's rows, and the
-gate step.  The two policies of the GLA
+chunk, and both are ``_scan``: the state cotangent going back in sweep
+R, on reversed views, and the state going forward in sweep F.
+``backward_chunkwise`` states the sweeps, where they park each chunk's
+factors, and the gate step.  The two policies of the GLA
 paper's chunkwise training (its section 4) decide only whether the
 forward returns its chunk states (``materialize``) or not
 (``recompute``), and which state traffic a CostReport books;
@@ -137,7 +137,7 @@ from .cost import CostReport, Meter, mm_flops
 from .gates import ChunkPlan, chunk_factors, outer_gate
 from .gates import chunk_relative_decays, cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds them
 from .recurrent import GlaInstance, GradBundle
-from .tensor import SeqTensor, readonly, suffix_sum_arr
+from .tensor import SeqTensor, check_sizes, readonly, suffix_sum_arr
 
 __all__ = [
     "BLOCK",
@@ -336,35 +336,20 @@ def _kv(Kc, Vc, fb, fd, meter: Meter, out=(None, None)):
     return KB, VD
 
 
-def _gate(lgb, lgd, meter: Meter) -> np.ndarray:
-    """gamma_b^T gamma_d from the log gammas: the gate matrix of a carry, one per chunk."""
-    Gm = outer_gate(lgb, lgd)
-    meter.flops += 2 * Gm.size  # an add and an exp per entry
-    return Gm
+def _scan(lgb, lgd, X, meter: Meter) -> None:
+    """The gated carry over a group's chunks, in place: X[j + 1] += Gm_j (.) X[j], chunk by chunk.
 
-
-def _carry(Gm, X, T, meter: Meter) -> np.ndarray:
-    """Gm (.) X + T, in place over T: the gated carry of a state or of its cotangent."""
-    T += Gm * X
-    meter.flops += 2 * T.size  # gate X, add T
-    return T
-
-
-def _scan(acc, Qt, lgb, lgd, St, meter: Meter) -> None:
-    """The state scan over a group's chunks that a state enters, then their inter terms.
-
-    The chunks are on axis -3, and St has one slot more than there are
-    chunks: the state entering the first chunk, then each chunk's T_j, the
-    product of its state rows.  The scan carries S_j = Gm_j (.) S_{j-1} + T_j
-    over the T_j, chunk by chunk, and then acc gains every chunk's inter
-    term Qt_j S_{j-1} in one product.
+    The chunks are on axis -3, and X has one slot more than there are
+    chunks: the carried matrix entering the first chunk, then each chunk's
+    own term T_j.  Gm_j = gamma_b^T gamma_d comes from chunk j's log
+    gammas, one ``outer_gate`` for the group.  Going forward X holds the
+    state; on reversed views (the chunks and the slots taken last first) it
+    carries the state's cotangent back.
     """
-    g = Qt.shape[-3]
-    Gm = _gate(lgb, lgd, meter)
-    for j in range(g):
-        _carry(Gm[..., j, :, :], St[..., j, :, :], St[..., j + 1, :, :], meter)
-    acc += mm(Qt, St[..., :g, :, :], meter)
-    meter.flops += acc.size
+    Gm = outer_gate(lgb, lgd)
+    for j in range(Gm.shape[-3]):
+        X[..., j + 1, :, :] += Gm[..., j, :, :] * X[..., j, :, :]
+    meter.flops += 4 * Gm.size  # an add and an exp per gate entry; gate X, add T
 
 
 # A group's chunks share one call of each step, so a few groups amortize
@@ -467,9 +452,11 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
         KB, VD = _kv(Kt, Vt, bd[..., -1:, :], dd[..., -1:, :], meter, (Kt, Vt))
         mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])
         del Kt, Vt, KB, VD  # freed before the inter term's temporaries
-        if g > f:
-            _scan(acc[..., f:, :, :], Qt[..., f:, :, :], lgb[..., f:, :], lgd[..., f:, :],
-                  St[..., a + f - 1:a + g, :, :], meter)
+        if g > f:  # the scan, then the inter terms Qt_k S_{k-1} in one product
+            S = St[..., a + f - 1:a + g, :, :]
+            _scan(lgb[..., f:, :], lgd[..., f:, :], S, meter)
+            acc[..., f:, :, :] += mm(Qt[..., f:, :, :], S[..., :-1, :, :], meter)
+            meter.flops += acc[..., f:, :, :].size
         np.multiply(acc, dd, out=acc)  # O's rows: the Ddag scale
         meter.flops += acc.size
         if not materialize:
@@ -511,9 +498,9 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     group's rows of dQ and of the dlog_beta buffer, which nothing has
     written yet, and the log gammas in a small N x (dk + dv) array.  It
     forms the products Qt^T dOt of the chunks that a state enters, then
-    scans dS back through them, later chunk first (``_gate``, then a
-    ``_carry`` per chunk), and then writes every chunk's K/V path through
-    its dS into dK and dV at once, from rows that ``_kv`` forms from K and
+    scans dS back through them with ``_scan`` on the group's log gammas
+    and slots taken last first, and then writes every chunk's K/V path
+    through its dS into dK and dV at once, from rows that ``_kv`` forms from K and
     V and each row's decay to the chunk's end, gamma / Bdag (one divide
     per side, no exp; it holds no Kt or Vt).  (F) A forward-order sweep
     then runs the state recurrence once and does everything that needs
@@ -521,25 +508,28 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     views.  It calls the forward's steps: ``_chunk`` for the transforms,
     ``_intra`` inside the panels of ``_intra_backward`` for the
     intra-chunk cotangents, ``_kv`` and one product for the state rows, and
-    ``_scan``, the forward's state scan with its inter terms, for the O
-    rows (bit for bit the forward's, re-formed from the score blocks
-    rather than by replaying the forward).  It also adds the inter-chunk
-    dq term and scales dq, dk and dv back; dk and dv are added onto sweep
-    R's rows, or assigned on the sequence's last chunk, which sweep R gives
-    none.  The state rows read gamma, the daggers' last rows, so they are
-    formed before O and dq are written over the daggers; O stays in the
-    dlog_beta rows until the gate step.  Both scans carry their dk x dv
-    arrays in min(G, N) + 1 slots, and each group's temporaries are freed
-    before the next group's.  No record of the states is kept under either
-    policy, and neither sweep reads ``policy``: it picks only the state
-    traffic of the returned CostReport, which ``ChunkPolicy.report``
-    states.  After both sweeps, with dQ, dK and dV final, the gate
-    gradients come as in the GLA paper's memory-efficient dalpha and
-    dbeta, with no state gradient: the identities dlogb = q (.) dq - k (.) dk
-    and dlogd = o (.) do - v (.) dv (query term positive; the
-    finite-difference oracle pins the sign), formed a chunk of rows at a
-    time in the rows they end up in, and then one suffix sum over each
-    whole array, in place.  dlog_alpha is allocated only then.
+    ``_scan``, the forward's state scan, whose states give the inter terms
+    of O's rows (bit for bit the forward's, re-formed from the score blocks
+    rather than by replaying the forward) and of dq.  It scales dq, dk and
+    dv back; dk and dv are added onto sweep R's rows, or assigned on the
+    sequence's last chunk, which sweep R gives none.  The state rows read
+    gamma, the daggers' last rows, so they are formed before O and dq are
+    written over the daggers.  Once dV's rows are final, O's rows go over
+    d_dagger and become dlog_beta's identity rows there, so the dlog_beta
+    buffer holds d_dagger, then those rows, and never O across phases.
+    Both scans carry their dk x dv arrays in min(G, N) + 1 slots, and each
+    group's temporaries are freed before the next group's.  No record of
+    the states is kept under either policy, and neither sweep reads
+    ``policy``: it picks only the state traffic of the returned
+    CostReport, which ``ChunkPolicy.report`` states.  The gate gradients
+    come as in the GLA paper's memory-efficient dalpha and dbeta, with no
+    state gradient, from the identities
+    dlogb = q (.) dq - k (.) dk and dlogd = o (.) do - v (.) dv (query term
+    positive; the finite-difference oracle pins the sign), each formed in
+    the rows it ends up in: dlogd's by sweep F, and dlogb's, a chunk of rows
+    at a time, by the gate step after both sweeps, once dQ and dK are
+    final.  The gate step then takes one suffix sum over each whole array,
+    in place.  dlog_alpha is allocated only then.
     """
     dOa = inst.cotangent(dO)
     plan.check(inst.L)
@@ -553,7 +543,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     dQ = np.empty((L, dk))  # each chunk's b_dagger until sweep F writes the chunk's dq
     dK = np.empty((L, dk))  # sweep R writes the K/V term; sweep F adds its own rows
     dV = np.empty((L, dv))
-    dlb = np.empty((L, dv))  # each chunk's d_dagger, then its O rows until the gate step
+    dlb = np.empty((L, dv))  # each chunk's d_dagger until sweep F writes its identity rows
     log_gamma = np.empty((N, dk + dv))  # each chunk's log gamma_b, then log gamma_d
     # the two scans' dk x dv slots: slot j + 1 holds what belongs to the
     # state leaving a group's chunk j (dS in sweep R, S in sweep F), and
@@ -574,16 +564,14 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             X[g] = X[0]
         if g > f:
             # T_j = Qt_j^T dOt_j, chunk j's output rows' cotangent of the
-            # state entering them, into slot j; then the scan, later chunk
-            # first: dS_{j-1} = Gm_j (.) dS_j + T_j
+            # state entering them, into slot j; then the scan, on the
+            # chunks and slots taken later chunk first: dS_{j-1} = Gm_j (.) dS_j + T_j
             Qt = Q[s:e].reshape(g, c, -1)[f:] * bd[f:]
             dOt = dOa[s:e].reshape(g, c, -1)[f:] * dd[f:]
             meter.flops += Qt.size + dOt.size
             mm(Qt.swapaxes(-1, -2), dOt, meter, X[f:g])
             if n > f:
-                Gm = _gate(lgb[f:n], lgd[f:n], meter)
-                for j in range(n - 1, f - 1, -1):
-                    _carry(Gm[j - f], X[j + 1], X[j], meter)
+                _scan(lgb[f:n][::-1], lgd[f:n][::-1], X[f:n + 1][::-1], meter)
         if n:
             # chunk j's own K/V contribution to S_j, weighted by dS_j; fb
             # and fd are each row's decay to the chunk's end
@@ -596,8 +584,8 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             np.multiply(mm(KB, dS, meter), fd, out=dV[s:en].reshape(n, c, -1))
             meter.flops += 2 * fb.size + 2 * fd.size  # fb and fd, then the scale
     # drop sweep R's group temporaries (rebound, not deleted: a one-chunk
-    # plan never binds fb, fd, KB, VD, dS, Qt, dOt or Gm)
-    bd = dd = lgb = lgd = fb = fd = KB = VD = dS = Qt = dOt = Gm = None
+    # plan never binds fb, fd, KB, VD, dS, Qt or dOt)
+    bd = dd = lgb = lgd = fb = fd = KB = VD = dS = Qt = dOt = None
 
     # Sweep F: the state scan, and every piece that needs S_{j-1} or only
     # the group itself, in forward order, on the factors sweep R parked.
@@ -628,30 +616,32 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])
         del Kt, Vt, KB, VD
         if g > f:  # the scan, then the inter terms of O and of dq
-            _scan(acc[f:], Qt[f:], log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:],
-                  X[f:g + 1], meter)
+            _scan(log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:], X[f:g + 1], meter)
+            acc[f:] += mm(Qt[f:], X[f:g], meter)
             dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)
-            meter.flops += dqt[f:].size
+            meter.flops += acc[f:].size + dqt[f:].size
+        # O's rows over d_dagger, then dlog_beta's identity o (.) do - v (.) dv
+        # in their place, now that dV's rows are final
         np.multiply(acc, dd, out=dd)
-        meter.flops += acc.size
+        dd *= dOa[s:e].reshape(g, c, -1)
+        dd -= V[s:e].reshape(g, c, -1) * dVg
+        meter.flops += 4 * acc.size
         np.multiply(dqt, bd, out=bd)
         meter.flops += dqt.size + dkt.size + dvt.size  # dq, dk and dv scaled back
         X[0] = X[g]
         del Qt, dOt, dqt, dkt, dvt, acc, dKg, dVg  # freed before the next group's
     del X, bd, dd, log_gamma  # and the parked views, before dla is allocated
 
-    # Gate gradients, once dQ, dK and dV are final: the identities, a chunk
-    # of rows at a time into the rows they end up in, then one suffix sum
-    # over each whole array.
+    # The gate step, once dQ and dK are final: dlog_alpha's identity, a
+    # chunk of rows at a time into the rows it ends up in, then one suffix
+    # sum over each whole array.
     dla = np.empty((L, dk))
     for s, e in plan.boundaries:
         np.multiply(Q[s:e], dQ[s:e], out=dla[s:e])
         dla[s:e] -= K[s:e] * dK[s:e]
-        dlb[s:e] *= dOa[s:e]
-        dlb[s:e] -= V[s:e] * dV[s:e]
     suffix_sum_arr(dla, out=dla)
     suffix_sum_arr(dlb, out=dlb)
-    meter.flops += (4 * L - 1) * (dk + dv)
+    meter.flops += 3 * L * dk + (L - 1) * (dk + dv)
     try:
         grads = GradBundle(dQ, dK, dV, dla, dlb)
     except ValueError:
@@ -675,9 +665,10 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     instrumented runs must reproduce these numbers exactly.  One pass over
     the chunks sums each phase's flops.  Each chunk's step is stated once,
     for the forward and for the backward's sweep F, which takes it too; the
-    backward then adds sweep F's cotangent work and sweep R, and after the
-    loop the gate-gradient step: the identities 3L(dk+dv) and the two
-    whole-array suffix sums (L-1)(dk+dv).  A chunk's decay factors cost
+    backward then adds sweep F's cotangent work, which ends with
+    dlog_beta's identity 3c dv, and sweep R, and after the loop the gate
+    step: dlog_alpha's identity 3L dk and the two whole-array suffix sums
+    (L-1)(dk+dv).  A chunk's decay factors cost
     (2c-1)(dk+dv), and each pass forms them once: the forward when it
     reaches the chunk, the backward in sweep R, which parks them for sweep
     F and, for every chunk but the last, also divides gamma by the
@@ -695,6 +686,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
     """
     if pass_ not in ("forward", "backward"):
         raise ValueError(f"pass_ must be 'forward' or 'backward', got {pass_!r}")
+    check_sizes(dk=dk, dv=dv)
     plan.check(L)
     N = plan.num_chunks
     backward = pass_ == "backward"
@@ -718,14 +710,15 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         if not backward:
             continue
         # sweep F's cotangent work: dOt, the panels' cotangent products and
-        # adds, dq's inter term and its add, and dq, dk, dv scaled back
+        # adds, dq's inter term and its add, dq, dk, dv scaled back, and
+        # dlog_beta's identity o (.) do - v (.) dv
         flops += c * dv + _block_area(c, PANEL) * (4 * d - 1) - c * dk - c * d
-        flops += 2 * c * dk + c * dv + (0 if first else mm_flops(c, dv, dk) + c * dk)
+        flops += 2 * c * dk + 4 * c * dv + (0 if first else mm_flops(c, dv, dk) + c * dk)
         if not last:  # sweep R: fb and fd, the K/V term under dS; sweep F's add onto it
             flops += 4 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
         if not first:  # sweep R: Qt and dOt again, dS_{i-1}, and (not last) the carry of dS
             flops += c * d + mm_flops(dk, c, dv) + (0 if last else 4 * dk * dv)
-    if backward:  # gate-gradient assembly: the identities, then two whole-array suffix sums
-        flops += (4 * L - 1) * d
+    if backward:  # the gate step: dlog_alpha's identity, then two whole-array suffix sums
+        flops += 3 * L * dk + (L - 1) * d
 
     return policy.report(flops, N, backward)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gates import GateSeq
 from .recurrent import GlaInstance
-from .tensor import SeqTensor, readonly
+from .tensor import SeqTensor, check_sizes, readonly
 
 __all__ = ["ModelKind", "SplitMix64", "make_instance"]
 
@@ -110,9 +110,7 @@ class ModelKind:
 def make_instance(kind: ModelKind, L: int, dk: int, dv: int, seed: int,
                   gate_floor: float = 0.5) -> GlaInstance:
     """Deterministic random instance of the requested model family."""
-    for name, size in (("L", L), ("dk", dk), ("dv", dv)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
+    check_sizes(L=L, dk=dk, dv=dv)
     if not (0.0 < gate_floor <= 1.0):
         raise ValueError(f"gate_floor must be in (0, 1], got {gate_floor}")
     rng = SplitMix64(seed)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .gates import cumulative_log_decay
 from .recurrent import GlaInstance, GradBundle
-from .tensor import SeqTensor, suffix_sum_arr
+from .tensor import SeqTensor, check_sizes, suffix_sum_arr
 
 __all__ = [
     "forward_parallel",
@@ -76,6 +76,7 @@ def parallel_forward_cost(L: int, dk: int, dv: int) -> int:
     n = 1..L.  No run counts these ops; the test suite pins this count to
     totals derived by hand from the ops.
     """
+    check_sizes(L=L, dk=dk, dv=dv)
     return (5 * dk + 5 * dv - 1) * (L * (L + 1) // 2) - L * dv
 
 

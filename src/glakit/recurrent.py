@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import GateSeq, outer_gate
-from .tensor import SeqTensor, mm, readonly
+from .tensor import SeqTensor, check_sizes, mm, readonly
 
 __all__ = [
     "GlaInstance",
@@ -154,6 +154,7 @@ def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
     o_t = q_t S_t (dk dv + (dk-1) dv).  No run counts these ops; the
     test suite pins this count to a total derived by hand from the ops.
     """
+    check_sizes(L=L, dk=dk, dv=dv)
     per_step = 2 * dk * dv + 3 * dk * dv + dk * dv + (dk - 1) * dv
     return L * per_step
 

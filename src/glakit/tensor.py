@@ -28,6 +28,13 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_sizes(**sizes: int) -> None:
+    """The size rule of instances and cost models: a ValueError names the first size below 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
 def record_array(data, name: str) -> tuple[np.ndarray, float]:
     """data as a record's array, and its max: the one statement of the array rules.
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from glakit import (ChunkPlan, ChunkPolicy, GateSeq, GlaInstance, ModelKind,
                     SeqTensor, SplitMix64, backward_chunkwise, backward_recurrent_exact,
                     backward_recurrent_fd, forward_chunkwise, forward_parallel,
-                    forward_recurrent, make_instance, predict_cost, rel_err)
+                    forward_recurrent, make_instance, parallel_forward_cost, predict_cost,
+                    recurrent_forward_cost, rel_err)
 from glakit import chunkwise
 from glakit.chunkwise import BLOCK, PANEL
 from glakit.gates import chunk_factors
@@ -801,3 +802,19 @@ def test_bad_policy_and_pass_rejected():
         ChunkPolicy("cache")
     with pytest.raises(ValueError):
         predict_cost(8, 2, 2, ChunkPlan(8, 4), MAT, "sideways")
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("name", ["L", "dk", "dv"])
+def test_cost_models_name_a_bad_size(name, size):
+    # make_instance's size rule, so no cost model books flops for a width
+    # below 1 (predict_cost's L is its plan's, which is at least 1)
+    sizes = dict(L=3, dk=2, dv=2) | {name: size}
+    match = f"^{name} must be >= 1, got {size}$"
+    for cost in (recurrent_forward_cost, parallel_forward_cost):
+        with pytest.raises(ValueError, match=match):
+            cost(**sizes)
+    if name != "L":
+        for pass_ in ("forward", "backward"):
+            with pytest.raises(ValueError, match=match):
+                predict_cost(**sizes, plan=ChunkPlan(3, 2), policy=MAT, pass_=pass_)

@@ -303,7 +303,9 @@ def test_check_causality_trials():
     report = check_causality(inst, trials=20, seed=12)
     assert report.passed
     assert report.max_abs_err == 0.0  # in practice prefixes are bit-identical
-    assert check_causality(inst, trials=0).passed  # no trial, no group
+    for trials in (0, -3):  # a report over no trial would pass having compared nothing
+        with pytest.raises(ValueError, match=f"^causality check needs trials >= 1, got {trials}$"):
+            check_causality(inst, trials=trials)
 
 
 def test_check_causality_needs_two_rows():

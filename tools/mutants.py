@@ -51,6 +51,33 @@ class Mutant:
     survives: bool = False  # below a tolerance by design
 
 
+# Sweep F's lines from the state rows to O's rows, which must come after
+# them, and from its dv add to dlog_beta's identity, which must come after it.
+_SWEEP_F_O_SCALE = "        np.multiply(acc, dd, out=dd)\n"
+_SWEEP_F_STATE_TO_O = (
+    "        KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))\n"
+    "        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])\n"
+    "        del Kt, Vt, KB, VD\n"
+    "        if g > f:  # the scan, then the inter terms of O and of dq\n"
+    "            _scan(log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:], X[f:g + 1], meter)\n"
+    "            acc[f:] += mm(Qt[f:], X[f:g], meter)\n"
+    "            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)\n"
+    "            meter.flops += acc[f:].size + dqt[f:].size\n"
+    "        # O's rows over d_dagger, then dlog_beta's identity o (.) do - v (.) dv\n"
+    "        # in their place, now that dV's rows are final\n"
+    + _SWEEP_F_O_SCALE)
+_SWEEP_F_DV_TO_DBETA = (
+    "            dVg[:n] += np.divide(dvt[:n], dd[:n], out=dvt[:n])\n"
+    "            meter.flops += n * c * (dk + dv)\n"
+    "        if n < g:\n"
+    "            np.divide(dkt[n:], bd[n:], out=dKg[n:])\n"
+    "            np.divide(dvt[n:], dd[n:], out=dVg[n:])\n"
+    "        # the state rows read gamma from the daggers, so they come before\n"
+    "        # the forward's O rows, bit for bit, are written over d_dagger\n"
+    + _SWEEP_F_STATE_TO_O
+    + "        dd *= dOa[s:e].reshape(g, c, -1)\n"
+    "        dd -= V[s:e].reshape(g, c, -1) * dVg\n")
+
 MUTANTS = (
     # Judges and guards that no test used to pin, each now pinned by its
     # own test ...
@@ -105,6 +132,12 @@ MUTANTS = (
     Mutant("plan_check_skipped", "gates.py",
            "if self.L != L:", "if False:",
            "tests/test_chunkwise.py::test_plan_mismatch_rejected"),
+    Mutant("causality_accepts_no_trial", "checks.py",
+           "if trials < 1:", "if False:",
+           "tests/test_fixtures_checks.py::test_check_causality_trials"),
+    Mutant("sizes_accept_0", "tensor.py",
+           "if size < 1:", "if size < 0:",
+           "tests/test_chunkwise.py::test_cost_models_name_a_bad_size"),
     Mutant("chunk_plan_accepts_bad_L_or_C", "gates.py",
            "if self.L < 1 or self.C < 1:", "if False:",
            "tests/test_gates.py::test_chunk_plan_needs_positive_length_and_chunk"),
@@ -135,11 +168,18 @@ MUTANTS = (
     Mutant("intra_keeps_no_panel_scores", "chunkwise.py",
            "None if W is None else W[..., j0 - p0:n - p0, :n]", "None",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
+    # The inter term Qt S_prev is each caller's own product after the scan,
+    # so each copy is mutated: the forward's and sweep F's.
     Mutant("output_drops_inter_term", "chunkwise.py",
-           "    acc += mm(Qt, St[..., :g, :, :], meter)\n", "    mm(Qt, St[..., :g, :, :], meter)\n",
+           "acc[..., f:, :, :] += mm(Qt[..., f:, :, :], S[..., :-1, :, :], meter)\n",
+           "mm(Qt[..., f:, :, :], S[..., :-1, :, :], meter)\n",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
+    Mutant("sweep_f_output_drops_inter_term", "chunkwise.py",
+           "acc[f:] += mm(Qt[f:], X[f:g], meter)\n", "mm(Qt[f:], X[f:g], meter)\n",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("carry_gates_T_not_X", "chunkwise.py",
-           "    T += Gm * X\n", "    T[...] = Gm * T + X\n",
+           "X[..., j + 1, :, :] += Gm[..., j, :, :] * X[..., j, :, :]\n",
+           "X[..., j + 1, :, :] = Gm[..., j, :, :] * X[..., j + 1, :, :] + X[..., j, :, :]\n",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     # The forward's state rows: each side scaled by its own gamma before
     # the product, over a whole group of chunks.
@@ -158,13 +198,16 @@ MUTANTS = (
     # A group's carry: only it loops over the group's chunks, and it gates
     # the state carried into the group like any other.
     Mutant("group_carry_skips_first_gate", "chunkwise.py",
-           "_carry(Gm[..., j, :, :], St",
-           "_carry(Gm[..., j, :, :] if j else 1.0, St",
+           "+= Gm[..., j, :, :] * X",
+           "+= (Gm[..., j, :, :] if j else 1.0) * X",
            "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
     Mutant("group_inter_reads_outgoing_state", "chunkwise.py",
-           "mm(Qt, St[..., :g, :, :], meter)",
-           "mm(Qt, St[..., 1:, :, :], meter)",
+           "mm(Qt[..., f:, :, :], S[..., :-1, :, :], meter)",
+           "mm(Qt[..., f:, :, :], S[..., 1:, :, :], meter)",
            "tests/test_chunkwise.py::test_all_chunk_sizes_match_recurrent"),
+    Mutant("sweep_f_inter_reads_outgoing_state", "chunkwise.py",
+           "mm(Qt[f:], X[f:g], meter)", "mm(Qt[f:], X[f + 1:g + 1], meter)",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("recompute_loses_group_carry", "chunkwise.py",
            "            St[..., 0, :, :] = St[..., g, :, :]\n", "            pass\n",
            "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
@@ -172,9 +215,13 @@ MUTANTS = (
            "fb = bd[:n, -1:] / bd[:n]", "fb = bd[:n, -1:]",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The backward's two scans, chunk by chunk within a group and carried
-    # from group to group: dS back in sweep R, S forward in sweep F.
+    # from group to group: dS back in sweep R, on reversed views of the
+    # group's gates and slots, and S forward in sweep F.  Both are _scan.
     Mutant("ds_scan_carries_from_the_slot_it_writes", "chunkwise.py",
-           "_carry(Gm[j - f], X[j + 1], X[j], meter)", "_carry(Gm[j - f], X[j], X[j], meter)",
+           "* X[..., j, :, :]\n", "* X[..., j + 1, :, :]\n",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
+    Mutant("sweep_r_scan_on_unreversed_slots", "chunkwise.py",
+           "X[f:n + 1][::-1], meter)", "X[f:n + 1], meter)",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("sweep_f_state_not_carried_into_next_group", "chunkwise.py",
            "        X[0] = X[g]\n", "        pass\n",
@@ -185,34 +232,27 @@ MUTANTS = (
            "            dKg[n:] += np.divide(dkt[n:], bd[n:], out=dkt[n:])\n",
            "tests/test_chunkwise.py::test_passes_read_no_unwritten_memory"),
     Mutant("o_written_before_state_update", "chunkwise.py",
-           "        KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))\n"
-           "        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])\n"
-           "        del Kt, Vt, KB, VD\n"
-           "        if g > f:  # the scan, then the inter terms of O and of dq\n"
-           "            _scan(acc[f:], Qt[f:], log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:],\n"
-           "                  X[f:g + 1], meter)\n"
-           "            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)\n"
-           "            meter.flops += dqt[f:].size\n"
-           "        np.multiply(acc, dd, out=dd)\n",
-           "        np.multiply(acc, dd, out=dd)\n"
-           "        KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))\n"
-           "        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])\n"
-           "        del Kt, Vt, KB, VD\n"
-           "        if g > f:  # the scan, then the inter terms of O and of dq\n"
-           "            _scan(acc[f:], Qt[f:], log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:],\n"
-           "                  X[f:g + 1], meter)\n"
-           "            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)\n"
-           "            meter.flops += dqt[f:].size\n",
+           _SWEEP_F_STATE_TO_O,
+           _SWEEP_F_O_SCALE + _SWEEP_F_STATE_TO_O.replace(_SWEEP_F_O_SCALE, ""),
            "tests/test_chunkwise.py::test_backward_matches_fd"),
-    # The gate-gradient step after sweep R, and its cost.
+    # dlog_beta's identity, formed in sweep F once dV's rows are final: here
+    # it reads dV's rows before sweep F adds its own, though dV itself ends
+    # up right.
+    Mutant("dbeta_identity_before_sweep_f_dv_add", "chunkwise.py",
+           _SWEEP_F_DV_TO_DBETA,
+           _SWEEP_F_DV_TO_DBETA.replace("dVg[:n] += np.divide", "np.divide")
+           + "        dVg[:n] += dvt[:n]\n",
+           "tests/test_chunkwise.py::test_backward_matches_fd"),
+    # The gate gradients (dlog_beta's identity in sweep F, the gate step
+    # after both sweeps) and their cost.
     Mutant("gate_grads_skip_dla_suffix_sum", "chunkwise.py",
            "    suffix_sum_arr(dla, out=dla)\n", "",
            "tests/test_chunkwise.py::test_gate_gradients_equal_whole_array_suffix_sums_bitwise"),
     Mutant("gate_grads_add_v_dv", "chunkwise.py",
-           "dlb[s:e] -= V[s:e] * dV[s:e]", "dlb[s:e] += V[s:e] * dV[s:e]",
+           "dd -= V[s:e].reshape(g, c, -1) * dVg", "dd += V[s:e].reshape(g, c, -1) * dVg",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("predict_gate_term_4Ld", "chunkwise.py",
-           "(4 * L - 1) * d", "4 * L * d",
+           "3 * L * dk + (L - 1) * d\n", "3 * L * dk + L * d\n",
            "tests/test_chunkwise.py::test_frozen_backward_flop_count"),
     # Each policy's state traffic, stated once in ChunkPolicy.report for both
     # passes and predict_cost, so pinned by value rather than by agreement.
