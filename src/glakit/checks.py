@@ -36,14 +36,19 @@ __all__ = [
 
 
 def max_abs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
+    return _errors(a, b)[0]
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    return _errors(a, b)[1]
+
+
+def _errors(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """max_abs(a, b) and rel_err(a, b) from one |a - b|; both 0.0 for empty arrays."""
     if a.size == 0:
-        return 0.0
-    denom = max(1e-8, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / denom
+        return 0.0, 0.0
+    err = float(np.max(np.abs(a - b)))
+    return err, err / max(1e-8, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,8 @@ class CheckReport:
         """Compare a with b; None stands for a computation that failed."""
         if a is None or b is None:
             return cls(name, np.inf, np.inf, tol, False, time.perf_counter() - t0)
-        r = rel_err(a, b)
-        return cls(name, max_abs(a, b), r, tol, r <= tol, time.perf_counter() - t0)
+        err, r = _errors(a, b)
+        return cls(name, err, r, tol, r <= tol, time.perf_counter() - t0)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -170,6 +175,55 @@ def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
     return reports
 
 
+def _draw_trials(rng: SplitMix64, into: list[np.ndarray]) -> np.ndarray:
+    """Draw a group of trials into ``into``; returns their cuts.
+
+    into is the group's stacked Q, K, V, log_alpha and log_beta, a trial
+    per element of axis 0.  Trial b's rows from its cut on get the bytes
+    that next_u64 for the cut, then fill_pm1 for Q, K, V and
+    fill_log_gate(.., ln 1/2) for the two gates, would give; its other rows
+    are left as they are, and the stream ends where those calls would
+    leave it.  The cuts come first, each followed by a skip past its rows;
+    then the whole span, cut draws included, is one uniform fill, scaled
+    as the fills scale it, and each trial's rows are sliced out of it.
+    """
+    B, L, dk = into[0].shape
+    row = 3 * dk + 2 * into[2].shape[-1]  # draws per fresh row
+    start, cuts = rng.state, []
+    for _ in range(B):
+        cuts.append(1 + rng.next_u64() % (L - 1))
+        rng.skip((L - cuts[-1]) * row)
+    end, rng.state = rng.state, start
+    pm1 = rng._fill(1, B + row * (B * L - sum(cuts)), 1.0, None)[0]
+    assert rng.state == end
+    gates = pm1 * np.log(0.5)  # the fresh log-gates' floor is 1/2
+    pm1 *= 2.0
+    pm1 += -1.0
+    o = 0
+    for b, cut in enumerate(cuts):
+        n, o = L - cut, o + 1  # past the cut's own draw
+        for X, src in zip(into, (pm1, pm1, pm1, gates, gates)):
+            w = X.shape[-1]
+            X[b, cut:] = src[o:o + n * w].reshape(n, w)
+            o += n * w
+    return np.array(cuts)
+
+
+def _prefix_errors(got: np.ndarray, ref: np.ndarray, cuts: np.ndarray,
+                   keep: np.ndarray) -> tuple[float, float]:
+    """max_abs and rel_err of each trial got[b] against ref over rows [0, cuts[b]),
+    the worst of each over the trials.
+
+    keep masks those rows.  A max is exact, so this is the max over trials
+    of rel_err(got[b][:cut], ref[:cut]) bit for bit.
+    """
+    err = np.max(np.abs(got - ref), axis=(-2, -1), where=keep, initial=0.0)
+    top = np.max(np.abs(got), axis=(-2, -1), where=keep, initial=0.0)
+    ref_top = np.maximum.accumulate(np.max(np.abs(ref), axis=-1))[cuts - 1]
+    rel = err / np.maximum(np.maximum(top, ref_top), 1e-8)
+    return float(err.max()), float(rel.max())
+
+
 def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
                     chunk: int | None = None, tol: float = 1e-12) -> CheckReport:
     """Future rows must not move past outputs.
@@ -179,18 +233,23 @@ def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
     all trials and forms (a nonzero recurrent deviation fails outright).
 
     Each trial draws its cut, then fresh rows from the cut on for Q, K, V,
-    log_alpha and log_beta, in that order, in one SplitMix stream.  The
-    draws of a group of B trials go straight into B stacked copies of the
-    instance's arrays (fresh draws are finite and the log-gates <= 0, so
-    nothing is validated), and each form's raw kernel runs once per group
-    on the stack; each trial's rows keep the bits of its own public run.
-    A trial whose chunkwise O has a non-finite entry anywhere, which the
-    public form would reject with a ValueError, fails that form with an
-    infinite error.  A numpy op costs ~1 us of call overhead against
-    ~1-3 ns per element, so B = max(1, min(trials, 2**15 // (L (dk + dv))))
-    gives each op up to 2**15 elements: enough to hide the overhead, while
-    each of a group's arrays stays within 256 KiB (or one trial's size,
-    when that is larger).
+    log_alpha and log_beta, in that order, in one SplitMix stream.  A
+    group of B trials takes its part of the stream in one fill
+    (``_draw_trials``), sliced straight into B stacked copies of the
+    instance's arrays (fresh draws are finite and the log-gates <= 0,
+    so nothing is validated).  The first group stacks the untouched
+    instance as element 0, so its run is also the reference.  Each form's
+    raw kernel runs once per group on the stack, and each batch element
+    keeps the bits of its own public run.  Each form is then compared once
+    per group: a mask keeps each trial's rows before its cut.  A trial
+    whose chunkwise O has a non-finite entry anywhere, which the public
+    form would reject with a ValueError, fails that form with an infinite
+    error; a non-finite reference O fails its form for every trial.  A
+    numpy op costs ~1 us of call overhead against ~1-3 ns per element, so
+    B = max(1, min(trials, 2**15 // (L (dk + dv)))) gives each op up to
+    2**15 elements: enough to hide the overhead, while each of a group's
+    arrays stays within 256 KiB (or one trial's size, when that is
+    larger), plus the reference's one instance in the first group.
     """
     if inst.L < 2:
         raise ValueError("causality check needs L >= 2")
@@ -201,42 +260,32 @@ def check_causality(inst: GlaInstance, trials: int = 20, seed: int = 7,
     group = max(1, min(trials, 2**15 // (inst.L * (inst.dk + inst.dv))))
 
     t0 = time.perf_counter()
-    ref_rec = forward_recurrent(inst).O.data
-    ref_par = forward_parallel(inst).data
-    ref_chk = _chunkwise_O(inst, plan, "materialize")
-
     worst_abs = 0.0
     worst_rel = 0.0
     exact_ok = True
-    log_half = np.log(0.5)
+    rows = np.arange(inst.L)[:, None]
     for first in range(0, trials, group):
-        stacked = [np.stack([a] * min(group, trials - first)) for a in inst.arrays]
-        Q, K, V, la, lb = stacked
-        cuts = []
-        for b in range(len(Q)):
-            cut = 1 + rng.next_u64() % (inst.L - 1)
-            n = inst.L - cut
-            Q[b, cut:] = rng.fill_pm1(n, inst.dk)
-            K[b, cut:] = rng.fill_pm1(n, inst.dk)
-            V[b, cut:] = rng.fill_pm1(n, inst.dv)
-            la[b, cut:] = rng.fill_log_gate(n, inst.dk, log_half)
-            lb[b, cut:] = rng.fill_log_gate(n, inst.dv, log_half)
-            cuts.append(cut)
+        r = 0 if first else 1  # the first group's element 0 is the reference
+        stacked = [np.repeat(a[None], r + min(group, trials - first), axis=0)
+                   for a in inst.arrays]
+        cuts = _draw_trials(rng, [X[r:] for X in stacked])
         with np.errstate(all="ignore"):
             recs, _ = recurrent._forward_raw(*stacked)
             pars = parallel._forward_raw(*stacked)
             chks, _, _ = chunkwise._forward_raw(*stacked, plan, False)
-        for cut, rec, par, chk in zip(cuts, recs, pars, chks):
-            if not np.array_equal(rec[:cut], ref_rec[:cut]):
+            if r:  # a non-finite reference, which its public form rejects, fails its form
+                ref_rec, ref_par, ref_chk = (o[0] if np.isfinite(o[0]).all() else None
+                                             for o in (recs, pars, chks))
+            recs, pars, chks = recs[r:], pars[r:], chks[r:]  # the trials
+            keep = rows < cuts[:, None, None]
+            if ref_rec is None or not np.where(keep, recs == ref_rec, True).all():
                 exact_ok = False
-            if not np.isfinite(chk).all():
-                chk = None
-            for got, ref in ((par, ref_par), (chk, ref_chk)):
+            for got, ref in ((pars, ref_par), (chks if np.isfinite(chks).all() else None, ref_chk)):
                 if got is None or ref is None:
                     worst_abs = worst_rel = np.inf
                     continue
-                worst_abs = max(worst_abs, max_abs(got[:cut], ref[:cut]))
-                worst_rel = max(worst_rel, rel_err(got[:cut], ref[:cut]))
+                err, rel = _prefix_errors(got, ref, cuts, keep)
+                worst_abs, worst_rel = max(worst_abs, err), max(worst_rel, rel)
     passed = exact_ok and worst_rel <= tol
     return CheckReport("causality", worst_abs, worst_rel if exact_ok else float("inf"),
                        tol, passed, time.perf_counter() - t0)

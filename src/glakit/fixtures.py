@@ -79,8 +79,12 @@ class SplitMix64:
             o *= scale
             if shift is not None:
                 o += shift
-        self.state = (self.state + n * _GAMMA) & _MASK
+        self.skip(n)
         return out
+
+    def skip(self, n: int) -> None:
+        """Advance the state past n draws without making them."""
+        self.state = (self.state + n * _GAMMA) & _MASK
 
     def fill_pm1(self, rows: int, cols: int) -> np.ndarray:
         return self._fill(rows, cols, 2.0, -1.0)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 
 from .chunkwise import ChunkPolicy
 from .fixtures import ModelKind
+from .tensor import check_sizes
 
 __all__ = ["RunConfig", "parse_config", "format_config"]
 
@@ -35,8 +36,7 @@ class RunConfig:
         ChunkPolicy(self.policy)
         if self.form not in _FORMS:
             raise ValueError(f"form must be one of {_FORMS}, got {self.form!r}")
-        if self.L < 1 or self.dk < 1 or self.dv < 1 or self.chunk < 1:
-            raise ValueError("L, dk, dv, chunk must all be >= 1")
+        check_sizes(L=self.L, dk=self.dk, dv=self.dv, chunk=self.chunk)
         if not (0.0 < self.gate_floor <= 1.0):
             raise ValueError("gate_floor must be in (0, 1]")
         for name in ("tol", "grad_tol"):

@@ -332,15 +332,23 @@ def test_run_reusing_out_keeps_only_its_own_outputs(tmp_path):
 def test_gen_chunk_0_exit_2_writes_nothing(tmp_path, capsys):
     out = tmp_path / "g"
     assert run_cli("gen", "--L", 6, "--chunk", 0, "--out", out) == 2
-    assert "chunk must all be >= 1" in capsys.readouterr().err
+    assert "chunk must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cost_dk_0_exit_2(capsys):
-    # cost draws no instance: only the run config stops a zero width
+    # cost draws no instance: a zero width stops it before it prints a line
     assert run_cli("cost", "--L", 8, "--dk", 0, "--dv", 2, "--chunk", 4) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "L, dk, dv, chunk must all be >= 1" in err
+    assert out == "" and "dk must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("name", ["L", "dk", "dv", "chunk"])
+def test_config_names_a_bad_size(name):
+    # the run config holds its sizes to the instances' rule before any
+    # subcommand reads one
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        parse_config(f"{name} = 0\n")
 
 
 def test_config_gate_floor_out_of_range_exit_2(tmp_path, capsys):

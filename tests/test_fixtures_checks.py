@@ -17,7 +17,7 @@ from glakit import (ChunkPlan, ChunkPolicy, CheckReport, GateSeq, GlaInstance, M
                     backward_recurrent_exact, backward_recurrent_fd, check_causality,
                     check_equivalence, check_gradients, cumulative_log_decay,
                     forward_chunkwise, forward_parallel, forward_recurrent, make_instance,
-                    rel_err)
+                    max_abs, rel_err)
 
 
 def test_same_seed_bitwise_identical():
@@ -104,6 +104,57 @@ def test_rel_err_of_a_small_magnitude_pair():
     assert rel_err(a * 1e-6, b * 1e-6) == pytest.approx(2e-15 / 1e-8, rel=1e-9)
 
 
+_pair = functools.partial(lambda seed, scale: [scale * SplitMix64(seed).fill_pm1(3, 5),
+                                                scale * SplitMix64(seed + 1).fill_pm1(3, 5)])
+
+
+@pytest.mark.parametrize("a, b", [
+    *(_pair(seed, scale) for seed, scale in ((1, 1.0), (3, 1e-3), (5, 7.5), (7, 1e-12))),
+    (np.empty((0, 3)), np.empty((0, 3))),
+    (np.array([[1e-10, -3e-10]]), np.array([[2e-10, 0.0]])),  # under the 1e-8 floor
+], ids=["pm1", "1e-3", "7.5", "1e-12", "empty", "under_floor"])
+def test_report_errors_are_max_abs_and_rel_err(a, b):
+    # from_arrays forms |a - b| once for both fields: each must still equal
+    # its public function bit for bit
+    r = CheckReport.from_arrays("x", a, b, 1e-6, time.perf_counter())
+    assert (r.max_abs_err, r.max_rel_err) == (max_abs(a, b), rel_err(a, b))
+    if a.size:
+        assert r.max_abs_err == float(np.max(np.abs(a - b))) > 0.0
+    else:
+        assert (r.max_abs_err, r.max_rel_err) == (0.0, 0.0)
+    if a.size and max(np.max(np.abs(a)), np.max(np.abs(b))) < 1e-8:
+        assert r.max_rel_err == r.max_abs_err / 1e-8
+
+
+def test_check_causality_draws_and_runs_once_per_group(monkeypatch):
+    # each group of trials is one fill of the stream and one run of each
+    # raw forward; the references ride in the first group, so no public
+    # form runs at all
+    inst = make_instance(ModelKind("general"), L=64, dk=64, dv=64, seed=17)
+    calls = []
+
+    def counted(owner, name, label):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls.append(label)
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(SplitMix64, "_fill", "fill")
+    for module in (glakit.recurrent, glakit.parallel, glakit.chunkwise):
+        counted(module, "_forward_raw", module.__name__.split(".")[-1])
+
+    def public(*args, **kw):
+        raise AssertionError("a public forward ran")
+
+    for name in ("forward_recurrent", "forward_parallel", "forward_chunkwise"):
+        monkeypatch.setattr(glakit.checks, name, public)
+    assert check_causality(inst, trials=10, seed=18).passed  # B = 4: groups of 4, 4, 2
+    assert calls == ["fill", "recurrent", "parallel", "chunkwise"] * 3
+
+
 def test_check_causality_draws_one_cut_per_trial(monkeypatch):
     # each trial of a batch replaces the rows from its own cut on, in all
     # five inputs, and no row before it
@@ -112,13 +163,16 @@ def test_check_causality_draws_one_cut_per_trial(monkeypatch):
     raw = glakit.chunkwise._forward_raw
 
     def seen(*args):
-        if args[0].ndim == 3:  # a group of trials, not the reference run
-            for trial in zip(*args[:5]):
-                rows = [np.flatnonzero((a != base).any(axis=-1))
-                        for a, base in zip(trial, inst.arrays)]
-                assert rows[0].size, "a trial left its inputs as they were"
-                cuts.append(int(rows[0][0]))
-                assert all(np.array_equal(r, np.arange(cuts[-1], 12)) for r in rows)
+        assert args[0].ndim == 3, "an unbatched run"
+        r = 0 if cuts else 1  # the first group's element 0 is the reference: the instance
+        if r:
+            assert all(a[0].tobytes() == base.tobytes() for a, base in zip(args, inst.arrays))
+        for trial in zip(*(a[r:] for a in args[:5])):
+            rows = [np.flatnonzero((a != base).any(axis=-1))
+                    for a, base in zip(trial, inst.arrays)]
+            assert rows[0].size, "a trial left its inputs as they were"
+            cuts.append(int(rows[0][0]))
+            assert all(np.array_equal(r, np.arange(cuts[-1], 12)) for r in rows)
         return raw(*args)
 
     monkeypatch.setattr(glakit.chunkwise, "_forward_raw", seen)
@@ -134,8 +188,8 @@ def _leak(O, V):
 def test_check_causality_fails_a_leaking_recurrent_form(monkeypatch):
     # the recurrent form is judged bit-exact, apart from the tolerance that
     # parallel and chunkwise get: a leak far below 1e-12 must still fail.
-    # The leak sits in the raw kernel, so the reference run and the batched
-    # trials both carry it
+    # The leak sits in the raw kernel, so the reference and the trials,
+    # which share its batched run, all carry it
     raw = glakit.recurrent._forward_raw
 
     def leaking(Q, K, V, la, lb, **kw):
@@ -230,16 +284,17 @@ def _per_trial_causality(inst, trials, seed, chunk, tol=1e-12):
 @pytest.mark.parametrize("leaky", [None, _leak_parallel, _leak_chunkwise],
                          ids=["sound", "leaky_parallel", "leaky_chunkwise"])
 @pytest.mark.parametrize("L, d, C, floor, trials, groups", [
-    (12, 2, 4, 0.5, 20, [20]),            # one group
-    (40, 50, 8, 0.5, 20, [8, 8, 4]),      # B = 2**15 // (40 * 100) = 8, ragged
-    (128, 80, 32, 0.5, 3, [1, 1, 1]),     # B = 1
-    (24, 2, 24, 1e-300, 7, [7]),          # the chunkwise form underflows: FAIL
+    (12, 2, 4, 0.5, 20, [21]),            # one group, and the reference
+    (40, 50, 8, 0.5, 20, [9, 8, 4]),      # B = 2**15 // (40 * 100) = 8, ragged
+    (128, 80, 32, 0.5, 3, [2, 1, 1]),     # B = 1
+    (24, 2, 24, 1e-300, 7, [8]),          # the chunkwise form underflows: FAIL
 ], ids=["one_group", "ragged", "B=1", "floor_1e-300"])
 def test_check_causality_groups_match_a_per_trial_loop(monkeypatch, leaky, L, d, C, floor,
                                                       trials, groups):
     # grouping moves no draw and no bit: every field but elapsed equals a
     # per-trial loop over the public forms.  A leaky form gives the worst
-    # errors a value that depends on every trial's draws
+    # errors a value that depends on every trial's draws.  The reference
+    # rides in the first group: no form runs unbatched
     if leaky:
         leaky(monkeypatch)
     batches = []
@@ -253,7 +308,7 @@ def test_check_causality_groups_match_a_per_trial_loop(monkeypatch, leaky, L, d,
     want = _per_trial_causality(inst, trials, seed=18, chunk=C)
     monkeypatch.setattr(glakit.recurrent, "_forward_raw", counted)
     r = check_causality(inst, trials=trials, seed=18, chunk=C)
-    assert [b for b in batches if b] == [(n,) for n in groups]
+    assert batches == [(n,) for n in groups]
     assert (r.name, r.max_abs_err, r.max_rel_err, r.tolerance, r.passed) == want
     assert math.isinf(r.max_rel_err) == (floor != 0.5)
     assert (r.max_abs_err > 0) == (leaky is not None or floor != 0.5)
@@ -326,6 +381,25 @@ def test_check_causality_reports_underflowing_chunk_as_fail():
     report = check_causality(inst, trials=5, seed=15)
     assert report.name == "causality" and not report.passed
     assert report.max_rel_err == math.inf
+
+
+def test_check_causality_reports_an_overflowing_reference_as_fail():
+    # the references come from the batched raw runs, which validate
+    # nothing.  Here only the last output row overflows; every trial
+    # redraws that row, so no trial's prefix sees it, and the check must
+    # still FAIL with an infinite error, as each form's public run rejects it
+    L, d = 6, 2
+    big = np.ones((L, d))
+    big[-1] = 1e200
+    zero = np.zeros((L, d))
+    inst = GlaInstance(SeqTensor(big), SeqTensor(big), SeqTensor(np.ones((L, d))),
+                       GateSeq(zero, zero))
+    for form in (lambda: forward_recurrent(inst), lambda: forward_parallel(inst),
+                 lambda: forward_chunkwise(inst, ChunkPlan(L, 2), ChunkPolicy("materialize"))):
+        with pytest.raises(ValueError):
+            form()
+    report = check_causality(inst, trials=5, seed=15)
+    assert not report.passed and report.max_rel_err == math.inf, report
 
 
 def test_equivalence_and_gradients_report_underflowing_chunk_as_fail():

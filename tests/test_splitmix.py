@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glakit import ModelKind, SplitMix64, make_instance
+from glakit.checks import _draw_trials
 from glakit.fixtures import _BLOCK
 
 MASK = (1 << 64) - 1
@@ -88,6 +89,29 @@ def test_fills_spanning_blocks_match_scalar_reference():
     assert same_bytes(lib.fill_log_gate(cols, 2, -3.5), ref.fill_log_gate(cols, 2, -3.5))
     assert lib.next_u64() == ref.next_u64()
     assert lib.state == ref.state
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, MASK), L=st.integers(2, 24), dk=st.integers(1, 5),
+       dv=st.integers(1, 5), trials=st.integers(1, 8))
+def test_causality_group_draw_matches_per_trial_fills(seed, L, dk, dv, trials):
+    # the causality check draws a group of trials in one fill: each trial's
+    # cut and five tails must have the bytes of its own next_u64 and five
+    # fills, no row before the cut may change, and the stream must end
+    # where those calls leave it
+    lib, ref = SplitMix64(seed), SplitMix64(seed)
+    into = [np.full((trials, L, w), np.nan) for w in (dk, dk, dv, dk, dv)]
+    cuts = _draw_trials(lib, into)
+    assert len(cuts) == trials
+    for b, cut in enumerate(cuts):
+        assert cut == 1 + ref.next_u64() % (L - 1)
+        n = L - cut
+        want = (ref.fill_pm1(n, dk), ref.fill_pm1(n, dk), ref.fill_pm1(n, dv),
+                ref.fill_log_gate(n, dk, np.log(0.5)), ref.fill_log_gate(n, dv, np.log(0.5)))
+        for X, w in zip(into, want, strict=True):
+            assert same_bytes(X[b, cut:], w) and np.isnan(X[b, :cut]).all()
+    assert lib.state == ref.state
+    assert lib.next_u64() == ref.next_u64()
 
 
 # sha256 over Q, K, V, log_alpha, log_beta bytes, recorded from the scalar

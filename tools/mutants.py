@@ -88,7 +88,7 @@ MUTANTS = (
            "max(1e-8, float(", "max(1e-3, float(",
            "tests/test_fixtures_checks.py::test_rel_err_of_a_small_magnitude_pair"),
     Mutant("causality_one_trial", "checks.py",
-           "for b in range(len(Q)):", "for b in range(min(len(Q), 1)):",
+           "for _ in range(B):", "for _ in range(min(B, 1)):",
            "tests/test_fixtures_checks.py::test_check_causality_draws_one_cut_per_trial"),
     Mutant("gates_accept_positive_log_beta", "gates.py",
            "if hi > 0.0:", 'if hi > 0.0 and side == "log_alpha":',
@@ -145,11 +145,11 @@ MUTANTS = (
            "if a.ndim != 2 or a.size == 0:", "if a.ndim != 2:",
            "tests/test_gates.py::test_empty_gate_sequence_rejected"),
     Mutant("run_config_accepts_chunk_0", "runconfig.py",
-           " or self.chunk < 1:", ":",
+           ", chunk=self.chunk)", ")",
            "tests/test_cli.py::test_gen_chunk_0_exit_2_writes_nothing"),
     Mutant("run_config_accepts_dk_0", "runconfig.py",
-           " or self.dk < 1", "",
-           "tests/test_cli.py::test_cost_dk_0_exit_2"),
+           " dk=self.dk,", "",
+           "tests/test_cli.py::test_config_names_a_bad_size"),
     Mutant("run_config_accepts_gate_floor_1.5", "runconfig.py",
            "if not (0.0 < self.gate_floor <= 1.0):", "if False:",
            "tests/test_cli.py::test_config_gate_floor_out_of_range_exit_2"),
@@ -297,21 +297,41 @@ MUTANTS = (
     # The causality check's judges, once per group of trials: each trial
     # judged on its own cut, each form run on the perturbed inputs.
     Mutant("causality_cut_from_next_trial", "checks.py",
-           "zip(cuts, recs, pars, chks)", "zip(cuts[1:] + cuts[:1], recs, pars, chks)",
+           "keep = rows < cuts[:, None, None]", "keep = rows < np.roll(cuts, 1)[:, None, None]",
            "tests/test_fixtures_checks.py::test_check_causality_groups_match_a_per_trial_loop"),
     Mutant("causality_recurrent_runs_ref", "checks.py",
            "recs, _ = recurrent._forward_raw(*stacked)",
-           "recs, _ = recurrent._forward_raw(*(np.stack([a] * len(cuts)) for a in inst.arrays))",
+           "recs, _ = recurrent._forward_raw(*(np.repeat(a[None], len(X), axis=0)"
+           " for a, X in zip(inst.arrays, stacked)))",
            "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_recurrent_form"),
     Mutant("causality_parallel_runs_ref", "checks.py",
            "pars = parallel._forward_raw(*stacked)",
-           "pars = parallel._forward_raw(*(np.stack([a] * len(cuts)) for a in inst.arrays))",
+           "pars = parallel._forward_raw(*(np.repeat(a[None], len(X), axis=0)"
+           " for a, X in zip(inst.arrays, stacked)))",
            "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_parallel_form"),
     Mutant("causality_chunkwise_runs_ref", "checks.py",
            "chks, _, _ = chunkwise._forward_raw(*stacked, plan, False)",
-           "chks, _, _ = chunkwise._forward_raw("
-           "*(np.stack([a] * len(cuts)) for a in inst.arrays), plan, False)",
+           "chks, _, _ = chunkwise._forward_raw(*(np.repeat(a[None], len(X), axis=0)"
+           " for a, X in zip(inst.arrays, stacked)), plan, False)",
            "tests/test_fixtures_checks.py::test_check_causality_fails_a_leaking_chunkwise_form"),
+    # The group's one draw and its masked comparison: the prefix stops
+    # before the cut, the gate tails scale the uniforms, a non-finite
+    # reference fails, and the reference element is no trial.
+    Mutant("causality_prefix_takes_cut_row", "checks.py",
+           "keep = rows < cuts[:, None, None]", "keep = rows <= cuts[:, None, None]",
+           "tests/test_fixtures_checks.py::test_check_causality_trials"),
+    Mutant("causality_gates_from_pm1", "checks.py",
+           "    gates = pm1 * np.log(0.5)  # the fresh log-gates' floor is 1/2\n"
+           "    pm1 *= 2.0\n    pm1 += -1.0\n",
+           "    pm1 *= 2.0\n    pm1 += -1.0\n    gates = pm1 * np.log(0.5)\n",
+           "tests/test_splitmix.py::test_causality_group_draw_matches_per_trial_fills"),
+    Mutant("causality_accepts_non_finite_reference", "checks.py",
+           "o[0] if np.isfinite(o[0]).all() else None", "o[0]",
+           "tests/test_fixtures_checks.py::test_check_causality_reports_an_overflowing_reference_as_fail"),
+    Mutant("causality_ref_compared_as_trial", "checks.py",
+           "recs, pars, chks = recs[r:], pars[r:], chks[r:]",
+           "recs, pars, chks = recs[:len(cuts)], pars[:len(cuts)], chks[:len(cuts)]",
+           "tests/test_fixtures_checks.py::test_check_causality_groups_match_a_per_trial_loop"),
     # Batch-only: on one chunk's 2-D rows each is the same op as the
     # original, so only a batched forward (or a group of chunks) tells them apart.
     Mutant("chunk_prefix_sum_along_axis_0", "gates.py",
