@@ -113,25 +113,20 @@ def _step(S, q, k, v, la, lb):
     return S, mm(q[..., None, :], S)[..., 0, :]
 
 
-def _forward_raw(Q, K, V, la, lb, keep_states: bool = False, head=None):
-    """The recurrence on raw ndarrays, leading axes a batch; shared with the FD oracle.
+def _forward_raw(Q, K, V, la, lb, keep_states: bool = False):
+    """The recurrence on raw ndarrays from S_0 = 0, leading axes a batch.
 
-    head = (O_head, S) resumes a run whose first start = O_head.shape[-2]
-    rows are known: they are copied into O and the loop runs steps
-    start..L-1 from S = S_{start-1}.  O_head and S may carry a batch too:
-    the batch shape broadcasts the leading axes of the inputs, O_head and
-    S, so a batch of states runs on with unbatched inputs.  S is only
-    read, and the steps give the bits a run from S_0 = 0 would.
+    The batch shape broadcasts the inputs' leading axes.  O and S_0 take
+    the inputs' result dtype, so a longdouble run stays longdouble.
     """
     L, dk = Q.shape[-2:]
     dv = V.shape[-1]
-    O_head, S = (np.empty((0, dv)), np.zeros((dk, dv))) if head is None else head
-    start = O_head.shape[-2]
-    batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb, O_head, S)))
-    O = np.empty((*batch, L, dv))
-    O[..., :start, :] = O_head
+    dtype = np.result_type(Q, K, V, la, lb)
+    batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb)))
+    O = np.empty((*batch, L, dv), dtype)
+    S = np.zeros((dk, dv), dtype)
     states = [] if keep_states else None
-    for t in range(start, L):
+    for t in range(L):
         S, O[..., t, :] = _step(S, Q[..., t, :], K[..., t, :], V[..., t, :],
                                 la[..., t, :], lb[..., t, :])
         if keep_states:
@@ -194,10 +189,33 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     return GradBundle(dQ, dK, dV, dla, dlb)
 
 
-def _loss_raw(Q, K, V, la, lb, dOa, head=None) -> np.ndarray:
-    """<O, dO> per batch element, each summed as one flat row like np.sum(O * dO)."""
-    O, _ = _forward_raw(Q, K, V, la, lb, head=head)
-    return np.sum((O * dOa).reshape(*O.shape[:-2], -1), axis=-1)
+def _loss_raw(arrs, dOa, O_base, states, start, P) -> np.ndarray:
+    """<O, dO> of every perturbed copy of one block of rows, shape (R, 2, W).
+
+    P[r, s, w] is input row start + r of the five inputs, split as they
+    are, with scalar w moved by +eps (s = 0) or -eps (s = 1).  The block
+    is swept once from row start.  At step t its rows before t take the
+    plain step together, and row t joins with its perturbed step from
+    S_{t-1}.  The q copies (w < dk) take no step after their own row: q_t
+    enters only o_t, so their states are the unperturbed ones, and every
+    other row of their O is O_base's.  Each copy's O is summed as one flat
+    row, like np.sum(O * dO).
+    """
+    Q, K, V, la, lb = arrs
+    L, dv = O_base.shape
+    R, _, W, dk = P[0].shape
+    O = np.empty((R, 2, W, L, dv))
+    O[...] = O_base
+    S = np.empty((R, 2, W - dk, dk, dv))  # the live copies' states, q copies left out
+    for t in range(start, L):
+        n = min(t - start, R)  # the block's rows before t
+        if n:
+            S[:n], O[:n, :, dk:, t] = _step(S[:n], Q[t], K[t], V[t], la[t], lb[t])
+        if n < R:  # row t joins
+            S_t, O[n, :, :, t] = _step(states[t - 1] if t else np.zeros((dk, dv)),
+                                       *(p[n] for p in P))
+            S[n] = S_t[:, dk:]
+    return np.sum((O * dOa).reshape(R, 2, W, -1), axis=-1)
 
 
 @np.errstate(all="ignore")
@@ -205,18 +223,23 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
     """Central finite differences on <O, dO>, one scalar input at a time.
 
     A perturbation at row i moves neither S_0..S_{i-1} nor the O rows
-    before i, so one unperturbed run records every state, and each row i
-    runs one batch: the 2W perturbed copies of row i of all five inputs
-    (W = 3 dk + 2 dv scalars; +eps at scalar w in copy w, -eps in copy
-    W + w) take one batched step from S_{i-1}, and the unperturbed rows
-    i+1..L-1 then run as plain inputs broadcast against the batch's
-    states.  That is L batched calls, L(L+1)/2 batched steps in all, and
-    scratch O(W*(L+dk)*dv).  The loss still sums the full flat O row, so
-    it has the bits of a run from S_0 = 0.  Log-gate entries are perturbed
-    as-is, so the result is directly dlog_alpha / dlog_beta with no
-    chain-rule conversion.  The perturbed evaluations bypass domain
-    re-validation (a +eps step at log-gate 0 briefly leaves (0, 1]; the
-    recurrence itself is smooth there).
+    before i, so one unperturbed run records every state.  Row i of the
+    five inputs makes 2W perturbed copies (W = 3 dk + 2 dv scalars; +eps
+    at scalar w in copy (0, w), -eps in copy (1, w)).  The rows go in
+    blocks of R = max(1, 2**15 // (2 W L dv)), so a block's O holds at
+    most 2**15 elements (or one row's, when that is more), and each block
+    is swept once from its first row (``_loss_raw``): a row joins with
+    its perturbed step from S_{i-1}, and the block's earlier rows take
+    the plain step on the unperturbed inputs together.  The q copies take
+    no step after their own row, since q_i enters only o_i.  A block
+    starting at row i takes one perturbed step per row and L - i - 1
+    plain ones; scratch is O(R W L dv).  Each loss sums the copy's full
+    flat O row, so the gradients have the bits of a run from S_0 = 0 per
+    perturbed entry.  Log-gate entries are perturbed as-is, so the result
+    is directly dlog_alpha / dlog_beta with no chain-rule conversion.  The
+    perturbed evaluations bypass domain re-validation (a +eps step at
+    log-gate 0 briefly leaves (0, 1]; the recurrence itself is smooth
+    there).
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -227,16 +250,13 @@ def backward_recurrent_fd(inst: GlaInstance, dO: SeqTensor, eps: float = 1e-5) -
     L, W = X.shape
     cuts = np.cumsum([a.shape[1] for a in arrs])[:-1]
     w = np.arange(W)
+    R = max(1, 2**15 // (2 * W * L * inst.dv))
     G = np.empty((L, W))
-    for i in range(L):
-        P = np.repeat(X[None, i], 2 * W, axis=0)
-        P[w, w] += eps
-        P[W + w, w] -= eps
-        S_prev = states[i - 1] if i else np.zeros((inst.dk, inst.dv))
-        S, o_i = _step(S_prev, *np.split(P, cuts, axis=1))
-        O_head = np.empty((2 * W, i + 1, inst.dv))
-        O_head[:, :i] = O_base[:i]
-        O_head[:, i] = o_i
-        loss = _loss_raw(*arrs, dOa, head=(O_head, S))
-        G[i] = (loss[:W] - loss[W:]) / (2.0 * eps)
+    for i in range(0, L, R):
+        P = np.empty((min(R, L - i), 2, W, W))
+        P[...] = X[i:i + R, None, None]
+        P[:, 0, w, w] += eps
+        P[:, 1, w, w] -= eps
+        loss = _loss_raw(arrs, dOa, O_base, states, i, np.split(P, cuts, axis=-1))
+        G[i:i + R] = (loss[:, 0] - loss[:, 1]) / (2.0 * eps)
     return GradBundle(*np.split(G, cuts, axis=1))

@@ -175,6 +175,9 @@ def scalar_fd(inst, dO, eps):
 @example(L=2, dk=1, dv=1, kind="general", floor=0.5, eps=1e-5, seed=4)  # a one-step tail
 @example(L=8, dk=2, dv=2, kind="gla_beta_one", floor=1e-300, eps=1e-5, seed=5)
 @example(L=8, dk=3, dv=1, kind="vanilla", floor=0.5, eps=1e-5, seed=6)  # log gates at 0
+@example(L=16, dk=4, dv=4, kind="general", floor=0.5, eps=1e-5, seed=7)  # blocks of 12 and 4
+@example(L=16, dk=8, dv=8, kind="general", floor=1e-12, eps=1e-5, seed=8)  # R=3, last block 1 row
+@example(L=40, dk=1, dv=3, kind="gla_beta_one", floor=0.5, eps=1e-5, seed=9)  # q 2 of 18 copies
 def test_batched_fd_matches_scalar_reference_bitwise(L, dk, dv, kind, floor, eps, seed):
     inst = make_instance(ModelKind(kind), L, dk, dv, seed, gate_floor=floor)
     dO = rand_dO(L, dv, seed=seed + 1)
@@ -184,45 +187,56 @@ def test_batched_fd_matches_scalar_reference_bitwise(L, dk, dv, kind, floor, eps
 
 
 def test_fd_starts_each_batch_at_the_prefix_state(monkeypatch):
-    # a perturbation at row i cannot move S_0..S_{i-1}, and the rows after i
-    # are unperturbed: one unperturbed run of L steps, then per row i one
-    # batch of all five inputs' copies that takes the perturbed step and
-    # the L - i - 1 plain steps after it
+    # a perturbation at row i cannot move S_0..S_{i-1}: one unperturbed run
+    # of L steps, then each block of R = max(1, 2**15 // (2W L dv)) rows is
+    # swept once from its first row.  At step t the block's earlier rows
+    # take one plain step on the unbatched inputs, their non-q copies only,
+    # and row t joins with one perturbed step of all 2W copies
     import glakit.recurrent as rec
 
-    calls = {"outer_gate": 0, "_loss_raw": 0}
+    steps, blocks = [], []
+    step, loss_raw = rec._step, rec._loss_raw
 
-    def counted(name):
-        fn = getattr(rec, name)
+    def logged_step(S, q, *rest):
+        steps.append((S.shape[:-2], q.shape[:-1]))  # (state batch, input batch)
+        return step(S, q, *rest)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(rec, name, wrapper)
+    def logged_loss(*args):
+        blocks.append(args[4])  # the block's first row
+        return loss_raw(*args)
 
-    counted("outer_gate")
-    counted("_loss_raw")
-    L = 8
-    backward_recurrent_fd(make_instance(ModelKind("general"), L, 3, 2, seed=21), rand_dO(L, 2))
-    assert calls["outer_gate"] == L + L * (L + 1) // 2 == 44  # not L + 5 * L * (L + 1) / 2
-    assert calls["_loss_raw"] == L  # one batched loss per row, for all five inputs
+    monkeypatch.setattr(rec, "_step", logged_step)
+    monkeypatch.setattr(rec, "_loss_raw", logged_loss)
+    for L, dk, dv, R, n_steps in [(8, 3, 2, 8, 23),     # 2**15 // 416 = 78 > L: one block
+                                  (16, 4, 4, 12, 50),   # 2**15 // 2560: rows 0-11, 12-15
+                                  (16, 8, 8, 3, 77)]:   # 2**15 // 10240: last block one row
+        steps.clear()
+        blocks.clear()
+        backward_recurrent_fd(make_instance(ModelKind("general"), L, dk, dv, seed=21),
+                              rand_dO(L, dv))
+        W = 3 * dk + 2 * dv
+        want = [((), ())] * L  # the unperturbed run
+        for start in range(0, L, R):
+            for t in range(start, L):
+                n = min(t - start, R)
+                if n:
+                    want.append(((n, 2, W - dk), ()))  # no q copy, no gate per copy
+                if t - start < R:
+                    want.append(((), (2, W)))  # row t joins from S_{t-1}
+        assert blocks == list(range(0, L, R))
+        assert steps == want
+        assert len(steps) == n_steps  # L + sum over blocks of (rows + L - start - 1)
 
 
-@pytest.mark.parametrize("L,dk,dv,start", [(1, 1, 1, 0), (1, 3, 2, 0), (6, 1, 1, 2),
-                                           (7, 3, 2, 4), (5, 2, 4, 1), (4, 2, 3, 4)])
-def test_batched_head_runs_each_copy_from_its_own_state(L, dk, dv, start):
-    # a batch of states and O rows with unbatched inputs: each copy is bit
-    # for bit the unbatched run resumed from that copy's own head
-    inst = make_instance(ModelKind("general"), L, dk, dv, seed=L + dk)
-    arrs = (inst.Q.data, inst.K.data, inst.V.data, inst.gates.log_alpha, inst.gates.log_beta)
-    rng = np.random.default_rng(start)
-    O_head, S = rng.uniform(-1, 1, (3, start, dv)), rng.uniform(-1, 1, (3, dk, dv))
-    O, _ = _forward_raw(*arrs, head=(O_head, S))
-    assert O.shape == (3, L, dv)
-    for b in range(3):
-        want, _ = _forward_raw(*arrs, head=(O_head[b], S[b]))
-        assert want.shape == (L, dv)
-        assert O[b].tobytes() == want.tobytes()
+def test_raw_forward_runs_in_its_inputs_dtype():
+    # O and S_0 take the inputs' dtype: a longdouble run stays longdouble
+    # and agrees with the fp64 run
+    inst = make_instance(ModelKind("general"), L=24, dk=3, dv=4, seed=22)
+    O64, states64 = _forward_raw(*inst.arrays, keep_states=True)
+    O, states = _forward_raw(*(a.astype(np.longdouble) for a in inst.arrays), keep_states=True)
+    assert O.dtype == states[-1].dtype == np.longdouble
+    assert O64.dtype == states64[-1].dtype == np.float64
+    assert np.max(np.abs(O - O64)) <= 1e-13 * np.max(np.abs(O64))
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])

@@ -283,17 +283,32 @@ MUTANTS = (
            "O[..., t, :] = (w[..., None] * Vd).sum(axis=-2)",
            "O[..., t, :] = (w[..., None] * Vd).sum(axis=-2) * (1 + 1e-13)",
            "tests/test_parallel.py::test_dlogd_identity_definitional"),
-    # The FD oracle's one batch per row: the perturbed step, then the
-    # plain tail from the batch's own states.
+    # The FD oracle's blocks of rows: each row joins with its perturbed step
+    # from its own prefix state, and its copies then run on from their own
+    # states; the rows before it take the plain step.
     Mutant("fd_tail_from_unperturbed_state", "recurrent.py",
-           "head=(O_head, S))", "head=(O_head, states[i]))",
+           "S[n] = S_t[:, dk:]", "S[n] = states[t]",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("fd_minus_copies_step_plus_eps", "recurrent.py",
-           "P[W + w, w] -= eps", "P[W + w, w] += eps",
+           "P[:, 1, w, w] -= eps", "P[:, 1, w, w] += eps",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("fd_head_drops_perturbed_row_output", "recurrent.py",
-           "O_head[:, i] = o_i", "O_head[:, i] = O_base[i]",
+           "S_t, O[n, :, :, t] = _step(", "S_t, _ = _step(",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
+    Mutant("fd_join_steps_from_its_own_state", "recurrent.py",
+           "_step(states[t - 1] if t else", "_step(states[t] if t else",
+           "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
+    Mutant("fd_live_count_takes_joining_row", "recurrent.py",
+           "n = min(t - start, R)", "n = min(t - start + 1, R)",
+           "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
+    # The raw recurrence runs in its inputs' dtype.
+    Mutant("recurrent_o_always_fp64", "recurrent.py",
+           "O = np.empty((*batch, L, dv), dtype)", "O = np.empty((*batch, L, dv))",
+           "tests/test_recurrent.py::test_raw_forward_runs_in_its_inputs_dtype"),
+    # Same bits, twice the rows per block: only the schedule test sees it.
+    Mutant("fd_block_budget_doubled", "recurrent.py",
+           "2**15 // (2 * W * L * inst.dv)", "2**15 // (W * L * inst.dv)",
+           "tests/test_recurrent.py::test_fd_starts_each_batch_at_the_prefix_state"),
     # The causality check's judges, once per group of trials: each trial
     # judged on its own cut, each form run on the perturbed inputs.
     Mutant("causality_cut_from_next_trial", "checks.py",
