@@ -14,10 +14,19 @@ Gradients come in two independent flavours: an exact reverse-mode sweep
 through the stored states, and central finite differences on the scalar
 loss <O, dO>.  The finite-difference oracle is the arbiter for every
 analytic backward pass in the package.
+
+Only the state recurrences run step by step (``_step`` is the state update
+alone).  The steps go in blocks of T, at most ``_BLOCK`` state elements a
+block: a block's states go into the slots of one array, and each product
+that reads them (the forward's o_t = q_t S_t, the exact backward's dQ,
+dK, dV and gate sums) is one ``mm`` over the block.  ``mm`` and the sums are
+elementwise over their batch axes, so a block's results have the bits of
+a product per step, wherever its boundaries fall.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -104,41 +113,66 @@ class GradBundle:
             object.__setattr__(self, f.name, SeqTensor(getattr(self, f.name)))
 
 
-def _step(S, q, k, v, la, lb):
-    """One step of the recurrence on raw ndarrays: S_t from S_{t-1}, and o_t = q_t S_t.
+# The element budget of a block of state slots, T * B * dk * dv for a batch
+# of B.  At the anchor's dk = dv = 64, 2**17 elements (1 MiB in fp64) is 32
+# steps a block: ``mm``'s dk numpy calls per product then cost two calls a
+# step, and the exact backward's block products, which read their operands
+# once per inner index, find them in cache.  At L=4096 on 2 vCPUs, 2**15
+# left the forward and the backward slower than a product per step, and
+# 2**19 ran the backward ~1.15x slower than 2**17 with 12 MiB more peak.
+_BLOCK = 2**17
+
+
+def _step(S, k, v, la, lb, out=None):
+    """One state update on raw ndarrays: S_t = G_t (.) S_{t-1} + k_t^T v_t.
 
     Leading axes are a batch, broadcast between S and the step's rows.
+    With ``out`` (which may be S) the state is written there.
     """
-    S = outer_gate(la, lb) * S + k[..., :, None] * v[..., None, :]
-    return S, mm(q[..., None, :], S)[..., 0, :]
+    return np.add(np.multiply(outer_gate(la, lb), S, out=out),
+                  k[..., :, None] * v[..., None, :], out=out)
 
 
 def _forward_raw(Q, K, V, la, lb, keep_states: bool = False):
-    """The recurrence on raw ndarrays from S_0 = 0, leading axes a batch.
+    """The recurrence on raw ndarrays from S_0 = 0, leading axes a batch: (O, S).
 
-    The batch shape broadcasts the inputs' leading axes.  O and S_0 take
-    the inputs' result dtype, so a longdouble run stays longdouble.
+    The batch shape broadcasts the inputs' leading axes, and O and the
+    states take the inputs' result dtype, so a longdouble run stays
+    longdouble.  The steps go in blocks of T = max(1, _BLOCK // (B dk dv)),
+    B the batch size.  A block's steps write their states into slots 1..n
+    of S (axis -3), slot 0 holding the state before the block, and then its
+    n rows of O are one ``mm`` of its q rows with those slots.  With
+    keep_states S holds all L + 1 slots, S_0 = 0 to S_L, and is returned
+    read-only; otherwise it holds T + 1, the last carried to slot 0 between
+    blocks, and None is returned in its place.
     """
     L, dk = Q.shape[-2:]
     dv = V.shape[-1]
     dtype = np.result_type(Q, K, V, la, lb)
     batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb)))
+    T = max(1, _BLOCK // (math.prod(batch) * dk * dv))
     O = np.empty((*batch, L, dv), dtype)
-    S = np.zeros((dk, dv), dtype)
-    states = [] if keep_states else None
-    for t in range(L):
-        S, O[..., t, :] = _step(S, Q[..., t, :], K[..., t, :], V[..., t, :],
-                                la[..., t, :], lb[..., t, :])
+    S = np.zeros((*batch, (L if keep_states else min(T, L)) + 1, dk, dv), dtype)
+    for t0 in range(0, L, T):
+        n = min(T, L - t0)
         if keep_states:
-            states.append(readonly(S))  # never written again: the next step rebinds S
-    return O, states
+            blk = S[..., t0:t0 + n + 1, :, :]
+        else:
+            blk = S
+            if t0:  # the last block was full: its last state is in slot T
+                blk[..., 0, :, :] = blk[..., T, :, :]
+        for j, t in enumerate(range(t0, t0 + n)):
+            _step(blk[..., j, :, :], K[..., t, :], V[..., t, :], la[..., t, :], lb[..., t, :],
+                  out=blk[..., j + 1, :, :])
+        O[..., t0:t0 + n, :] = mm(Q[..., t0:t0 + n, None, :], blk[..., 1:n + 1, :, :])[..., 0, :]
+    return O, (readonly(S) if keep_states else None)
 
 
 @np.errstate(all="ignore")
 def forward_recurrent(inst: GlaInstance, keep_states: bool = False) -> ForwardTrace:
     """Run the recurrence from S_0 = 0; optionally record every S_t."""
-    O, states = _forward_raw(*inst.arrays, keep_states=keep_states)
-    return ForwardTrace(SeqTensor(O), states)
+    O, S = _forward_raw(*inst.arrays, keep_states=keep_states)
+    return ForwardTrace(SeqTensor(O), None if S is None else list(S[1:]))
 
 
 def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
@@ -154,39 +188,64 @@ def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
     return L * per_step
 
 
+def _backward_raw(Q, K, V, la, lb, dOa):
+    """The exact backward on raw 2-D ndarrays: (dQ, dK, dV, dlog_alpha, dlog_beta).
+
+    The gradients take the inputs' result dtype, dOa's included.  The
+    states are the forward's slots, read in place.  The steps go in the
+    forward's blocks of T, the last block first.  In a block the adjoint
+    dS_t = G_{t+1} (.) dS_{t+1} + q_t^T dO_t runs back step by step into
+    the block's slots of one buffer, and G_t (.) dS_t of its first step is
+    carried to the block before it.  Then the block's dQ rows (S_t dO_t^T),
+    dK rows (dS_t v_t^T) and dV rows (k_t dS_t) are one ``mm`` each, and
+    its gate paths G_t (.) S_{t-1} (.) dS_t one product with their two
+    sums.  dQ goes by the block, not in one product over all L states: a
+    product reads its operands once per inner index, and a block's states
+    stay in cache where all L do not (at L=4096, dk=dv=64 the one product
+    left the backward ~1.15x slower).
+    """
+    L, dk = Q.shape
+    dv = V.shape[1]
+    dtype = np.result_type(Q, K, V, la, lb, dOa)
+    _, S = _forward_raw(Q, K, V, la, lb, keep_states=True)
+    T = max(1, _BLOCK // (dk * dv))
+    dQ = np.empty((L, dk), dtype)
+    dK = np.empty((L, dk), dtype)
+    dV = np.empty((L, dv), dtype)
+    dla = np.empty((L, dk), dtype)
+    dlb = np.empty((L, dv), dtype)
+    buf = np.empty((min(T, L), dk, dv), dtype)
+    carry = np.zeros((dk, dv), dtype)  # G_{t1} (.) dS_{t1} from the block after
+    for t0 in reversed(range(0, L, T)):
+        t1 = min(t0 + T, L)
+        dS = buf[:t1 - t0]
+        np.multiply(Q[t0:t1, :, None], dOa[t0:t1, None, :], out=dS)  # the o_t = q_t S_t paths
+        dS[-1] += carry
+        G = outer_gate(la[t0:t1], lb[t0:t1])
+        for j in range(t1 - t0 - 1, 0, -1):
+            dS[j - 1] += G[j] * dS[j]
+        carry = G[0] * dS[0]
+        dQ[t0:t1] = mm(S[t0 + 1:t1 + 1], dOa[t0:t1, :, None])[..., 0]
+        dK[t0:t1] = mm(dS, V[t0:t1, :, None])[..., 0]
+        dV[t0:t1] = mm(K[t0:t1, None, :], dS)[:, 0]
+        G *= S[t0:t1]  # S_{t-1}, slot 0 the zero state
+        G *= dS
+        G.sum(axis=2, out=dla[t0:t1])
+        G.sum(axis=1, out=dlb[t0:t1])
+    return dQ, dK, dV, dla, dlb
+
+
 @np.errstate(all="ignore")
 def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     """Reverse-mode sweep through the recurrence with all states materialized.
 
     Loss convention: scalar loss <O, dO> with the caller's dO.  Gate
     gradients are taken directly in log-gate coordinates:
-    dlog_alpha_t[i] = sum_j G_t[i,j] * S_{t-1}[i,j] * dS_t[i,j].
+    dlog_alpha_t[i] = sum_j G_t[i,j] * S_{t-1}[i,j] * dS_t[i,j].  The
+    products go a block of steps at a time (``_backward_raw``), with the
+    bits of a product per step.
     """
-    dOa = inst.cotangent(dO)
-    Q, K, V, la, lb = inst.arrays
-    L, dk, dv = inst.L, inst.dk, inst.dv
-
-    _, states = _forward_raw(Q, K, V, la, lb, keep_states=True)
-
-    dQ = np.zeros((L, dk))
-    dK = np.zeros((L, dk))
-    dV = np.zeros((L, dv))
-    dla = np.zeros((L, dk))
-    dlb = np.zeros((L, dv))
-
-    dS = np.zeros((dk, dv))
-    for t in range(L - 1, -1, -1):
-        dS = dS + np.multiply.outer(Q[t], dOa[t])  # o_t = q_t S_t path
-        dQ[t] = mm(states[t], dOa[t][:, None])[:, 0]
-        dK[t] = mm(dS, V[t][:, None])[:, 0]
-        dV[t] = mm(K[t][None, :], dS)[0]
-        G = outer_gate(la[t], lb[t])
-        S_prev = states[t - 1] if t > 0 else np.zeros((dk, dv))
-        gate_path = G * S_prev * dS
-        dla[t] = gate_path.sum(axis=1)
-        dlb[t] = gate_path.sum(axis=0)
-        dS = G * dS
-    return GradBundle(dQ, dK, dV, dla, dlb)
+    return GradBundle(*_backward_raw(*inst.arrays, inst.cotangent(dO)))
 
 
 def _loss_raw(arrs, dOa, O_base, states, start, P) -> np.ndarray:
@@ -195,11 +254,12 @@ def _loss_raw(arrs, dOa, O_base, states, start, P) -> np.ndarray:
     P[r, s, w] is input row start + r of the five inputs, split as they
     are, with scalar w moved by +eps (s = 0) or -eps (s = 1).  The block
     is swept once from row start.  At step t its rows before t take the
-    plain step together, and row t joins with its perturbed step from
-    S_{t-1}.  The q copies (w < dk) take no step after their own row: q_t
-    enters only o_t, so their states are the unperturbed ones, and every
-    other row of their O is O_base's.  Each copy's O is summed as one flat
-    row, like np.sum(O * dO).
+    plain state update together, in place, and their O rows are one
+    ``mm``; row t joins with its perturbed update from S_{t-1}.  The q
+    copies (w < dk) take no step after their own row: q_t enters only o_t,
+    so their states are the unperturbed ones, and every other row of their
+    O is O_base's.  Each copy's O is summed as one flat row, like
+    np.sum(O * dO).
     """
     Q, K, V, la, lb = arrs
     L, dv = O_base.shape
@@ -210,10 +270,12 @@ def _loss_raw(arrs, dOa, O_base, states, start, P) -> np.ndarray:
     for t in range(start, L):
         n = min(t - start, R)  # the block's rows before t
         if n:
-            S[:n], O[:n, :, dk:, t] = _step(S[:n], Q[t], K[t], V[t], la[t], lb[t])
-        if n < R:  # row t joins
-            S_t, O[n, :, :, t] = _step(states[t - 1] if t else np.zeros((dk, dv)),
-                                       *(p[n] for p in P))
+            _step(S[:n], K[t], V[t], la[t], lb[t], out=S[:n])
+            O[:n, :, dk:, t] = mm(Q[t, None], S[:n])[..., 0, :]
+        if n < R:  # row t joins from S_{t-1}, slot t of the states
+            q, *rest = (p[n] for p in P)
+            S_t = _step(states[t], *rest)
+            O[n, :, :, t] = mm(q[..., None, :], S_t)[..., 0, :]
             S[n] = S_t[:, dk:]
     return np.sum((O * dOa).reshape(R, 2, W, -1), axis=-1)
 

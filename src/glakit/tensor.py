@@ -1,8 +1,8 @@
 """Dense fp64 array primitives with pinned summation order.
 
 Everything downstream (gates, the three attention forms, the gradient
-oracles) is built on the operations here.  ``mm`` is one sequential
-accumulate over the inner index, batched over leading axes, and matches a
+oracles) is built on the operations here.  ``mm`` adds its products one
+inner index at a time, ascending, batched over leading axes, and matches a
 naive triple loop bit for bit; it is the product of the recurrent form,
 whose results must not depend on how a BLAS library orders its sums.
 
@@ -79,11 +79,17 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     out[..., i, j] = sum_k a[..., i, k] * b[..., k, j] as r_0 = a_0 b_0,
     r_k = r_{k-1} + a_k b_k: a naive triple loop, bitwise (no FMA, no
-    reassociation).  Scratch is m*k*n per batch; library callers are matvecs.
+    reassociation).  One numpy call per k adds the rounded products
+    a_k b_k of every entry, so scratch is one m*n product per batch; the
+    result takes a's and b's result dtype.  Library callers are matvecs,
+    batched over a block of steps or of perturbed copies.
     """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return np.add.accumulate(a[..., :, :, None] * b[..., None, :, :], axis=-2)[..., -1, :]
+    r = a[..., :, 0, None] * b[..., 0, None, :]
+    for k in range(1, a.shape[-1]):
+        r += a[..., :, k, None] * b[..., k, None, :]
+    return r
 
 
 def suffix_sum_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -9,7 +9,7 @@ from glakit import (ChunkPlan, ChunkPolicy, GateSeq, GlaInstance, ModelKind,
                     SeqTensor, SplitMix64, backward_chunkwise, backward_parallel,
                     backward_recurrent_exact, backward_recurrent_fd,
                     forward_recurrent, make_instance, rel_err)
-from glakit.recurrent import _forward_raw
+from glakit.recurrent import _backward_raw, _forward_raw
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 
@@ -190,16 +190,18 @@ def test_fd_starts_each_batch_at_the_prefix_state(monkeypatch):
     # a perturbation at row i cannot move S_0..S_{i-1}: one unperturbed run
     # of L steps, then each block of R = max(1, 2**15 // (2W L dv)) rows is
     # swept once from its first row.  At step t the block's earlier rows
-    # take one plain step on the unbatched inputs, their non-q copies only,
-    # and row t joins with one perturbed step of all 2W copies
+    # take one plain state update on the unbatched inputs, their non-q
+    # copies only, and row t joins with one perturbed update of all 2W
+    # copies.  ``_step`` is the state update alone, so k, not q, carries
+    # the input batch
     import glakit.recurrent as rec
 
     steps, blocks = [], []
     step, loss_raw = rec._step, rec._loss_raw
 
-    def logged_step(S, q, *rest):
-        steps.append((S.shape[:-2], q.shape[:-1]))  # (state batch, input batch)
-        return step(S, q, *rest)
+    def logged_step(S, k, *rest, **kw):
+        steps.append((S.shape[:-2], k.shape[:-1]))  # (state batch, input batch)
+        return step(S, k, *rest, **kw)
 
     def logged_loss(*args):
         blocks.append(args[4])  # the block's first row
@@ -228,9 +230,91 @@ def test_fd_starts_each_batch_at_the_prefix_state(monkeypatch):
         assert len(steps) == n_steps  # L + sum over blocks of (rows + L - start - 1)
 
 
+def vecmat(x, M):
+    """x M as a loop over the rows of M, ascending: the triple loop's order."""
+    r = x[0] * M[0]
+    for i in range(1, len(x)):
+        r = r + x[i] * M[i]
+    return r
+
+
+def stepwise(inst, dO):
+    """O, every state and the exact gradients, one step and one product at a time."""
+    Q, K, V, la, lb = inst.arrays
+    dOa = dO.data
+    L, dk, dv = inst.L, inst.dk, inst.dv
+    O = np.empty((L, dv))
+    states = []
+    S = np.zeros((dk, dv))
+    for t in range(L):
+        S = np.exp(la[t][:, None] + lb[t][None, :]) * S + np.multiply.outer(K[t], V[t])
+        O[t] = vecmat(Q[t], S)
+        states.append(S)
+    dQ, dK, dla = (np.empty((L, dk)) for _ in range(3))
+    dV, dlb = np.empty((L, dv)), np.empty((L, dv))
+    dS = np.zeros((dk, dv))
+    for t in range(L - 1, -1, -1):
+        dS = dS + np.multiply.outer(Q[t], dOa[t])
+        dQ[t] = vecmat(dOa[t], states[t].T)
+        dK[t] = vecmat(V[t], dS.T)
+        dV[t] = vecmat(K[t], dS)
+        G = np.exp(la[t][:, None] + lb[t][None, :])
+        gate_path = G * (states[t - 1] if t else np.zeros((dk, dv))) * dS
+        dla[t] = gate_path.sum(axis=1)
+        dlb[t] = gate_path.sum(axis=0)
+        dS = G * dS
+    return O, states, (dQ, dK, dV, dla, dlb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 40), dk=st.integers(1, 6), dv=st.integers(1, 6),
+       kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
+       floor=st.sampled_from([0.5, 1e-12, 1e-300]), T=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32))
+@example(L=7, dk=1, dv=1, kind="general", floor=0.5, T=3, seed=1)  # blocks 3, 3 and 1
+@example(L=1, dk=2, dv=3, kind="retnet", floor=1e-300, T=2, seed=2)  # one ragged block
+@example(L=70, dk=64, dv=64, kind="general", floor=0.5, T=None, seed=3)  # real budget: 32, 32, 6
+def test_block_products_match_a_per_step_loop_bitwise(L, dk, dv, kind, floor, T, seed):
+    # a block of T steps forms its O rows, and its dQ, dK, dV and gate
+    # sums, with one product each: the bits are a product per step's,
+    # wherever the block boundaries fall.  T=None keeps the real budget
+    import glakit.recurrent as rec
+
+    inst = make_instance(ModelKind(kind), L, dk, dv, seed, gate_floor=floor)
+    dO = rand_dO(L, dv, seed=seed + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        if T is None:  # the real budget, which its one example crosses
+            assert L > rec._BLOCK // (dk * dv)
+        else:
+            mp.setattr(rec, "_BLOCK", T * dk * dv)
+        O = forward_recurrent(inst).O.data
+        trace = forward_recurrent(inst, keep_states=True)
+        got = backward_recurrent_exact(inst, dO)
+    want_O, want_states, want_g = stepwise(inst, dO)
+    assert O.tobytes() == trace.O.data.tobytes() == want_O.tobytes()
+    assert [S.tobytes() for S in trace.states] == [S.tobytes() for S in want_states]
+    for f, want in zip(GRAD_FIELDS, want_g):
+        assert getattr(got, f).data.tobytes() == want.tobytes(), f
+
+
+def test_raw_backward_runs_in_its_inputs_dtype():
+    # the exact backward's buffers take its inputs' dtype: a longdouble
+    # run stays longdouble and agrees with the fp64 run, whose bytes are
+    # the public backward's
+    inst = make_instance(ModelKind("general"), L=24, dk=3, dv=4, seed=23)
+    dO = rand_dO(24, 4)
+    g64 = _backward_raw(*inst.arrays, dO.data)
+    g = _backward_raw(*(a.astype(np.longdouble) for a in (*inst.arrays, dO.data)))
+    public = backward_recurrent_exact(inst, dO)
+    for f, x, x64 in zip(GRAD_FIELDS, g, g64):
+        assert x.dtype == np.longdouble and x64.dtype == np.float64, f
+        assert x64.tobytes() == getattr(public, f).data.tobytes(), f
+        assert np.max(np.abs(x - x64)) <= 1e-13 * np.max(np.abs(x64)), f
+
+
 def test_raw_forward_runs_in_its_inputs_dtype():
-    # O and S_0 take the inputs' dtype: a longdouble run stays longdouble
-    # and agrees with the fp64 run
+    # O and the states take the inputs' dtype: a longdouble run stays
+    # longdouble and agrees with the fp64 run
     inst = make_instance(ModelKind("general"), L=24, dk=3, dv=4, seed=22)
     O64, states64 = _forward_raw(*inst.arrays, keep_states=True)
     O, states = _forward_raw(*(a.astype(np.longdouble) for a in inst.arrays), keep_states=True)

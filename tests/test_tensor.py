@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glakit import (ChunkPlan, ChunkPolicy, GateSeq, ModelKind, SeqTensor,
                     backward_recurrent_exact, chunk_relative_decays,
@@ -16,7 +18,7 @@ def naive_matmul(a, b):
     """Triple-loop oracle, ascending k, multiply then add."""
     m, kk = a.shape
     n = b.shape[1]
-    out = np.empty((m, n))
+    out = np.empty((m, n), np.result_type(a, b))
     for i in range(m):
         for j in range(n):
             acc = 0.0
@@ -56,6 +58,39 @@ def test_matmul_matches_triple_loop_bitwise(seed, shape_a, shape_b):
     A, B = np.broadcast_to(a, batch + shape_a[-2:]), np.broadcast_to(b, batch + shape_b[-2:])
     for idx in np.ndindex(batch):  # each batch element against the 2-D loop
         assert np.array_equal(got[idx], naive_matmul(A[idx], B[idx]))
+
+
+@st.composite
+def mm_operands(draw):
+    """Shapes (..., m, k) and (..., k, n) whose batch axes broadcast either way."""
+    batch = draw(st.lists(st.integers(1, 3), max_size=3))
+
+    def side():
+        kept = batch[len(batch) - draw(st.integers(0, len(batch))):]  # leading axes dropped
+        return tuple(1 if draw(st.booleans()) else s for s in kept)  # or stretched from 1
+
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    return side() + (m, k), side() + (k, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=mm_operands(), dtype=st.sampled_from([np.float64, np.longdouble]),
+       seed=st.integers(0, 2**32))
+@example(shapes=((2, 1, 3, 1), (3, 1, 4)), dtype=np.float64, seed=1)  # k = 1, both sides stretched
+@example(shapes=((1, 5), (2, 5, 1)), dtype=np.float64, seed=2)        # m = n = 1, batch on b alone
+@example(shapes=((3, 2, 4), (4, 3)), dtype=np.longdouble, seed=3)      # the result stays longdouble
+def test_matmul_matches_triple_loop_bitwise_on_drawn_shapes(shapes, dtype, seed):
+    shape_a, shape_b = shapes
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, shape_a).astype(dtype)
+    b = rng.uniform(-1, 1, shape_b).astype(dtype)
+    got = mm(a, b)
+    batch = np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+    assert got.shape == (*batch, shape_a[-2], shape_b[-1])
+    assert got.dtype == dtype
+    A, B = np.broadcast_to(a, batch + shape_a[-2:]), np.broadcast_to(b, batch + shape_b[-2:])
+    for idx in np.ndindex(batch):
+        assert np.array_equal(got[idx], naive_matmul(A[idx], B[idx]))  # longdouble pads its bytes
 
 
 def test_matmul_dim_mismatch():

@@ -287,16 +287,16 @@ MUTANTS = (
     # from its own prefix state, and its copies then run on from their own
     # states; the rows before it take the plain step.
     Mutant("fd_tail_from_unperturbed_state", "recurrent.py",
-           "S[n] = S_t[:, dk:]", "S[n] = states[t]",
+           "S[n] = S_t[:, dk:]", "S[n] = states[t + 1]",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("fd_minus_copies_step_plus_eps", "recurrent.py",
            "P[:, 1, w, w] -= eps", "P[:, 1, w, w] += eps",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("fd_head_drops_perturbed_row_output", "recurrent.py",
-           "S_t, O[n, :, :, t] = _step(", "S_t, _ = _step(",
+           "            O[n, :, :, t] = mm(q[..., None, :], S_t)[..., 0, :]\n", "",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("fd_join_steps_from_its_own_state", "recurrent.py",
-           "_step(states[t - 1] if t else", "_step(states[t] if t else",
+           "_step(states[t], *rest)", "_step(states[t + 1], *rest)",
            "tests/test_recurrent.py::test_batched_fd_matches_scalar_reference_bitwise"),
     Mutant("fd_live_count_takes_joining_row", "recurrent.py",
            "n = min(t - start, R)", "n = min(t - start + 1, R)",
@@ -309,6 +309,30 @@ MUTANTS = (
     Mutant("fd_block_budget_doubled", "recurrent.py",
            "2**15 // (2 * W * L * inst.dv)", "2**15 // (W * L * inst.dv)",
            "tests/test_recurrent.py::test_fd_starts_each_batch_at_the_prefix_state"),
+    # The reference forms' products: ascending k, and one per block of
+    # steps.  The two carries across a block boundary (the forward's last
+    # state into slot 0, the backward's gated dS) do nothing in a run of
+    # one block, as at every small shape; the block test makes the budget
+    # small.  O from the next slot finds no slot after a block's last and
+    # fails every run.
+    Mutant("tensor_mm_k_descending", "tensor.py",
+           "    r = a[..., :, 0, None] * b[..., 0, None, :]\n"
+           "    for k in range(1, a.shape[-1]):\n",
+           "    r = a[..., :, -1, None] * b[..., -1, None, :]\n"
+           "    for k in range(a.shape[-1] - 2, -1, -1):\n",
+           "tests/test_tensor.py::test_matmul_matches_triple_loop_bitwise"),
+    Mutant("recurrent_block_o_from_next_slot", "recurrent.py",
+           "blk[..., 1:n + 1, :, :])[..., 0, :]", "blk[..., 2:n + 2, :, :])[..., 0, :]",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
+    Mutant("recurrent_block_starts_one_slot_early", "recurrent.py",
+           "blk[..., 0, :, :] = blk[..., T, :, :]", "blk[..., 0, :, :] = blk[..., T - 1, :, :]",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
+    Mutant("exact_bwd_s_prev_one_slot_late", "recurrent.py",
+           "G *= S[t0:t1]", "G *= S[t0 + 1:t1 + 1]",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
+    Mutant("exact_bwd_carry_from_block_last_step", "recurrent.py",
+           "carry = G[0] * dS[0]", "carry = G[0] * dS[-1]",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
     # The causality check's judges, once per group of trials: each trial
     # judged on its own cut, each form run on the perturbed inputs.
     Mutant("causality_cut_from_next_trial", "checks.py",
