@@ -75,7 +75,8 @@ every pass that takes the step calls:
   transforms that the forward and sweep F hold;
 - ``_scan``: the gated carry over a group's chunks, ``X_j += Gm_j (.)
   X_{j-1}`` chunk by chunk, with one gate matrix ``gamma_b^T gamma_d``
-  per chunk formed for the whole group.  Going forward X is the state;
+  per chunk formed for the whole group; the loop is ``gates.carry``, the
+  recurrent form's own over steps.  Going forward X is the state;
   on reversed views it is the state's cotangent, carried back.  The
   inter terms ``Qt S_prev`` are the callers' own product, and a pass then
   scales the summed rows by ``Ddag``.
@@ -87,10 +88,10 @@ are viewed as (..., G, c, d), the chunks on axis -3 after any batch axes,
 and the group makes one call of each step: ``_decays``, ``_chunk`` and
 ``_intra``; ``_kv``, which forms the state rows over Kt and Vt, and one
 ``mm`` for the state products T_k of all its chunks; one ``_scan``.  Only
-the scan's carry S_k = Gm_k (.) S_{k-1} + T_k is a Python loop over the
-group's chunks, on dk x dv arrays, and then one product adds
-Qt_k S_{k-1} for all of them (the sequence's first chunk has no state
-entering it, so it forms no Gm and no inter term).  The
+the scan's carry S_k = Gm_k (.) S_{k-1} + T_k (``gates.carry``) is a
+Python loop over the group's chunks, on dk x dv arrays, and then one
+product adds Qt_k S_{k-1} for all of them (the sequence's first chunk
+has no state entering it, so it forms no Gm and no inter term).  The
 states live in one array, and the intra sums are written straight into
 O's rows.  As in the GLA paper's chunkwise form, only the state pass is
 sequential; the chunks' own work is independent, which is what lets a
@@ -134,7 +135,7 @@ from functools import cache
 import numpy as np
 
 from .cost import CostReport, Meter, mm_flops
-from .gates import ChunkPlan, chunk_factors, outer_gate
+from .gates import ChunkPlan, carry, chunk_factors, outer_gate
 from .gates import chunk_relative_decays, cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds them
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, check_sizes, readonly, suffix_sum_arr
@@ -342,13 +343,13 @@ def _scan(lgb, lgd, X, meter: Meter) -> None:
     The chunks are on axis -3, and X has one slot more than there are
     chunks: the carried matrix entering the first chunk, then each chunk's
     own term T_j.  Gm_j = gamma_b^T gamma_d comes from chunk j's log
-    gammas, one ``outer_gate`` for the group.  Going forward X holds the
-    state; on reversed views (the chunks and the slots taken last first) it
-    carries the state's cotangent back.
+    gammas, one ``outer_gate`` for the group, and the loop is
+    ``gates.carry``.  Going forward X holds the state; on reversed views
+    (the chunks and the slots taken last first) it carries the state's
+    cotangent back.
     """
     Gm = outer_gate(lgb, lgd)
-    for j in range(Gm.shape[-3]):
-        X[..., j + 1, :, :] += Gm[..., j, :, :] * X[..., j, :, :]
+    carry(Gm, X)
     meter.flops += 4 * Gm.size  # an add and an exp per gate entry; gate X, add T
 
 

@@ -5,7 +5,11 @@ underflow fp64 long before useful sequence lengths, so every decay factor
 is exp() of a sum of logs.  The parallel form differences whole-sequence
 prefix sums; the chunk factors sum only the chunk's own log-gates, so
 their exponents stay within C * |ln gate_floor| and their rounding does
-not grow with the position in the sequence.  ``GateSeq`` validates the
+not grow with the position in the sequence.  The gate matrices applied to
+a carried state, exp(la[i] + lb[j]), are ``outer_gate``, and ``carry`` is
+the one loop that applies them: X_{j+1} = G_j (.) X_j + X_{j+1}, over
+the recurrent form's steps and the chunkwise form's chunks, forward and,
+on reversed views, back.  ``GateSeq`` validates the
 gates where the public API takes them in; every decay function takes raw
 log-gate arrays whose rows are axis -2 and whose leading axes are a batch.
 """
@@ -25,6 +29,7 @@ __all__ = [
     "chunk_factors",
     "chunk_relative_decays",
     "outer_gate",
+    "carry",
 ]
 
 
@@ -147,3 +152,18 @@ def outer_gate(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     the 2 * G.size flops.
     """
     return np.exp(la[..., :, None] + lb[..., None, :])
+
+
+def carry(G: np.ndarray, X: np.ndarray) -> None:
+    """The gated carry, in place: X[..., j + 1, :, :] += G[..., j, :, :] (.) X[..., j, :, :].
+
+    j ascends over G's slots (axis -3); X has one slot more, the matrix
+    carried in first, then each step's own term.  Leading axes are a
+    batch, G broadcast against X.  Every sequential state loop in the
+    package is this one: the recurrent form's states over steps and the
+    chunkwise form's over chunks, and, on reversed views (the gates and
+    the slots taken last first), the cotangents carried back.  Callers
+    meter its 2 * G.size flops.
+    """
+    for j in range(G.shape[-3]):
+        X[..., j + 1, :, :] += G[..., j, :, :] * X[..., j, :, :]

@@ -4,8 +4,8 @@ The step-by-step recurrence
 
     S_t = (alpha_t^T beta_t) (.) S_{t-1} + k_t^T v_t,      o_t = q_t S_t
 
-is the reference every other form is validated against.  The per-step gate
-matrix is formed directly in log space, exp(log_alpha[i] + log_beta[j]),
+is the reference every other form is validated against.  The step gate
+matrices are formed directly in log space, exp(log_alpha[i] + log_beta[j]),
 one exp per element (``gates.outer_gate``): the same rule used for every
 decay factor in the library (exactly one rounding between log
 accumulator and factor).
@@ -15,13 +15,18 @@ through the stored states, and central finite differences on the scalar
 loss <O, dO>.  The finite-difference oracle is the arbiter for every
 analytic backward pass in the package.
 
-Only the state recurrences run step by step (``_step`` is the state update
-alone).  The steps go in blocks of T, at most ``_BLOCK`` state elements a
-block: a block's states go into the slots of one array, and each product
-that reads them (the forward's o_t = q_t S_t, the exact backward's dQ,
-dK, dV and gate sums) is one ``mm`` over the block.  ``mm`` and the sums are
-elementwise over their batch axes, so a block's results have the bits of
-a product per step, wherever its boundaries fall.
+Only the state recurrences run step by step, and both are
+``gates.carry``, the package's one gated-carry loop: the forward's states
+and, on reversed views, the exact backward's state cotangents.  The steps
+go in blocks of T, at most ``_BLOCK`` state elements a block: a block's
+gates and its k_t^T v_t terms are formed at once, its states go into the
+slots of one array, and each product that reads them (the forward's
+o_t = q_t S_t, the exact backward's dQ, dK, dV and gate sums) is one
+``mm`` over the block.  The carry, ``mm`` and the sums are elementwise
+over their batch axes, so a block's results have the bits of a step and
+a product per step, wherever its boundaries fall.  ``_step``, the update
+of a single step, is the FD oracle's, whose perturbed rows join one at a
+time.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import GateSeq, outer_gate
+from .gates import GateSeq, carry, outer_gate
 from .tensor import SeqTensor, check_sizes, mm, readonly
 
 __all__ = [
@@ -127,7 +132,9 @@ def _step(S, k, v, la, lb, out=None):
     """One state update on raw ndarrays: S_t = G_t (.) S_{t-1} + k_t^T v_t.
 
     Leading axes are a batch, broadcast between S and the step's rows.
-    With ``out`` (which may be S) the state is written there.
+    With ``out`` (which may be S) the state is written there.  The FD
+    oracle's blocks step with it (``_loss_raw``); the forward steps a
+    block at a time with ``gates.carry``, whose bits are this update's.
     """
     return np.add(np.multiply(outer_gate(la, lb), S, out=out),
                   k[..., :, None] * v[..., None, :], out=out)
@@ -139,12 +146,16 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False):
     The batch shape broadcasts the inputs' leading axes, and O and the
     states take the inputs' result dtype, so a longdouble run stays
     longdouble.  The steps go in blocks of T = max(1, _BLOCK // (B dk dv)),
-    B the batch size.  A block's steps write their states into slots 1..n
-    of S (axis -3), slot 0 holding the state before the block, and then its
-    n rows of O are one ``mm`` of its q rows with those slots.  With
-    keep_states S holds all L + 1 slots, S_0 = 0 to S_L, and is returned
-    read-only; otherwise it holds T + 1, the last carried to slot 0 between
-    blocks, and None is returned in its place.
+    B the batch size.  A block of n steps writes its k_t^T v_t terms into
+    slots 1..n of S (axis -3) with one multiply, slot 0 holding the state
+    before the block, and ``gates.carry`` gates each slot's predecessor by
+    its step's gate (one ``outer_gate`` for the block, at most _BLOCK
+    elements) and adds it in: kv + G S rounds as G S + kv does, so the
+    states have the bits of a step at a time.  Then its n rows of O are
+    one ``mm`` of its q rows with those slots.  With keep_states S holds
+    all L + 1 slots, S_0 = 0 to S_L, and is returned read-only; otherwise
+    it holds T + 1, the last carried to slot 0 between blocks, and None is
+    returned in its place.
     """
     L, dk = Q.shape[-2:]
     dv = V.shape[-1]
@@ -154,17 +165,17 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False):
     O = np.empty((*batch, L, dv), dtype)
     S = np.zeros((*batch, (L if keep_states else min(T, L)) + 1, dk, dv), dtype)
     for t0 in range(0, L, T):
-        n = min(T, L - t0)
+        t1 = min(t0 + T, L)
+        n = t1 - t0
         if keep_states:
-            blk = S[..., t0:t0 + n + 1, :, :]
+            blk = S[..., t0:t1 + 1, :, :]
         else:
             blk = S
             if t0:  # the last block was full: its last state is in slot T
                 blk[..., 0, :, :] = blk[..., T, :, :]
-        for j, t in enumerate(range(t0, t0 + n)):
-            _step(blk[..., j, :, :], K[..., t, :], V[..., t, :], la[..., t, :], lb[..., t, :],
-                  out=blk[..., j + 1, :, :])
-        O[..., t0:t0 + n, :] = mm(Q[..., t0:t0 + n, None, :], blk[..., 1:n + 1, :, :])[..., 0, :]
+        np.multiply(K[..., t0:t1, :, None], V[..., t0:t1, None, :], out=blk[..., 1:n + 1, :, :])
+        carry(outer_gate(la[..., t0:t1, :], lb[..., t0:t1, :]), blk)
+        O[..., t0:t1, :] = mm(Q[..., t0:t1, None, :], blk[..., 1:n + 1, :, :])[..., 0, :]
     return O, (readonly(S) if keep_states else None)
 
 
@@ -193,16 +204,18 @@ def _backward_raw(Q, K, V, la, lb, dOa):
 
     The gradients take the inputs' result dtype, dOa's included.  The
     states are the forward's slots, read in place.  The steps go in the
-    forward's blocks of T, the last block first.  In a block the adjoint
-    dS_t = G_{t+1} (.) dS_{t+1} + q_t^T dO_t runs back step by step into
-    the block's slots of one buffer, and G_t (.) dS_t of its first step is
-    carried to the block before it.  Then the block's dQ rows (S_t dO_t^T),
-    dK rows (dS_t v_t^T) and dV rows (k_t dS_t) are one ``mm`` each, and
-    its gate paths G_t (.) S_{t-1} (.) dS_t one product with their two
-    sums.  dQ goes by the block, not in one product over all L states: a
-    product reads its operands once per inner index, and a block's states
-    stay in cache where all L do not (at L=4096, dk=dv=64 the one product
-    left the backward ~1.15x slower).
+    forward's blocks of T, the last block first.  In a block the q_t^T dO_t
+    terms go into the block's slots of one buffer, and the adjoint
+    dS_t = G_{t+1} (.) dS_{t+1} + q_t^T dO_t runs back over them as
+    ``gates.carry`` on reversed views of the block's gates and slots;
+    G_t (.) dS_t of its first step is carried to the block before it.
+    Then the block's dQ rows (S_t dO_t^T), dK rows (dS_t v_t^T) and dV
+    rows (k_t dS_t) are one ``mm`` each, and its gate paths
+    G_t (.) S_{t-1} (.) dS_t one product with their two sums.  dQ goes
+    by the block, not in one product over all L states: a product reads
+    its operands once per inner index, and a block's states stay in cache
+    where all L do not (at L=4096, dk=dv=64 the one product left the
+    backward ~1.15x slower).
     """
     L, dk = Q.shape
     dv = V.shape[1]
@@ -215,16 +228,15 @@ def _backward_raw(Q, K, V, la, lb, dOa):
     dla = np.empty((L, dk), dtype)
     dlb = np.empty((L, dv), dtype)
     buf = np.empty((min(T, L), dk, dv), dtype)
-    carry = np.zeros((dk, dv), dtype)  # G_{t1} (.) dS_{t1} from the block after
+    dS_in = np.zeros((dk, dv), dtype)  # G_{t1} (.) dS_{t1} from the block after
     for t0 in reversed(range(0, L, T)):
         t1 = min(t0 + T, L)
         dS = buf[:t1 - t0]
         np.multiply(Q[t0:t1, :, None], dOa[t0:t1, None, :], out=dS)  # the o_t = q_t S_t paths
-        dS[-1] += carry
+        dS[-1] += dS_in
         G = outer_gate(la[t0:t1], lb[t0:t1])
-        for j in range(t1 - t0 - 1, 0, -1):
-            dS[j - 1] += G[j] * dS[j]
-        carry = G[0] * dS[0]
+        carry(G[:0:-1], dS[::-1])
+        dS_in = G[0] * dS[0]
         dQ[t0:t1] = mm(S[t0 + 1:t1 + 1], dOa[t0:t1, :, None])[..., 0]
         dK[t0:t1] = mm(dS, V[t0:t1, :, None])[..., 0]
         dV[t0:t1] = mm(K[t0:t1, None, :], dS)[:, 0]

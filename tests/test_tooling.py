@@ -1,7 +1,8 @@
 """Tooling: the benchmark's traced run rebinds library names that must all exist, its
-calls into the library run, and the test settings report every verdict when a property
-test fails."""
+calls into the library run, the test settings report every verdict when a property
+test fails, and every mutant of the mutation audit quotes its file and names a test."""
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(monkeypatch, name: str, path: Path):
@@ -52,7 +54,7 @@ def test_perfbench_calls_into_the_library_run(monkeypatch, tmp_path):
             assert outputs and all(isinstance(a, np.ndarray) for a in outputs), p.label
 
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PYPROJECT = ROOT / "pyproject.toml"
 PROPERTY_FAILS = '''
 from hypothesis import given, strategies as st
 
@@ -77,3 +79,22 @@ def test_failing_property_test_leaves_the_session_running(tmp_path):
     res = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "1 failed, 1 passed" in res.stdout
+
+
+def test_every_mutant_quotes_its_file_once_and_names_a_test(monkeypatch):
+    # a mutant whose old string no longer matches, or whose killer is gone,
+    # only shows up as malformed when the minute-long audit is run
+    mutants = _load(monkeypatch, "mutants", ROOT / "tools" / "mutants.py")
+    tests = {}
+    bad = []
+    for m in mutants.MUTANTS:
+        n = (ROOT / "src" / "glakit" / m.file).read_text().count(m.old)
+        if n != 1:
+            bad.append(f"{m.name}: old string occurs {n} times in {m.file}")
+        path, name = m.killer.split("::")
+        if path not in tests:
+            tree = ast.parse((ROOT / path).read_text())
+            tests[path] = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+        if name.split("[")[0] not in tests[path]:
+            bad.append(f"{m.name}: no test {m.killer}")
+    assert bad == []

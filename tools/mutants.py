@@ -38,7 +38,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
-TIER1 = ["--continue-on-collection-errors"]
+# The one tier-1 test that reads this file, that each mutant's old string
+# occurs once, fails in every mutated copy by construction, so the full
+# run that looks for a mutant's killer leaves it out.
+TIER1 = ["--continue-on-collection-errors", "--deselect",
+         "tests/test_tooling.py::test_every_mutant_quotes_its_file_once_and_names_a_test"]
 
 
 @dataclass(frozen=True)
@@ -177,9 +181,9 @@ MUTANTS = (
     Mutant("sweep_f_output_drops_inter_term", "chunkwise.py",
            "acc[f:] += mm(Qt[f:], X[f:g], meter)\n", "mm(Qt[f:], X[f:g], meter)\n",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
-    Mutant("carry_gates_T_not_X", "chunkwise.py",
-           "X[..., j + 1, :, :] += Gm[..., j, :, :] * X[..., j, :, :]\n",
-           "X[..., j + 1, :, :] = Gm[..., j, :, :] * X[..., j + 1, :, :] + X[..., j, :, :]\n",
+    Mutant("carry_gates_T_not_X", "gates.py",
+           "X[..., j + 1, :, :] += G[..., j, :, :] * X[..., j, :, :]\n",
+           "X[..., j + 1, :, :] = G[..., j, :, :] * X[..., j + 1, :, :] + X[..., j, :, :]\n",
            "tests/test_chunkwise.py::test_ragged_final_chunk_matches_recurrent"),
     # The forward's state rows: each side scaled by its own gamma before
     # the product, over a whole group of chunks.
@@ -195,11 +199,12 @@ MUTANTS = (
            "        St[..., a:a + g, :, :] *= outer_gate(lgb, lgd)\n",
            "tests/test_chunkwise.py::"
            "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
-    # A group's carry: only it loops over the group's chunks, and it gates
-    # the state carried into the group like any other.
-    Mutant("group_carry_skips_first_gate", "chunkwise.py",
-           "+= Gm[..., j, :, :] * X",
-           "+= (Gm[..., j, :, :] if j else 1.0) * X",
+    # A group's carry (gates.carry, every form's one gated-carry loop): only
+    # it loops over the group's chunks, and it gates the state carried into
+    # the group like any other.
+    Mutant("group_carry_skips_first_gate", "gates.py",
+           "+= G[..., j, :, :] * X",
+           "+= (G[..., j, :, :] if j else 1.0) * X",
            "tests/test_chunkwise.py::test_grouped_forward_matches_per_chunk_forward"),
     Mutant("group_inter_reads_outgoing_state", "chunkwise.py",
            "mm(Qt[..., f:, :, :], S[..., :-1, :, :], meter)",
@@ -216,8 +221,9 @@ MUTANTS = (
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     # The backward's two scans, chunk by chunk within a group and carried
     # from group to group: dS back in sweep R, on reversed views of the
-    # group's gates and slots, and S forward in sweep F.  Both are _scan.
-    Mutant("ds_scan_carries_from_the_slot_it_writes", "chunkwise.py",
+    # group's gates and slots, and S forward in sweep F.  Both are _scan,
+    # whose loop is gates.carry.
+    Mutant("ds_scan_carries_from_the_slot_it_writes", "gates.py",
            "* X[..., j, :, :]\n", "* X[..., j + 1, :, :]\n",
            "tests/test_chunkwise.py::test_backward_matches_fd"),
     Mutant("sweep_r_scan_on_unreversed_slots", "chunkwise.py",
@@ -331,7 +337,24 @@ MUTANTS = (
            "G *= S[t0:t1]", "G *= S[t0 + 1:t1 + 1]",
            "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
     Mutant("exact_bwd_carry_from_block_last_step", "recurrent.py",
-           "carry = G[0] * dS[0]", "carry = G[0] * dS[-1]",
+           "dS_in = G[0] * dS[0]", "dS_in = G[0] * dS[-1]",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
+    # The forward's block terms and the one gated carry that the forward,
+    # the exact backward's adjoint (on reversed views) and _scan run.  Each
+    # keeps its shapes, so only the bits show it: the gate's two sides
+    # swapped (a shape error unless dk = dv, as in the block test's first
+    # example), k_t + v_t for k_t^T v_t, the adjoint gated by the step's own
+    # gate rather than the next one's.
+    Mutant("recurrent_block_gate_sides_swapped", "recurrent.py",
+           "carry(outer_gate(la[..., t0:t1, :], lb[..., t0:t1, :]), blk)",
+           "carry(outer_gate(lb[..., t0:t1, :], la[..., t0:t1, :]), blk)",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
+    Mutant("recurrent_block_kv_added", "recurrent.py",
+           "np.multiply(K[..., t0:t1, :, None], V[..., t0:t1, None, :], out=",
+           "np.add(K[..., t0:t1, :, None], V[..., t0:t1, None, :], out=",
+           "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
+    Mutant("exact_bwd_adjoint_gate_one_step_early", "recurrent.py",
+           "carry(G[:0:-1], dS[::-1])", "carry(G[-2::-1], dS[::-1])",
            "tests/test_recurrent.py::test_block_products_match_a_per_step_loop_bitwise"),
     # The causality check's judges, once per group of trials: each trial
     # judged on its own cut, each form run on the perturbed inputs.
