@@ -5,7 +5,11 @@ chunk boundaries exactly as in the recurrent form (amortizing the
 elementwise state gating over whole chunks), while positions inside a
 chunk are handled by masked weighted sums whose decay factors are exps of
 sums over the chunk's own log-gates, so neither an exponent nor its
-rounding grows with the sequence length.  Each pass forms a chunk's factors
+rounding grows with the sequence length.  Those sums, and the gate
+gradients' suffix sums over the whole sequence, go through
+``tensor.prefix_sum``: each column's sum stays sequential, while two fp64
+columns ride in one complex128 add, with the same bits, wherever the
+array is large enough to pay for it.  Each pass forms a chunk's factors
 once, when it reaches the chunk: the forward forms a whole group's at once
 and drops them with the group, and the backward parks them in gradient
 rows it has not written yet, so no pass allocates a table of every chunk's

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import readonly, record_array
+from .tensor import prefix_sum, readonly, record_array
 
 __all__ = [
     "GateSeq",
@@ -91,10 +91,12 @@ def cumulative_log_decay(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np
     """Prefix sums of the log-gates along the rows (axis -2), as a read-only (log_b, log_d).
 
     log_b[..., t, :] = sum_{j<=t} la[..., j, :], and log_d likewise from lb.
-    The accumulation is sequential: log_b[t] = log_b[t-1] + la[t].  The
-    preallocated out= traces less memory than letting accumulate allocate.
+    Each column's accumulation is sequential, log_b[t] = log_b[t-1] + la[t],
+    and ``tensor.prefix_sum`` may carry two columns in one complex add,
+    with the same bits.  The preallocated out= traces less memory than
+    letting accumulate allocate.
     """
-    return tuple(readonly(np.add.accumulate(x, axis=-2, out=np.empty_like(x))) for x in (la, lb))
+    return tuple(readonly(prefix_sum(x, -2, np.empty_like(x))) for x in (la, lb))
 
 
 def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
@@ -102,10 +104,11 @@ def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
 
     Rows are axis -2; leading axes are a batch, each summed on its own.
     Every exponent is a sum over the chunk's own rows, so every factor is
-    <= 1 exactly.  As in cumulative_log_decay, the preallocated out= traces
-    less memory.
+    <= 1 exactly.  As in cumulative_log_decay, each column's sum is
+    sequential while ``tensor.prefix_sum`` may carry two columns in one
+    complex add, and the preallocated out= traces less memory.
     """
-    lc = np.add.accumulate(lg, axis=-2, out=np.empty_like(lg) if out is None else out)
+    lc = prefix_sum(lg, -2, np.empty_like(lg) if out is None else out)
     log_gamma = lc[..., -1, :].copy()  # not a view: dagger's exp overwrites lc in place
     return readonly(np.exp(lc, out=lc)), readonly(log_gamma)
 
@@ -149,9 +152,11 @@ def outer_gate(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
 
     The gate matrix is formed in log space, one add and one exp per element:
     exactly one rounding between log accumulator and factor.  Callers meter
-    the 2 * G.size flops.
+    the 2 * G.size flops.  The exp runs in place on the add's result, so
+    a gate matrix takes one array.
     """
-    return np.exp(la[..., :, None] + lb[..., None, :])
+    G = np.add(la[..., :, None], lb[..., None, :])
+    return np.exp(G, out=G)
 
 
 def carry(G: np.ndarray, X: np.ndarray) -> None:

@@ -146,22 +146,22 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False):
     The batch shape broadcasts the inputs' leading axes, and O and the
     states take the inputs' result dtype, so a longdouble run stays
     longdouble.  The steps go in blocks of T = max(1, _BLOCK // (B dk dv)),
-    B the batch size.  A block of n steps writes its k_t^T v_t terms into
-    slots 1..n of S (axis -3) with one multiply, slot 0 holding the state
-    before the block, and ``gates.carry`` gates each slot's predecessor by
-    its step's gate (one ``outer_gate`` for the block, at most _BLOCK
-    elements) and adds it in: kv + G S rounds as G S + kv does, so the
-    states have the bits of a step at a time.  Then its n rows of O are
-    one ``mm`` of its q rows with those slots.  With keep_states S holds
-    all L + 1 slots, S_0 = 0 to S_L, and is returned read-only; otherwise
-    it holds T + 1, the last carried to slot 0 between blocks, and None is
-    returned in its place.
+    B the batch size, or 1 for an empty batch.  A block of n steps writes
+    its k_t^T v_t terms into slots 1..n of S (axis -3) with one multiply,
+    slot 0 holding the state before the block, and ``gates.carry`` gates
+    each slot's predecessor by its step's gate (one ``outer_gate`` for the
+    block, at most _BLOCK elements) and adds it in: kv + G S rounds as
+    G S + kv does, so the states have the bits of a step at a time.  Then
+    its n rows of O are one ``mm`` of its q rows with those slots.  With
+    keep_states S holds all L + 1 slots, S_0 = 0 to S_L, and is returned
+    read-only; otherwise it holds T + 1, the last carried to slot 0
+    between blocks, and None is returned in its place.
     """
     L, dk = Q.shape[-2:]
     dv = V.shape[-1]
     dtype = np.result_type(Q, K, V, la, lb)
     batch = np.broadcast_shapes(*(a.shape[:-2] for a in (Q, K, V, la, lb)))
-    T = max(1, _BLOCK // (math.prod(batch) * dk * dv))
+    T = max(1, _BLOCK // (max(1, math.prod(batch)) * dk * dv))
     O = np.empty((*batch, L, dv), dtype)
     S = np.zeros((*batch, (L if keep_states else min(T, L)) + 1, dk, dv), dtype)
     for t0 in range(0, L, T):

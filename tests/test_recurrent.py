@@ -367,6 +367,16 @@ def test_batched_block_forward_matches_each_elements_own_run(layout, L, dk, dv, 
         assert S[b].tobytes() == want_S.tobytes()
 
 
+def test_an_empty_batch_gives_an_empty_output():
+    # as the chunkwise raw forward does: no element, no division by the batch size
+    from glakit.chunkwise import _forward_raw as chunk_forward_raw
+
+    arrays = [np.zeros((0, 5, 2))] * 5
+    (O, none), (O_kept, S) = (_forward_raw(*arrays, keep_states=k) for k in (False, True))
+    assert none is None and O.shape == O_kept.shape == (0, 5, 2) and S.shape == (0, 6, 2, 2)
+    assert chunk_forward_raw(*arrays, ChunkPlan(5, 2), False)[0].shape == O.shape
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["vanilla", "retnet", "gla_beta_one", "general"]),
        floor=st.sampled_from([0.5, 0.05, 1e-12, 1e-300]), L=st.integers(1, 24),

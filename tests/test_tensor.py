@@ -8,10 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import glakit.tensor as tensor
 from glakit import (ChunkPlan, ChunkPolicy, GateSeq, ModelKind, SeqTensor,
                     backward_recurrent_exact, chunk_relative_decays,
                     cumulative_log_decay, forward_chunkwise, forward_recurrent,
                     make_instance, mm, suffix_sum_arr)
+from glakit.gates import chunk_factors
+from glakit.tensor import prefix_sum
 
 
 def naive_matmul(a, b):
@@ -128,13 +131,14 @@ def test_suffix_sum_difference_recovers_rows():
     assert np.max(np.abs(diff - x[:-1])) <= 1e-12
 
 
-def sequential_prefix(x):
-    """Reference: out[t] = out[t-1] + x[t], one row at a time."""
+def sequential_prefix(x, axis=0):
+    """Reference: out[t] = out[t-1] + x[t] along axis, one row at a time."""
+    x = np.moveaxis(x, axis, 0)
     out = np.empty_like(x)
     out[0] = x[0]
     for t in range(1, x.shape[0]):
         out[t] = out[t - 1] + x[t]
-    return out
+    return np.moveaxis(out, 0, axis)
 
 
 def wide_range(rng, shape):
@@ -142,28 +146,124 @@ def wide_range(rng, shape):
     return rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
 
 
-@pytest.mark.parametrize("L", [1, 2, 37, 300])
-def test_prefix_and_suffix_sums_are_sequential_bitwise(L):
-    rng = np.random.default_rng(L)
-    la, lb = -wide_range(rng, (L, 3)), -wide_range(rng, (L, 2))
-    log_b, log_d = cumulative_log_decay(la, lb)
-    assert log_b.tobytes() == sequential_prefix(la).tobytes()
-    assert log_d.tobytes() == sequential_prefix(lb).tobytes()
-    # leading axes are a batch: each element's rows are its own 2-D call's
-    bla, blb = -wide_range(rng, (3, L, 3)), -wide_range(rng, (3, L, 2))
-    batched = cumulative_log_decay(bla, blb)
-    for b in range(3):
-        own = cumulative_log_decay(bla[b], blb[b])
-        assert [x[b].tobytes() for x in batched] == [x.tobytes() for x in own]
+# prefix_sum's two branches: every eligible array paired, and none
+PAIR_FLOORS = {"paired": 0, "plain": 2**62}
 
-    x = wide_range(rng, (L, 4)) * rng.choice([-1.0, 1.0], (L, 4))
-    out = suffix_sum_arr(x)
-    assert out.flags.c_contiguous
-    assert out.tobytes() == sequential_prefix(x[::-1])[::-1].tobytes()
-    y = x.copy()
-    assert suffix_sum_arr(y, out=y) is y and y.tobytes() == out.tobytes()  # in place
-    if L >= 37:  # the data is order-sensitive, so the pins above discriminate
-        assert not np.array_equal(sequential_prefix(x)[-1], out[0])
+
+@pytest.mark.parametrize("L", [1, 2, 37, 300])
+def test_prefix_and_suffix_sums_are_sequential_bitwise(L, monkeypatch):
+    for floor in PAIR_FLOORS.values():
+        monkeypatch.setattr(tensor, "_PAIR_MIN_SIZE", floor)
+        rng = np.random.default_rng(L)
+        la, lb = -wide_range(rng, (L, 3)), -wide_range(rng, (L, 2))
+        log_b, log_d = cumulative_log_decay(la, lb)
+        assert log_b.tobytes() == sequential_prefix(la).tobytes()
+        assert log_d.tobytes() == sequential_prefix(lb).tobytes()
+        # leading axes are a batch: each element's rows are its own 2-D call's
+        bla, blb = -wide_range(rng, (3, L, 3)), -wide_range(rng, (3, L, 2))
+        batched = cumulative_log_decay(bla, blb)
+        for b in range(3):
+            own = cumulative_log_decay(bla[b], blb[b])
+            assert [x[b].tobytes() for x in batched] == [x.tobytes() for x in own]
+            assert batched[1][b].tobytes() == sequential_prefix(blb[b]).tobytes()
+
+        x = wide_range(rng, (L, 4)) * rng.choice([-1.0, 1.0], (L, 4))
+        out = suffix_sum_arr(x)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == sequential_prefix(x[::-1])[::-1].tobytes()
+        y = x.copy()
+        assert suffix_sum_arr(y, out=y) is y and y.tobytes() == out.tobytes()  # in place
+        if L >= 37:  # the data is order-sensitive, so the pins above discriminate
+            assert not np.array_equal(sequential_prefix(x)[-1], out[0])
+
+
+@pytest.mark.parametrize("g, c, dk, dv", [(1, 1, 2, 1), (4, 64, 64, 64), (3, 16, 5, 6),
+                                          (2, 37, 8, 3), (1, 300, 4, 2)])
+def test_chunk_factors_are_sequential_bitwise(g, c, dk, dv, monkeypatch):
+    # a group's rows as (g, c, d), fresh or formed in parked rows as the
+    # backward's sweep R does, hold each chunk's own sequential sums
+    rng = np.random.default_rng(g * c + dk)
+    la, lb = -wide_range(rng, (g, c, dk)), -wide_range(rng, (g, c, dv))
+    parked = np.empty((g * c, dk)), np.empty((g * c, dv))
+    for floor in PAIR_FLOORS.values():
+        monkeypatch.setattr(tensor, "_PAIR_MIN_SIZE", floor)
+        for out in (None, tuple(p.reshape(g, c, -1) for p in parked)):
+            bd, dd, lgb, lgd = chunk_factors(la, lb, out)
+            for dag, lg, x in ((bd, lgb, la), (dd, lgd, lb)):
+                lc = sequential_prefix(x, axis=-2)
+                assert dag.tobytes() == np.exp(lc).tobytes()
+                assert lg.tobytes() == lc[..., -1, :].tobytes()
+
+
+def _specials(rng, x, share=0.2):
+    """x with about a share of its entries set to NaN, +-inf or -0.0.
+
+    The NaN is the one that inf - inf makes, as every NaN of the package
+    does (its records refuse NaN): where both operands of an add are NaN,
+    which payload and sign the result keeps is the compiled loop's choice,
+    and numpy's real and complex loops choose differently.
+    """
+    with np.errstate(invalid="ignore"):
+        nan = np.array(np.inf) - np.inf
+    pick = rng.random(x.shape) < share
+    x[pick] = rng.choice(np.array([nan, np.inf, -np.inf, -0.0], x.dtype), pick.sum())
+    return x
+
+
+def same_bits(a, b):
+    """Equal bytes; for longdouble, equal values and signs, its padding bytes being arbitrary."""
+    if a.dtype == np.longdouble:
+        return (np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+    return a.tobytes() == b.tobytes()
+
+
+DTYPES = {"fp64": np.float64, "longdouble": np.longdouble, "complex128": np.complex128}
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(1, 48), min_size=1, max_size=3), axis=st.integers(-3, 2),
+       layout=st.sampled_from(["fresh", "in place", "reversed", "strided last axis"]),
+       dtype=st.sampled_from(sorted(DTYPES)), specials=st.booleans(),
+       branch=st.sampled_from(sorted(PAIR_FLOORS) + ["default"]), seed=st.integers(0, 2**32))
+@example(shape=[64, 32], axis=0, layout="fresh", dtype="longdouble", specials=False,
+         branch="paired", seed=1)  # longdouble is never paired
+@example(shape=[64, 32], axis=-1, layout="fresh", dtype="fp64", specials=False,
+         branch="paired", seed=2)  # nor is the summed axis the last
+@example(shape=[2048], axis=0, layout="in place", dtype="fp64", specials=False,
+         branch="default", seed=3)  # nor a vector
+@example(shape=[4, 64, 64], axis=-2, layout="in place", dtype="fp64", specials=True,
+         branch="default", seed=4)  # the anchor's group of factors, above the floor
+def test_prefix_sum_is_sequential_bitwise(shape, axis, layout, dtype, specials, branch, seed):
+    # whichever branch runs, each column is the one sequential chain of
+    # adds, for any axis, width, view or dtype, and whatever the data holds
+    if not -len(shape) <= axis < len(shape):
+        axis %= len(shape)
+    rng = np.random.default_rng(seed)
+    full = [*shape[:-1], 2 * shape[-1] if layout == "strided last axis" else shape[-1]]
+    x = (wide_range(rng, full) * rng.choice([-1.0, 1.0], full)).astype(DTYPES[dtype])
+    if dtype == "complex128":
+        x = x + 1j * wide_range(rng, full)
+    if specials:
+        x = _specials(rng, x)
+    if layout == "strided last axis":
+        x = x[..., ::2]
+    elif layout == "reversed":
+        x = np.flip(x, axis)
+    floor = PAIR_FLOORS.get(branch, tensor._PAIR_MIN_SIZE)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):  # inf - inf
+        want = sequential_prefix(x, axis)
+        mp.setattr(tensor, "_PAIR_MIN_SIZE", floor)
+        if layout == "in place":
+            assert prefix_sum(x, axis, x) is x
+            got = x
+        elif layout == "reversed":  # as suffix_sum_arr takes its operands
+            out = np.empty_like(x)
+            prefix_sum(x, axis, np.flip(out, axis))
+            got = np.flip(out, axis)
+        else:
+            got = prefix_sum(x, axis, np.empty_like(x))
+    assert same_bits(got, want)
 
 
 def test_constructors_reject_nonfinite():

@@ -397,14 +397,24 @@ MUTANTS = (
     # Batch-only: on one chunk's 2-D rows each is the same op as the
     # original, so only a batched forward (or a group of chunks) tells them apart.
     Mutant("chunk_prefix_sum_along_axis_0", "gates.py",
-           "np.add.accumulate(lg, axis=-2,", "np.add.accumulate(lg, axis=0,",
+           "prefix_sum(lg, -2,", "prefix_sum(lg, 0,",
            "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
     Mutant("gamma_b_from_last_batch_element", "chunkwise.py",
            "_kv(Kt, Vt, bd[..., -1:, :],", "_kv(Kt, Vt, bd[-1:],",
            "tests/test_chunkwise.py::test_batched_raw_forward_matches_each_elements_own_run"),
     Mutant("cumulative_decay_along_axis_0", "gates.py",
-           "np.add.accumulate(x, axis=-2,", "np.add.accumulate(x, axis=0,",
+           "prefix_sum(x, -2,", "prefix_sum(x, 0,",
            "tests/test_parallel.py::test_batched_raw_forms_match_each_elements_own_run"),
+    # Two columns ride in one complex add only where that is two fp64 adds:
+    # longdouble viewed as complex128 is garbage, and along the last axis
+    # the two lanes of a pair are two terms of one sum, not two sums.
+    Mutant("prefix_sum_pairs_longdouble", "tensor.py",
+           "x.size >= _PAIR_MIN_SIZE and x.dtype == out.dtype == np.float64",
+           "x.size >= _PAIR_MIN_SIZE",
+           "tests/test_tensor.py::test_prefix_sum_is_sequential_bitwise"),
+    Mutant("prefix_sum_pairs_along_the_last_axis", "tensor.py",
+           "axis % x.ndim < x.ndim - 1", "axis % x.ndim < x.ndim",
+           "tests/test_tensor.py::test_prefix_sum_is_sequential_bitwise"),
     # The error path names a chunk from that chunk's own gate rows.
     Mutant("bad_chunk_gate_rows_from_0", "chunkwise.py",
            "chunk_factors(la[s:e], lb[s:e])", "chunk_factors(la[:e], lb[:e])",
