@@ -165,10 +165,10 @@ def check_gradients(inst: GlaInstance, eps: float = 1e-5, tol: float = 1e-6,
         t0 = time.perf_counter()
         bundle = _measured(run)
         for field in _GRAD_FIELDS:
-            got = None if bundle is None else getattr(bundle, field).data
+            got = None if bundle is None else getattr(bundle, field)
             if flip_dlogb_sign and field == "dlog_alpha" and got is not None:
                 got = -got
-            want = getattr(fd, field).data
+            want = getattr(fd, field)
             reports.append(CheckReport.from_arrays(
                 f"grad_{impl_name}_{field}", got, want, tol, t0))
             t0 = time.perf_counter()

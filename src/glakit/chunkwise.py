@@ -434,9 +434,11 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
     Returns (O, chunk states or None, flops); nothing is validated.  Each
     batch element, and each chunk of a group, gets the bits of its own
     unbatched per-chunk run.  The states live in one array St: under
-    materialize slot k is the state leaving chunk k, and the record is its
-    read-only slots; under recompute it holds one group, slot 0 being the
+    materialize slot k is the state leaving chunk k, and the record is St
+    itself, read-only, (..., N, dk, dv) with the chunks on axis -3 after
+    any batch axes; under recompute it holds one group, slot 0 being the
     state entering the group and slot j the one leaving its chunk j - 1.
+    O and St are fp64 whatever the inputs' dtype: the products run in BLAS.
     """
     meter = Meter()
     *batch, L, dk = Q.shape
@@ -468,13 +470,16 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
             St[..., 0, :, :] = St[..., g, :, :]
     if not materialize:
         return O, None, meter.flops
-    readonly(St)  # the record: never written again
-    return O, [St[..., k, :, :] for k in range(plan.num_chunks)], meter.flops
+    return O, readonly(St), meter.flops  # the record: never written again
 
 
 @np.errstate(all="ignore")
 def forward_chunkwise(inst: GlaInstance, plan: ChunkPlan, policy: ChunkPolicy):
-    """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport)."""
+    """Run the chunkwise forward.  Returns (O, chunk states or None, CostReport).
+
+    The chunk states, under materialize, are one read-only (N, dk, dv)
+    array: slot k is the state leaving chunk k.
+    """
     plan.check(inst.L)
     O, states, flops = _forward_raw(*inst.arrays, plan, policy.materialize)
     try:

@@ -53,8 +53,12 @@ def _rows(Q, K, V, la, lb):
 
 
 def _forward_raw(Q, K, V, la, lb) -> np.ndarray:
-    """The parallel form's O on raw arrays, leading axes a batch."""
-    O = np.empty((*Q.shape[:-1], V.shape[-1]))
+    """The parallel form's O on raw arrays, leading axes a batch.
+
+    O takes the inputs' result dtype, as the recurrent kernels' results
+    do, so a longdouble run stays longdouble.
+    """
+    O = np.empty((*Q.shape[:-1], V.shape[-1]), np.result_type(Q, K, V, la, lb))
     for t, _, _, _, Vd, w in _rows(Q, K, V, la, lb):
         O[..., t, :] = (w[..., None] * Vd).sum(axis=-2)
     return O

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import GateSeq, carry, outer_gate
-from .tensor import SeqTensor, check_sizes, mm, readonly
+from .tensor import SeqTensor, check_sizes, mm, readonly, record_array
 
 __all__ = [
     "GlaInstance",
@@ -94,28 +94,34 @@ class GlaInstance:
 
 
 class ForwardTrace(NamedTuple):
-    """Forward output O plus, optionally, every state S_1..S_L (read-only)."""
+    """Forward output O plus, optionally, every state S_1..S_L.
+
+    ``states`` is one read-only (L, dk, dv) array, S_t in slot t - 1: the
+    forward's own state slots past S_0, not a copy.
+    """
 
     O: SeqTensor
-    states: list[np.ndarray] | None
+    states: np.ndarray | None
 
 
 @dataclass(frozen=True, slots=True)
 class GradBundle:
     """All backward outputs: dQ, dK (L x dk), dV (L x dv), dlog_alpha, dlog_beta.
 
-    Each field is given as an array and stored as a SeqTensor.
+    Each field is given as an array and held as one, as GateSeq holds its
+    gates: ``record_array``'s read-only 2-D fp64 array, so a non-finite
+    gradient's error names its field.
     """
 
-    dQ: SeqTensor
-    dK: SeqTensor
-    dV: SeqTensor
-    dlog_alpha: SeqTensor
-    dlog_beta: SeqTensor
+    dQ: np.ndarray
+    dK: np.ndarray
+    dV: np.ndarray
+    dlog_alpha: np.ndarray
+    dlog_beta: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, SeqTensor(getattr(self, f.name)))
+            object.__setattr__(self, f.name, record_array(getattr(self, f.name), f.name)[0])
 
 
 # The element budget of a block of state slots, T * B * dk * dv for a batch
@@ -183,7 +189,7 @@ def _forward_raw(Q, K, V, la, lb, keep_states: bool = False):
 def forward_recurrent(inst: GlaInstance, keep_states: bool = False) -> ForwardTrace:
     """Run the recurrence from S_0 = 0; optionally record every S_t."""
     O, S = _forward_raw(*inst.arrays, keep_states=keep_states)
-    return ForwardTrace(SeqTensor(O), None if S is None else list(S[1:]))
+    return ForwardTrace(SeqTensor(O), None if S is None else S[1:])
 
 
 def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
@@ -200,12 +206,14 @@ def recurrent_forward_cost(L: int, dk: int, dv: int) -> int:
 
 
 def _backward_raw(Q, K, V, la, lb, dOa):
-    """The exact backward on raw 2-D ndarrays: (dQ, dK, dV, dlog_alpha, dlog_beta).
+    """The exact backward on raw 2-D ndarrays: (O, dQ, dK, dV, dlog_alpha, dlog_beta).
 
-    The gradients take the inputs' result dtype, dOa's included.  The
-    states are the forward's slots, read in place.  The steps go in the
-    forward's blocks of T, the last block first.  In a block the q_t^T dO_t
-    terms go into the block's slots of one buffer, and the adjoint
+    O is the forward's, which the backward runs for its states, so one call
+    judges an output and its gradients.  O and the gradients take the
+    inputs' result dtype, dOa's included.  The states are the forward's
+    slots, read in place.  The steps go in the forward's blocks of T, the
+    last block first.  In a block the q_t^T dO_t terms go into the block's
+    slots of one buffer, and the adjoint
     dS_t = G_{t+1} (.) dS_{t+1} + q_t^T dO_t runs back over them as
     ``gates.carry`` on reversed views of the block's gates and slots;
     G_t (.) dS_t of its first step is carried to the block before it.
@@ -220,7 +228,7 @@ def _backward_raw(Q, K, V, la, lb, dOa):
     L, dk = Q.shape
     dv = V.shape[1]
     dtype = np.result_type(Q, K, V, la, lb, dOa)
-    _, S = _forward_raw(Q, K, V, la, lb, keep_states=True)
+    O, S = _forward_raw(Q, K, V, la, lb, keep_states=True)
     T = max(1, _BLOCK // (dk * dv))
     dQ = np.empty((L, dk), dtype)
     dK = np.empty((L, dk), dtype)
@@ -244,7 +252,7 @@ def _backward_raw(Q, K, V, la, lb, dOa):
         G *= dS
         G.sum(axis=2, out=dla[t0:t1])
         G.sum(axis=1, out=dlb[t0:t1])
-    return dQ, dK, dV, dla, dlb
+    return O, dQ, dK, dV, dla, dlb
 
 
 @np.errstate(all="ignore")
@@ -257,7 +265,7 @@ def backward_recurrent_exact(inst: GlaInstance, dO: SeqTensor) -> GradBundle:
     products go a block of steps at a time (``_backward_raw``), with the
     bits of a product per step.
     """
-    return GradBundle(*_backward_raw(*inst.arrays, inst.cotangent(dO)))
+    return GradBundle(*_backward_raw(*inst.arrays, inst.cotangent(dO))[1:])
 
 
 def _loss_raw(arrs, dOa, O_base, states, start, P) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
-Criterion 7 (the L=4096 bench) takes a few seconds; everything else is fast.
+Criterion 7 (the L=4096 bench, and its outputs and gradients judged) takes
+a few seconds; everything else is fast.
 """
 
 import statistics
 import time
 
 import numpy as np
+import pytest
 
 from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor, SplitMix64,
                     backward_chunkwise, backward_parallel,
@@ -16,6 +18,7 @@ from glakit import (ChunkPlan, ChunkPolicy, ModelKind, SeqTensor, SplitMix64,
                     forward_parallel, forward_recurrent, make_instance,
                     predict_cost, read_tensor, recurrent_forward_cost,
                     rel_err, suffix_sum_arr, write_tensor)
+from glakit.recurrent import _backward_raw
 
 GRAD_FIELDS = ("dQ", "dK", "dV", "dlog_alpha", "dlog_beta")
 MAT = ChunkPolicy("materialize")
@@ -103,10 +106,10 @@ def test_criterion_3_gate_gradient_structure():
                           forward_chunkwise(inst, ChunkPlan(10, 4), MAT)[0].data),
         }
         for name, (b, O) in bundles.items():
-            dlogb = inst.Q.data * b.dQ.data - inst.K.data * b.dK.data
-            dlogd = O * dO.data - inst.V.data * b.dV.data
-            worst = max(worst, rel_err(suffix_sum_arr(dlogb), b.dlog_alpha.data))
-            worst = max(worst, rel_err(suffix_sum_arr(dlogd), b.dlog_beta.data))
+            dlogb = inst.Q.data * b.dQ - inst.K.data * b.dK
+            dlogd = O * dO.data - inst.V.data * b.dV
+            worst = max(worst, rel_err(suffix_sum_arr(dlogb), b.dlog_alpha))
+            worst = max(worst, rel_err(suffix_sum_arr(dlogd), b.dlog_beta))
     ok = worst <= 1e-12
     assert emit(3, "closed-form gate-gradient structure", ok, f"max_rel_err={worst:.3e}")
 
@@ -165,7 +168,7 @@ def test_criterion_5_policy_equivalence_and_cost_model():
     bm, _ = backward_chunkwise(inst, dO, plan, MAT)
     br, _ = backward_chunkwise(inst, dO, plan, REC)
     for f in GRAD_FIELDS:
-        worst = max(worst, rel_err(getattr(bm, f).data, getattr(br, f).data))
+        worst = max(worst, rel_err(getattr(bm, f), getattr(br, f)))
     ok = worst <= 1e-12 and counters_ok and recompute_ok
     assert emit(5, "policy equivalence + exact cost model", ok,
                 f"policy_rel_err={worst:.3e} counters_exact={counters_ok}")
@@ -205,6 +208,29 @@ def test_criterion_7_desk_scale_efficiency():
                 f"wall chunkwise={ms_chk:.1f}ms recurrent={ms_rec:.1f}ms "
                 f"(x{ms_rec / ms_chk:.1f}); flops chunkwise={flops_chk} "
                 f"recurrent={flops_rec} (x{flops_rec / flops_chk:.2f})")
+
+
+@pytest.mark.parametrize("floor", [0.5, 0.05])
+def test_criterion_7_outputs_and_gradients_judged_at_desk_scale(floor):
+    # criterion 7's instance, and the same at floor 0.05: both policies' O
+    # and five gradients against one fp64 exact call, at the fixed 1e-9 and
+    # 1e-6; the line quotes each error, so a drift shows before it fails
+    L, d, C = 4096, 64, 64
+    inst = make_instance(ModelKind("general"), L, d, d, seed=7000, gate_floor=floor)
+    plan = ChunkPlan(L, C)
+    dO = rand_dO(L, d, seed=7001)
+    want_O, *want = _backward_raw(*inst.arrays, dO.data)
+    errs, ok = [], True
+    for pol in (MAT, REC):
+        e = rel_err(forward_chunkwise(inst, plan, pol)[0].data, want_O)
+        ok &= e <= 1e-9
+        errs.append(f"{pol.mode} O={e:.1e}")
+        grads = backward_chunkwise(inst, dO, plan, pol)[0]
+        for f, w in zip(GRAD_FIELDS, want):
+            e = rel_err(getattr(grads, f), w)
+            ok &= e <= 1e-6
+            errs.append(f"{f}={e:.1e}")
+    assert emit(7, f"outputs and gradients judged at L={L}, floor {floor}", ok, " ".join(errs))
 
 
 def test_criterion_8_tensorfile_round_trip(tmp_path):

@@ -73,7 +73,7 @@ def test_backward_zero_cotangent():
         b, _ = backward_chunkwise(inst, SeqTensor(np.zeros((7, 2))),
                                   ChunkPlan(7, 3), pol)
         for f in GRAD_FIELDS:
-            assert np.max(np.abs(getattr(b, f).data)) == 0.0
+            assert np.max(np.abs(getattr(b, f))) == 0.0
 
 
 def test_policy_gradients_identical_and_counters():
@@ -83,7 +83,7 @@ def test_policy_gradients_identical_and_counters():
     bm, cm = backward_chunkwise(inst, dO, plan, MAT)
     br, cr = backward_chunkwise(inst, dO, plan, REC)
     for f in GRAD_FIELDS:
-        assert np.array_equal(getattr(bm, f).data, getattr(br, f).data), f
+        assert np.array_equal(getattr(bm, f), getattr(br, f)), f
     assert plan.num_chunks == 4 and cm.flops == cr.flops
     # the traffic, pinned by value: both passes and predict_cost book it
     # through one ChunkPolicy.report, so measured == predicted cannot see it
@@ -98,7 +98,7 @@ def test_gradients_independent_of_chunk_size():
     for C in (1, 2, 3, 5, 7, 12):
         got, _ = backward_chunkwise(inst, dO, ChunkPlan(12, C), MAT)
         for f in GRAD_FIELDS:
-            assert rel_err(getattr(got, f).data, getattr(ref, f).data) <= 1e-9, (C, f)
+            assert rel_err(getattr(got, f), getattr(ref, f)) <= 1e-9, (C, f)
 
 
 def test_backward_matches_fd():
@@ -108,7 +108,7 @@ def test_backward_matches_fd():
     for pol in (MAT, REC):
         b, _ = backward_chunkwise(inst, dO, ChunkPlan(12, 5), pol)  # ragged 5+5+2
         for f in GRAD_FIELDS:
-            assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
+            assert rel_err(getattr(b, f), getattr(fd, f)) <= 1e-6, f
 
 
 def test_backward_agrees_with_parallel_closed_form():
@@ -120,7 +120,7 @@ def test_backward_agrees_with_parallel_closed_form():
     bp = backward_parallel(inst, dO)
     bc, _ = backward_chunkwise(inst, dO, ChunkPlan(14, 5), REC)
     for f in GRAD_FIELDS:
-        assert rel_err(getattr(bp, f).data, getattr(bc, f).data) <= 1e-12, f
+        assert rel_err(getattr(bp, f), getattr(bc, f)) <= 1e-12, f
 
 
 def test_multi_panel_backward_matches_fd():
@@ -131,7 +131,7 @@ def test_multi_panel_backward_matches_fd():
     fd = backward_recurrent_fd(inst, dO, eps=1e-5)
     b, _ = backward_chunkwise(inst, dO, ChunkPlan(L, PANEL + 9), REC)
     for f in GRAD_FIELDS:
-        assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
+        assert rel_err(getattr(b, f), getattr(fd, f)) <= 1e-6, f
 
 
 def test_heavy_decay_stays_stable():
@@ -148,7 +148,7 @@ def test_heavy_decay_stays_stable():
     fd = backward_recurrent_fd(small, dO)
     b, _ = backward_chunkwise(small, dO, ChunkPlan(10, 4), MAT)
     for f in GRAD_FIELDS:
-        assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
+        assert rel_err(getattr(b, f), getattr(fd, f)) <= 1e-6, f
 
 
 @pytest.mark.parametrize("C", [16, 64])
@@ -160,7 +160,7 @@ def test_long_sequence_error_does_not_grow_with_position(C):
     inst = make_instance(ModelKind("general"), L, d, d, seed=60, gate_floor=0.05)
     dO = rand_dO(L, d, seed=61)
     want = [forward_recurrent(inst).O.data] + [
-        getattr(backward_recurrent_exact(inst, dO), f).data for f in GRAD_FIELDS]
+        getattr(backward_recurrent_exact(inst, dO), f) for f in GRAD_FIELDS]
     plan = ChunkPlan(L, C)
     for pol in (MAT, REC):
         got = _outputs(forward_chunkwise(inst, plan, pol)[0],
@@ -231,7 +231,7 @@ def test_forward_blocks_nest_in_backward_panels():
 
 
 def _outputs(o, g):
-    return [o.data] + [getattr(g, f).data for f in GRAD_FIELDS]
+    return [o.data] + [getattr(g, f) for f in GRAD_FIELDS]
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,7 +253,7 @@ def test_row_blocks_match_recurrent_policies_and_counters(L, C, dk, dv, seed):
     plan = ChunkPlan(L, C)
     dO = rand_dO(L, dv, seed=seed + 1)
     want = [forward_recurrent(inst).O.data] + [
-        getattr(backward_recurrent_exact(inst, dO), f).data for f in GRAD_FIELDS]
+        getattr(backward_recurrent_exact(inst, dO), f) for f in GRAD_FIELDS]
     runs = []
     for pol in (MAT, REC):
         o, _, fwd = forward_chunkwise(inst, plan, pol)
@@ -319,8 +319,9 @@ def test_passes_read_no_unwritten_memory(monkeypatch):
                         m.setattr(np, "empty_like", _nan_filled(np.empty_like))
                     O, states, fcost = forward_chunkwise(inst, plan, pol)
                     grads, bcost = backward_chunkwise(inst, dO, plan, pol)
-                runs.append(([O.data.tobytes()] + [S.tobytes() for S in states or ()]
-                             + [getattr(grads, f).data.tobytes() for f in GRAD_FIELDS],
+                runs.append(([O.data.tobytes()]
+                             + [S.tobytes() for S in (() if states is None else states)]
+                             + [getattr(grads, f).tobytes() for f in GRAD_FIELDS],
                              fcost, bcost))
             assert runs[0] == runs[1], (L, C, pol.mode)
 
@@ -363,7 +364,7 @@ def test_batched_raw_forward_matches_each_elements_own_run(kind, L, dk, dv, B, s
                 continue
             assert O[b].tobytes() == want.data.tobytes()
             if states is not None:
-                assert [S[b].tobytes() for S in states] == [S.tobytes() for S in want_states]
+                assert [S.tobytes() for S in states[b]] == [S.tobytes() for S in want_states]
 
 
 def _forward_in_groups_of(G, arrays, plan, materialize):
@@ -444,7 +445,7 @@ def _backward_in_groups_of(G, inst, dO, plan, pol):
             grads, cost = backward_chunkwise(inst, dO, plan, pol)
         except ValueError as exc:
             return str(exc)
-    return [getattr(grads, f).data.tobytes() for f in GRAD_FIELDS], cost
+    return [getattr(grads, f).tobytes() for f in GRAD_FIELDS], cost
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,10 +518,10 @@ def test_gate_gradients_equal_whole_array_suffix_sums_bitwise(L, C, dk, dv, seed
     for pol in (MAT, REC):
         O = forward_chunkwise(inst, plan, pol)[0].data
         g, _ = backward_chunkwise(inst, dO, plan, pol)
-        want_a = suffix_sum_arr(Q * g.dQ.data - K * g.dK.data)
-        want_b = suffix_sum_arr(O * dO.data - V * g.dV.data)
-        assert g.dlog_alpha.data.tobytes() == want_a.tobytes(), pol.mode
-        assert g.dlog_beta.data.tobytes() == want_b.tobytes(), pol.mode
+        want_a = suffix_sum_arr(Q * g.dQ - K * g.dK)
+        want_b = suffix_sum_arr(O * dO.data - V * g.dV)
+        assert g.dlog_alpha.tobytes() == want_a.tobytes(), pol.mode
+        assert g.dlog_beta.tobytes() == want_b.tobytes(), pol.mode
 
 
 def _traced_peak(fn):
@@ -668,7 +669,7 @@ def test_panel_masked_scores_stay_silent(L, d, C, floor, seed):
             assert str(exc).startswith("non-finite values from chunk "), str(exc)
             continue
         for f in GRAD_FIELDS:
-            assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-9, (pol.mode, f)
+            assert rel_err(getattr(g, f), getattr(want, f)) <= 1e-9, (pol.mode, f)
 
 
 def test_overflowing_masked_score_is_dropped_silently():
@@ -695,7 +696,7 @@ def test_overflowing_masked_score_is_dropped_silently():
     for pol in (MAT, REC):
         g, _ = backward_chunkwise(inst, dO, plan, pol)
         for f in GRAD_FIELDS:
-            assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-9, (pol.mode, f)
+            assert rel_err(getattr(g, f), getattr(want, f)) <= 1e-9, (pol.mode, f)
 
 
 @pytest.mark.parametrize("log_decay", [500.0, 700.0])
@@ -719,7 +720,7 @@ def test_state_rows_scaled_before_their_product_at_large_chunk_decay(log_decay):
         assert rel_err(o.data, want_o) <= 1e-9, pol.mode
         g, _ = backward_chunkwise(inst, dO, plan, pol)
         for f in GRAD_FIELDS:
-            assert rel_err(getattr(g, f).data, getattr(want, f).data) <= 1e-6, (pol.mode, f)
+            assert rel_err(getattr(g, f), getattr(want, f)) <= 1e-6, (pol.mode, f)
 
 
 @pytest.mark.parametrize("L, C, dk, seed, floor, chunk", [

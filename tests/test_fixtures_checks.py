@@ -444,12 +444,12 @@ def test_checks_own_their_floating_point_state(strict):
 
 
 def _grads(g):
-    return [g.dQ.data, g.dK.data, g.dV.data, g.dlog_alpha.data, g.dlog_beta.data]
+    return [g.dQ, g.dK, g.dV, g.dlog_alpha, g.dlog_beta]
 
 
 def _chunkwise_forward(inst, dO, plan, mode):
     O, states, cost = forward_chunkwise(inst, plan, ChunkPolicy(mode))
-    return [O.data, *(states or ()), cost]
+    return [O.data, *(() if states is None else states), cost]
 
 
 def _chunkwise_backward(inst, dO, plan, mode):

@@ -38,6 +38,21 @@ def test_batched_raw_forms_match_each_elements_own_run(kind, L, dk, dv, B, floor
         assert par.tobytes() == forward_parallel(inst).data.tobytes()
 
 
+def test_raw_forward_runs_in_its_inputs_dtype():
+    # O takes the inputs' result dtype: a longdouble run stays longdouble and
+    # agrees with the longdouble recurrent run, nearer than the fp64 run does,
+    # so it was not rounded to fp64 on the way
+    inst = make_instance(ModelKind("general"), L=24, dk=3, dv=4, seed=24)
+    wide = [a.astype(np.longdouble) for a in inst.arrays]
+    O = parallel._forward_raw(*wide)
+    want, _ = recurrent._forward_raw(*wide)
+    O64 = parallel._forward_raw(*inst.arrays)
+    assert O.dtype == np.longdouble and O64.dtype == np.float64
+    assert O64.tobytes() == forward_parallel(inst).data.tobytes()
+    assert rel_err(O, want) <= 1e-9
+    assert rel_err(O, want) < rel_err(O64, want)
+
+
 def test_ungated_equals_masked_matmul():
     inst = make_instance(ModelKind("vanilla"), L=12, dk=3, dv=2, seed=1)
     Q, K, V = inst.Q.data, inst.K.data, inst.V.data
@@ -87,7 +102,7 @@ def test_backward_matches_exact_at_large_decay_range(seed):
     bp = backward_parallel(inst, dO)
     be = backward_recurrent_exact(inst, dO)
     for f in GRAD_FIELDS:
-        assert rel_err(getattr(bp, f).data, getattr(be, f).data) <= 1e-12, f
+        assert rel_err(getattr(bp, f), getattr(be, f)) <= 1e-12, f
 
 
 def test_guard_headroom_small_decay():
@@ -102,16 +117,16 @@ def test_backward_zero_cotangent():
     inst = make_instance(ModelKind("general"), L=6, dk=2, dv=3, seed=6)
     b = backward_parallel(inst, SeqTensor(np.zeros((6, 3))))
     for f in GRAD_FIELDS:
-        assert np.max(np.abs(getattr(b, f).data)) == 0.0
+        assert np.max(np.abs(getattr(b, f))) == 0.0
 
 
 def test_dlogb_identity_definitional():
     inst = make_instance(ModelKind("gla_beta_one"), L=8, dk=3, dv=2, seed=7)
     dO = rand_dO(8, 2, seed=8)
     b = backward_parallel(inst, dO)
-    dlogb = inst.Q.data * b.dQ.data - inst.K.data * b.dK.data
+    dlogb = inst.Q.data * b.dQ - inst.K.data * b.dK
     # dlog_alpha was assembled as the suffix sum of exactly this array
-    assert np.array_equal(suffix_sum_arr(dlogb), b.dlog_alpha.data)
+    assert np.array_equal(suffix_sum_arr(dlogb), b.dlog_alpha)
 
 
 def test_dlogd_identity_definitional():
@@ -119,15 +134,15 @@ def test_dlogd_identity_definitional():
     dO = rand_dO(8, 2, seed=10)
     b = backward_parallel(inst, dO)
     O = forward_parallel(inst).data
-    dlogd = O * dO.data - inst.V.data * b.dV.data
-    assert np.array_equal(suffix_sum_arr(dlogd), b.dlog_beta.data)
+    dlogd = O * dO.data - inst.V.data * b.dV
+    assert np.array_equal(suffix_sum_arr(dlogd), b.dlog_beta)
 
 
 def test_suffix_structure_of_dlog_alpha():
     inst = make_instance(ModelKind("general"), L=10, dk=2, dv=2, seed=11)
     b = backward_parallel(inst, rand_dO(10, 2, seed=12))
-    dlogb = inst.Q.data * b.dQ.data - inst.K.data * b.dK.data
-    diff = b.dlog_alpha.data[:-1] - b.dlog_alpha.data[1:]
+    dlogb = inst.Q.data * b.dQ - inst.K.data * b.dK
+    diff = b.dlog_alpha[:-1] - b.dlog_alpha[1:]
     assert np.max(np.abs(diff - dlogb[:-1])) <= 1e-12
 
 
@@ -137,7 +152,7 @@ def test_backward_matches_fd():
     fd = backward_recurrent_fd(inst, dO, eps=1e-5)
     b = backward_parallel(inst, dO)
     for f in GRAD_FIELDS:
-        assert rel_err(getattr(b, f).data, getattr(fd, f).data) <= 1e-6, f
+        assert rel_err(getattr(b, f), getattr(fd, f)) <= 1e-6, f
 
 
 @pytest.mark.parametrize("L", (1, 2, 11, 40))
@@ -161,4 +176,4 @@ def test_gradient_causality_dv_ignores_earlier_rows():
     dO_b[:4] = 0.0  # rows before s=4 must not touch dV[4:]
     b_a = backward_parallel(inst, SeqTensor(dO_a))
     b_b = backward_parallel(inst, SeqTensor(dO_b))
-    assert np.array_equal(b_a.dV.data[4:], b_b.dV.data[4:])
+    assert np.array_equal(b_a.dV[4:], b_b.dV[4:])

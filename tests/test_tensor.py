@@ -347,7 +347,7 @@ def _records():
 
 
 def _carried_arrays(x):
-    """Every ndarray a record holds, through nested records and state lists."""
+    """Every ndarray a record holds, through nested records and tuples."""
     if isinstance(x, np.ndarray):
         return [x]
     if isinstance(x, (list, tuple)):
@@ -367,6 +367,10 @@ def test_records_frozen_and_read_only(name):
     for attr in names:
         with pytest.raises(AttributeError):
             setattr(rec, attr, None)
+    if name == "GradBundle":  # the gradients are held as arrays, not wrapped
+        assert all(type(getattr(rec, attr)) is np.ndarray for attr in names)
+    if name.endswith("_states"):  # one array of states, not a list of views
+        assert type(rec) is np.ndarray
     arrays = _carried_arrays(rec)
     assert arrays or name == "ChunkPlan"
     for a in arrays:

@@ -74,15 +74,15 @@ def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, judges: bool) 
         try:
             O, states, rep = forward_chunkwise(inst, plan, pol)
             bits(O.data.tobytes())
-            for S in states or ():
-                bits(S.tobytes())
+            if states is not None:
+                bits(states.tobytes())
             counts(repr(rep).encode())
         except ValueError as exc:
             bits(str(exc).encode())
         try:
             g, rep = backward_chunkwise(inst, dO, plan, pol)
             for f in GRADS:
-                bits(getattr(g, f).data.tobytes())
+                bits(getattr(g, f).tobytes())
             counts(repr(rep).encode())
         except ValueError as exc:
             bits(str(exc).encode())
@@ -97,7 +97,7 @@ def _digest_config(bits, counts, kind, L, dk, dv, seed, floor, C, judges: bool) 
                     bits(forward(inst).data.tobytes())
                 g = backward(inst, dO)
                 for f in GRADS:
-                    bits(getattr(g, f).data.tobytes())
+                    bits(getattr(g, f).tobytes())
             except ValueError as exc:
                 bits(str(exc).encode())
         reports = check_equivalence(inst, chunk_sizes=(C,))

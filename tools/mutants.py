@@ -266,8 +266,12 @@ MUTANTS = (
            "N - 1 if backward else 0", "N if backward else 0",
            "tests/test_chunkwise.py::test_policy_gradients_identical_and_counters"),
     Mutant("forward_records_no_states", "chunkwise.py",
-           "[St[..., k, :, :] for k in range(plan.num_chunks)]", "[]",
+           "return O, readonly(St), meter.flops", "return O, readonly(St[..., :0, :, :]), meter.flops",
            "tests/test_chunkwise.py::test_state_write_counts"),
+    # The records the passes return hold read-only arrays.
+    Mutant("grad_bundle_fields_writable", "recurrent.py",
+           "record_array(getattr(self, f.name), f.name)[0]", "np.asarray(getattr(self, f.name))",
+           "tests/test_tensor.py::test_records_frozen_and_read_only[GradBundle]"),
     # The public forms own their floating-point state; the checks keep none.
     Mutant("forward_chunkwise_without_errstate", "chunkwise.py",
            '@np.errstate(all="ignore")\ndef forward_chunkwise(', "def forward_chunkwise(",
