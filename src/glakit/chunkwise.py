@@ -22,9 +22,11 @@ and the carried state update
     S_new = (gamma_b^T gamma_d) (.) S_prev + (Kt (.) gamma_b)^T (Vt (.) gamma_d),
 
 where row j of Kt (.) gamma_b is k_j scaled by gamma_b / Bdag_j, its decay
-from row j to the chunk's end.  A chunk's factors are its daggers and
-gamma only; the forward forms no array of those end-of-chunk ratios, and
-the backward forms one (by a divide) only where it holds no Kt or Vt.
+from row j to the chunk's end.  A chunk's factors are its two daggers:
+gamma is a dagger's last row, and the carried gate gamma_b^T gamma_d is
+the outer product of the two gamma rows, one multiply per entry.  The
+forward forms no array of those end-of-chunk ratios, and the backward
+forms one (by a divide) only where it holds no Kt or Vt.
 Each side is scaled by its gamma before the product.  Scaling the product
 of the two unscaled ratios (Kt^T Vt) instead would overflow once each
 side's whole-chunk log-decay passes about ln(DBL_MAX) / 2 = 355, where the
@@ -37,9 +39,9 @@ diagonal square is zeroed by assignment (never by multiplying with a mask,
 which would turn an inf score into NaN rather than 0), and one more product
 applies the scores to ``Vt[:n]``.  The block size trades the upper-triangle
 work a block computes and throws away against the number of Python-level
-products: at L=4096, d=64, C=64 the forward counts 111.5 M flops at
+products: at L=4096, d=64, C=64 the forward counts 111.2 M flops at
 ``BLOCK = 16``, under the recurrent form's 117.2 M, while 32-row blocks
-(119.8 M) and whole-chunk squares (136.6 M) would count more than the
+(119.6 M) and whole-chunk squares (136.3 M) would count more than the
 recurrence they are meant to beat.
 
 The backward takes the rows in panels of ``PANEL`` (four blocks), last
@@ -79,8 +81,9 @@ every pass that takes the step calls:
   transforms that the forward and sweep F hold;
 - ``_scan``: the gated carry over a group's chunks, ``X_j += Gm_j (.)
   X_{j-1}`` chunk by chunk, with one gate matrix ``gamma_b^T gamma_d``
-  per chunk formed for the whole group; the loop is ``gates.carry``, the
-  recurrent form's own over steps.  Going forward X is the state;
+  per chunk, the product of the daggers' last rows, formed for the whole
+  group; the loop is ``gates.carry``, the recurrent form's own over
+  steps.  Going forward X is the state;
   on reversed views it is the state's cotangent, carried back.  The
   inter terms ``Qt S_prev`` are the callers' own product, and a pass then
   scales the summed rows by ``Ddag``.
@@ -139,7 +142,7 @@ from functools import cache
 import numpy as np
 
 from .cost import CostReport, Meter, mm_flops
-from .gates import ChunkPlan, carry, chunk_factors, outer_gate
+from .gates import ChunkPlan, carry, chunk_factors
 from .gates import chunk_relative_decays, cumulative_log_decay  # noqa: F401  unused; perfbench/spans.py binds them
 from .recurrent import GlaInstance, GradBundle
 from .tensor import SeqTensor, check_sizes, readonly, suffix_sum_arr
@@ -232,13 +235,13 @@ class ChunkPolicy:
 
 
 def _decays(la, lb, meter: Meter, out=None):
-    """A chunk's chunk_factors from its log-gate rows, formed when a pass reaches it, metered.
+    """A chunk's daggers from its log-gate rows, formed when a pass reaches it, metered.
 
     Given out, the daggers are formed in it.
     """
-    bd, dd, lgb, lgd = factors = chunk_factors(la, lb, out)
+    factors = chunk_factors(la, lb, out)
     # prefix sums (c-1)d and dagger exps cd per batch element; gamma is dagger's last row
-    meter.flops += 2 * (bd.size + dd.size) - lgb.size - lgd.size
+    meter.flops += sum(2 * x.size - x[..., -1, :].size for x in factors)
     return factors
 
 
@@ -258,11 +261,11 @@ def _name_bad_chunk(inst: GlaInstance, plan: ChunkPlan, *rows: np.ndarray) -> No
     for i, (s, e) in enumerate(plan.boundaries):
         if all(np.isfinite(a[s:e]).all() for a in rows):
             continue
-        _, _, lgb, lgd = chunk_factors(la[s:e], lb[s:e])
+        key, value = (x[s:e].sum(axis=0).min() for x in (la, lb))
         raise ValueError(
             f"non-finite values from chunk {i} (rows {s}..{e - 1}): its whole-chunk "
-            f"log-decay reaches {lgb.min():.2f} on the key side and "
-            f"{lgd.min():.2f} on the value side, against "
+            f"log-decay reaches {key:.2f} on the key side and "
+            f"{value:.2f} on the value side, against "
             f"-ln(DBL_MAX) = {-_LN_DBL_MAX:.2f}, below which 1/decay overflows")
 
 
@@ -341,20 +344,21 @@ def _kv(Kc, Vc, fb, fd, meter: Meter, out=(None, None)):
     return KB, VD
 
 
-def _scan(lgb, lgd, X, meter: Meter) -> None:
+def _scan(bd, dd, X, meter: Meter) -> None:
     """The gated carry over a group's chunks, in place: X[j + 1] += Gm_j (.) X[j], chunk by chunk.
 
-    The chunks are on axis -3, and X has one slot more than there are
-    chunks: the carried matrix entering the first chunk, then each chunk's
-    own term T_j.  Gm_j = gamma_b^T gamma_d comes from chunk j's log
-    gammas, one ``outer_gate`` for the group, and the loop is
+    The chunks are on axis -3 of the daggers bd and dd and of X, which
+    has one slot more than there are chunks: the carried matrix entering
+    the first chunk, then each chunk's own term T_j.  Gm_j =
+    gamma_b^T gamma_d is the outer product of chunk j's gamma rows, its
+    daggers' last rows, one product for the group, and the loop is
     ``gates.carry``.  Going forward X holds the state; on reversed views
     (the chunks and the slots taken last first) it carries the state's
     cotangent back.
     """
-    Gm = outer_gate(lgb, lgd)
+    Gm = bd[..., -1, :, None] * dd[..., -1, None, :]
     carry(Gm, X)
-    meter.flops += 4 * Gm.size  # an add and an exp per gate entry; gate X, add T
+    meter.flops += 3 * Gm.size  # a multiply per gate entry; gate X, add T
 
 
 # A group's chunks share one call of each step, so a few groups amortize
@@ -451,7 +455,7 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
         g = k1 - k0
         f = 1 if k0 == 0 else 0  # the sequence's first chunk has no state entering it
         a = k0 if materialize else 1  # the St slot of the state leaving chunk k0
-        bd, dd, lgb, lgd = _decays(_rows(la, s, g, c), _rows(lb, s, g, c), meter)
+        bd, dd = _decays(_rows(la, s, g, c), _rows(lb, s, g, c), meter)
         Qt, Kt, Vt = _chunk(_rows(Q, s, g, c), _rows(K, s, g, c), _rows(V, s, g, c), bd, dd, meter)
         acc = _intra(Qt, Kt, Vt, meter, _rows(O, s, g, c))
         # T_k = (Kt (.) gamma_b)^T (Vt (.) gamma_d) over Kt and Vt, in the
@@ -461,7 +465,7 @@ def _forward_raw(Q, K, V, la, lb, plan: ChunkPlan, materialize: bool):
         del Kt, Vt, KB, VD  # freed before the inter term's temporaries
         if g > f:  # the scan, then the inter terms Qt_k S_{k-1} in one product
             S = St[..., a + f - 1:a + g, :, :]
-            _scan(lgb[..., f:, :], lgd[..., f:, :], S, meter)
+            _scan(bd[..., f:, :, :], dd[..., f:, :, :], S, meter)
             acc[..., f:, :, :] += mm(Qt[..., f:, :, :], S[..., :-1, :, :], meter)
             meter.flops += acc[..., f:, :, :].size
         np.multiply(acc, dd, out=acc)  # O's rows: the Ddag scale
@@ -506,11 +510,11 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     needs the state cotangent dS, which reads only Q, K, V, dO and the
     gates.  It forms the group's factors, parking the daggers in the
     group's rows of dQ and of the dlog_beta buffer, which nothing has
-    written yet, and the log gammas in a small N x (dk + dv) array.  It
-    forms the products Qt^T dOt of the chunks that a state enters, then
-    scans dS back through them with ``_scan`` on the group's log gammas
-    and slots taken last first, and then writes every chunk's K/V path
-    through its dS into dK and dV at once, from rows that ``_kv`` forms from K and
+    written yet.  It forms the products Qt^T dOt of the chunks that a
+    state enters, then scans dS back through them with ``_scan`` on the
+    group's daggers and slots taken last first, and then writes every
+    chunk's K/V path through its dS into dK and dV at once, from rows
+    that ``_kv`` forms from K and
     V and each row's decay to the chunk's end, gamma / Bdag (one divide
     per side, no exp; it holds no Kt or Vt).  (F) A forward-order sweep
     then runs the state recurrence once and does everything that needs
@@ -554,7 +558,6 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
     dK = np.empty((L, dk))  # sweep R writes the K/V term; sweep F adds its own rows
     dV = np.empty((L, dv))
     dlb = np.empty((L, dv))  # each chunk's d_dagger until sweep F writes its identity rows
-    log_gamma = np.empty((N, dk + dv))  # each chunk's log gamma_b, then log gamma_d
     # the two scans' dk x dv slots: slot j + 1 holds what belongs to the
     # state leaving a group's chunk j (dS in sweep R, S in sweep F), and
     # slot 0 to the state entering the group
@@ -567,9 +570,8 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         e = s + g * c
         f = 1 if k0 == 0 else 0  # the sequence's first chunk has no state entering it
         n = g - (k1 == N)  # the chunks whose leaving state has a cotangent: not the last
-        bd, dd, lgb, lgd = _decays(la[s:e].reshape(g, c, -1), lb[s:e].reshape(g, c, -1), meter,
-                                   (dQ[s:e].reshape(g, c, -1), dlb[s:e].reshape(g, c, -1)))
-        log_gamma[k0:k1, :dk], log_gamma[k0:k1, dk:] = lgb, lgd
+        bd, dd = _decays(la[s:e].reshape(g, c, -1), lb[s:e].reshape(g, c, -1), meter,
+                         (dQ[s:e].reshape(g, c, -1), dlb[s:e].reshape(g, c, -1)))
         if n == g:  # dS of the state leaving the group, where the later group left it
             X[g] = X[0]
         if g > f:
@@ -581,7 +583,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             meter.flops += Qt.size + dOt.size
             mm(Qt.swapaxes(-1, -2), dOt, meter, X[f:g])
             if n > f:
-                _scan(lgb[f:n][::-1], lgd[f:n][::-1], X[f:n + 1][::-1], meter)
+                _scan(bd[f:n][::-1], dd[f:n][::-1], X[f:n + 1][::-1], meter)
         if n:
             # chunk j's own K/V contribution to S_j, weighted by dS_j; fb
             # and fd are each row's decay to the chunk's end
@@ -595,7 +597,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
             meter.flops += 2 * fb.size + 2 * fd.size  # fb and fd, then the scale
     # drop sweep R's group temporaries (rebound, not deleted: a one-chunk
     # plan never binds fb, fd, KB, VD, dS, Qt or dOt)
-    bd = dd = lgb = lgd = fb = fd = KB = VD = dS = Qt = dOt = None
+    bd = dd = fb = fd = KB = VD = dS = Qt = dOt = None
 
     # Sweep F: the state scan, and every piece that needs S_{j-1} or only
     # the group itself, in forward order, on the factors sweep R parked.
@@ -620,13 +622,13 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         if n < g:
             np.divide(dkt[n:], bd[n:], out=dKg[n:])
             np.divide(dvt[n:], dd[n:], out=dVg[n:])
-        # the state rows read gamma from the daggers, so they come before
-        # the forward's O rows, bit for bit, are written over d_dagger
+        # the state rows and the scan read gamma from the daggers, so they
+        # come before the forward's O rows, bit for bit, are written over d_dagger
         KB, VD = _kv(Kt, Vt, bd[:, -1:], dd[:, -1:], meter, (Kt, Vt))
         mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])
         del Kt, Vt, KB, VD
         if g > f:  # the scan, then the inter terms of O and of dq
-            _scan(log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:], X[f:g + 1], meter)
+            _scan(bd[f:], dd[f:], X[f:g + 1], meter)
             acc[f:] += mm(Qt[f:], X[f:g], meter)
             dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)
             meter.flops += acc[f:].size + dqt[f:].size
@@ -640,7 +642,7 @@ def backward_chunkwise(inst: GlaInstance, dO: SeqTensor, plan: ChunkPlan,
         meter.flops += dqt.size + dkt.size + dvt.size  # dq, dk and dv scaled back
         X[0] = X[g]
         del Qt, dOt, dqt, dkt, dvt, acc, dKg, dVg  # freed before the next group's
-    del X, bd, dd, log_gamma  # and the parked views, before dla is allocated
+    del X, bd, dd  # and the parked views, before dla is allocated
 
     # The gate step, once dQ and dK are final: dlog_alpha's identity, a
     # chunk of rows at a time into the rows it ends up in, then one suffix
@@ -716,7 +718,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         # first chunk, _scan's gate matrix and carry
         flops += (2 * c - 1) * d + 2 * c * dk + c * dv + A * (2 * dk - 1) + (2 * A - c) * dv
         flops += (0 if first else mm_flops(c, dk, dv) + c * dv) + c * dv
-        flops += c * d + mm_flops(dk, c, dv) + (0 if first else 4 * dk * dv)
+        flops += c * d + mm_flops(dk, c, dv) + (0 if first else 3 * dk * dv)
         if not backward:
             continue
         # sweep F's cotangent work: dOt, the panels' cotangent products and
@@ -727,7 +729,7 @@ def predict_cost(L: int, dk: int, dv: int, plan: ChunkPlan, policy: ChunkPolicy,
         if not last:  # sweep R: fb and fd, the K/V term under dS; sweep F's add onto it
             flops += 4 * c * d + mm_flops(c, dv, dk) + mm_flops(c, dk, dv)
         if not first:  # sweep R: Qt and dOt again, dS_{i-1}, and (not last) the carry of dS
-            flops += c * d + mm_flops(dk, c, dv) + (0 if last else 4 * dk * dv)
+            flops += c * d + mm_flops(dk, c, dv) + (0 if last else 3 * dk * dv)
     if backward:  # the gate step: dlog_alpha's identity, then two whole-array suffix sums
         flops += 3 * L * dk + (L - 1) * d
 

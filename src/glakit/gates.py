@@ -5,11 +5,13 @@ underflow fp64 long before useful sequence lengths, so every decay factor
 is exp() of a sum of logs.  The parallel form differences whole-sequence
 prefix sums; the chunk factors sum only the chunk's own log-gates, so
 their exponents stay within C * |ln gate_floor| and their rounding does
-not grow with the position in the sequence.  The gate matrices applied to
-a carried state, exp(la[i] + lb[j]), are ``outer_gate``, and ``carry`` is
-the one loop that applies them: X_{j+1} = G_j (.) X_j + X_{j+1}, over
-the recurrent form's steps and the chunkwise form's chunks, forward and,
-on reversed views, back.  ``GateSeq`` validates the
+not grow with the position in the sequence.  A recurrent step's gate
+matrix, exp(la[i] + lb[j]), is ``outer_gate``; a chunk's carried gate is
+the outer product of its two whole-chunk decays, gamma_b^T gamma_d, each
+already an exp of a sum (its dagger's last row).  ``carry`` is the one
+loop that applies either: X_{j+1} = G_j (.) X_j + X_{j+1}, over the
+recurrent form's steps and the chunkwise form's chunks, forward and, on
+reversed views, back.  ``GateSeq`` validates the
 gates where the public API takes them in; every decay function takes raw
 log-gate arrays whose rows are axis -2 and whose leading axes are a batch.
 """
@@ -99,8 +101,8 @@ def cumulative_log_decay(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np
     return tuple(readonly(prefix_sum(x, -2, np.empty_like(x))) for x in (la, lb))
 
 
-def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
-    """dagger and log_gamma from one chunk's log-gate rows; dagger in out if given.
+def _chunk_factors(lg: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The dagger of one chunk's log-gate rows, exp of their running sum; in out if given.
 
     Rows are axis -2; leading axes are a batch, each summed on its own.
     Every exponent is a sum over the chunk's own rows, so every factor is
@@ -109,39 +111,33 @@ def _chunk_factors(lg: np.ndarray, out: np.ndarray | None):
     complex add, and the preallocated out= traces less memory.
     """
     lc = prefix_sum(lg, -2, np.empty_like(lg) if out is None else out)
-    log_gamma = lc[..., -1, :].copy()  # not a view: dagger's exp overwrites lc in place
-    return readonly(np.exp(lc, out=lc)), readonly(log_gamma)
+    return readonly(np.exp(lc, out=lc))
 
 
-def chunk_factors(la: np.ndarray, lb: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
+def chunk_factors(la: np.ndarray, lb: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Decay factors of one chunk [s, e), from its own log-gate rows la and lb only.
 
-    Returns four arrays, (b_dagger, d_dagger, log_gamma_b, log_gamma_d);
-    the daggers and the decays they hold are in [0, 1].
-    With lc the running sum of the chunk's own log_alpha rows:
-    b_dagger[j] = exp(lc[j]) propagates the incoming state to position s+j,
-    and log_gamma_b = lc[-1] is the log of the whole-chunk decay, kept so
-    the carried gate can exponentiate sums rather than multiply
-    exponentials.  The decay itself, gamma_b = exp(lc[-1:]), is
-    b_dagger's last row, ``b_dagger[..., -1:, :]``: a 1 x dk view, taken
-    where it is used, that scales rows by broadcasting.  Position s+j's
-    contribution enters the outgoing state scaled by gamma_b / b_dagger[j];
-    no array of those ratios is kept.  d_dagger and log_gamma_d mirror
-    these with log_beta.  Leading axes are a batch: the daggers are
-    (..., c, d) and the log gammas (..., d).  A group of chunks is one more
-    batch axis: the chunkwise forward views a group's rows as
+    Returns the two daggers, (b_dagger, d_dagger), in [0, 1].  With lc
+    the running sum of the chunk's own log_alpha rows, b_dagger[j] =
+    exp(lc[j]) propagates the incoming state to position s+j.  The
+    whole-chunk decay gamma_b = exp(lc[-1:]) is b_dagger's last row,
+    ``b_dagger[..., -1:, :]``: a 1 x dk view, taken where it is used, that
+    scales rows by broadcasting, and the carried state's gate is the outer
+    product gamma_b^T gamma_d.  Position s+j's contribution enters the
+    outgoing state scaled by gamma_b / b_dagger[j]; no array of those
+    ratios is kept.  d_dagger mirrors b_dagger with log_beta.  Leading
+    axes are a batch: the daggers are (..., c, d).  A group of chunks is
+    one more batch axis: the chunkwise forward views a group's rows as
     (..., G, c, d), and each chunk's factors are its own.  Given ``out``, a
-    pair of arrays shaped like la and lb, the two daggers are formed in
-    them, and the returned ones are read-only views.
+    pair of arrays shaped like la and lb, the daggers are formed in them,
+    and the returned ones are read-only views.
     """
     b_out, d_out = (None, None) if out is None else out
-    b_dag, lgb = _chunk_factors(la, b_out)
-    d_dag, lgd = _chunk_factors(lb, d_out)
-    return b_dag, d_dag, lgb, lgd
+    return _chunk_factors(la, b_out), _chunk_factors(lb, d_out)
 
 
 def chunk_relative_decays(la: np.ndarray, lb: np.ndarray,
-                          plan: ChunkPlan) -> list[tuple[np.ndarray, ...]]:
+                          plan: ChunkPlan) -> list[tuple[np.ndarray, np.ndarray]]:
     """chunk_factors for every chunk of the plan."""
     plan.check(la.shape[-2])
     return [chunk_factors(la[..., s:e, :], lb[..., s:e, :]) for s, e in plan.boundaries]
@@ -150,10 +146,12 @@ def chunk_relative_decays(la: np.ndarray, lb: np.ndarray,
 def outer_gate(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """G[..., i, j] = exp(la[..., i] + lb[..., j]), batched over leading axes.
 
-    The gate matrix is formed in log space, one add and one exp per element:
-    exactly one rounding between log accumulator and factor.  Callers meter
-    the 2 * G.size flops.  The exp runs in place on the add's result, so
-    a gate matrix takes one array.
+    The recurrent form's step gates, formed in log space, one add and one
+    exp per element: exactly one rounding between log accumulator and
+    factor.  Callers meter the 2 * G.size flops.  The exp runs in place on
+    the add's result, so a gate matrix takes one array.  The chunkwise
+    form's carried gate is not this: it is the product of two gammas that
+    are already exps.
     """
     G = np.add(la[..., :, None], lb[..., None, :])
     return np.exp(G, out=G)

@@ -6,9 +6,10 @@ The step-by-step recurrence
 
 is the reference every other form is validated against.  The step gate
 matrices are formed directly in log space, exp(log_alpha[i] + log_beta[j]),
-one exp per element (``gates.outer_gate``): the same rule used for every
-decay factor in the library (exactly one rounding between log
-accumulator and factor).
+one exp per element (``gates.outer_gate``): exactly one rounding between
+log accumulator and gate, the rule every decay factor in the library
+keeps, while the chunkwise form's carried gate is the product of two such
+factors, gamma_b^T gamma_d.
 
 Gradients come in two independent flavours: an exact reverse-mode sweep
 through the stored states, and central finite differences on the scalar

@@ -195,23 +195,26 @@ def test_counters_match_predictions_12_config_sweep():
 
 
 def test_frozen_forward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 464
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 460
     # (within-chunk decays 56 + transforms 48 + intra 208 + inter 32 +
-    #  output scale 16 + state updates 104); the closed form must agree.
+    #  output scale 16 + state updates 100); the closed form must agree.
     # A chunk's decays are its prefix sums (12) and dagger exps (16); gamma
-    # is dagger's last row, at no cost.
+    # is dagger's last row, at no cost.  The state updates are the rows
+    # scaled by gamma (2 x 16) and their products (2 x 28), then chunk 1's
+    # carry: its gate gamma_b^T gamma_d, one multiply per entry, gating the
+    # state and adding the product (3 x 4).
     # Intra is one 4-row block per chunk: scores 4x2 by 2x4 (48) and
     # scores by values 4x4 by 4x2 (56), twice.
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, _, measured = forward_chunkwise(inst, plan, MAT)
-    assert measured.flops == 464
-    assert predict_cost(8, 2, 2, plan, MAT).flops == 464
+    assert measured.flops == 460
+    assert predict_cost(8, 2, 2, plan, MAT).flops == 460
 
 
 def test_frozen_backward_flop_count():
-    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1272
-    # (decays, formed once per chunk by sweep R 56 + state updates 104 +
+    # L=8, C=4, dk=dv=2, materialize: instrumented execution measured 1268
+    # (decays, formed once per chunk by sweep R 56 + state updates 100 +
     #  transforms and dOt 64 + panels 640 + dq/dk/dv scale-backs 48 + output
     #  scale 16 + chunk 1's inter-chunk terms 108 + chunk 0's state-cotangent
     #  path 112, of which gamma / dagger is 16 and sweep F's add onto it 16,
@@ -221,8 +224,8 @@ def test_frozen_backward_flop_count():
     inst = make_instance(ModelKind("general"), L=8, dk=2, dv=2, seed=12)
     plan = ChunkPlan(8, 4)
     _, measured = backward_chunkwise(inst, rand_dO(8, 2), plan, MAT)
-    assert measured.flops == 1272
-    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1272
+    assert measured.flops == 1268
+    assert predict_cost(8, 2, 2, plan, MAT, "backward").flops == 1268
 
 
 def test_forward_blocks_nest_in_backward_panels():
@@ -578,6 +581,22 @@ def test_passes_hold_no_decay_table(pol):
         bwd = _traced_peak(lambda: backward_chunkwise(inst, dO, plan, pol))
         assert fwd <= 2.5 * L * d * 8, (L, d, fwd / (L * d * 8))
         assert bwd <= 5.6 * L * d * 8, (L, d, bwd / (L * d * 8))
+
+
+@pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)
+def test_backward_holds_no_gate_table_at_one_row_chunks(pol):
+    # at C=1 there are as many chunks as rows, so a per-chunk table of
+    # log gammas, N x (dk + dv), would be two O-sized arrays.  The carried
+    # gate is the product of the daggers' last rows, which sweep R parks in
+    # gradient rows, so no such table is kept.  The peak (~7.9) is in a
+    # scan: the four gradients written by then, the 65 dk x dv scan slots
+    # (1.02) of a group of 64 chunks, its 64 gate matrices, which numpy's
+    # broadcast product traces at twice their size (2.0), and the group rows.
+    L, d = 1024, 16
+    inst = make_instance(ModelKind("general"), L, d, d, seed=20)
+    dO = rand_dO(L, d, seed=21)
+    peak = _traced_peak(lambda: backward_chunkwise(inst, dO, ChunkPlan(L, 1), pol))
+    assert peak <= 8.0 * L * d * 8, peak / (L * d * 8)
 
 
 @pytest.mark.parametrize("pol", [MAT, REC], ids=lambda p: p.mode)

@@ -63,7 +63,7 @@ _SWEEP_F_STATE_TO_O = (
     "        mm(KB.swapaxes(-1, -2), VD, meter, X[1:g + 1])\n"
     "        del Kt, Vt, KB, VD\n"
     "        if g > f:  # the scan, then the inter terms of O and of dq\n"
-    "            _scan(log_gamma[k0 + f:k1, :dk], log_gamma[k0 + f:k1, dk:], X[f:g + 1], meter)\n"
+    "            _scan(bd[f:], dd[f:], X[f:g + 1], meter)\n"
     "            acc[f:] += mm(Qt[f:], X[f:g], meter)\n"
     "            dqt[f:] += mm(dOt[f:], X[f:g].swapaxes(-1, -2), meter)\n"
     "            meter.flops += acc[f:].size + dqt[f:].size\n"
@@ -76,8 +76,8 @@ _SWEEP_F_DV_TO_DBETA = (
     "        if n < g:\n"
     "            np.divide(dkt[n:], bd[n:], out=dKg[n:])\n"
     "            np.divide(dvt[n:], dd[n:], out=dVg[n:])\n"
-    "        # the state rows read gamma from the daggers, so they come before\n"
-    "        # the forward's O rows, bit for bit, are written over d_dagger\n"
+    "        # the state rows and the scan read gamma from the daggers, so they\n"
+    "        # come before the forward's O rows, bit for bit, are written over d_dagger\n"
     + _SWEEP_F_STATE_TO_O
     + "        dd *= dOa[s:e].reshape(g, c, -1)\n"
     "        dd -= V[s:e].reshape(g, c, -1) * dVg\n")
@@ -196,9 +196,15 @@ MUTANTS = (
            "        mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n",
            "        KB, VD = Kt, Vt\n"
            "        mm(KB.swapaxes(-1, -2), VD, meter, St[..., a:a + g, :, :])\n"
-           "        St[..., a:a + g, :, :] *= outer_gate(lgb, lgd)\n",
+           "        St[..., a:a + g, :, :] *= bd[..., -1, :, None] * dd[..., -1, None, :]\n",
            "tests/test_chunkwise.py::"
            "test_state_rows_scaled_before_their_product_at_large_chunk_decay"),
+    # The carried gate gamma_b^T gamma_d is the product of the daggers'
+    # last rows, each a whole-chunk decay; their first rows decay one row.
+    Mutant("carry_gate_from_first_dagger_rows", "chunkwise.py",
+           "Gm = bd[..., -1, :, None] * dd[..., -1, None, :]",
+           "Gm = bd[..., 0, :, None] * dd[..., 0, None, :]",
+           "tests/test_chunkwise.py::test_all_chunk_sizes_match_recurrent"),
     # A group's carry (gates.carry, every form's one gated-carry loop): only
     # it loops over the group's chunks, and it gates the state carried into
     # the group like any other.
@@ -421,7 +427,7 @@ MUTANTS = (
            "tests/test_tensor.py::test_prefix_sum_is_sequential_bitwise"),
     # The error path names a chunk from that chunk's own gate rows.
     Mutant("bad_chunk_gate_rows_from_0", "chunkwise.py",
-           "chunk_factors(la[s:e], lb[s:e])", "chunk_factors(la[:e], lb[:e])",
+           "x[s:e].sum(axis=0)", "x[:e].sum(axis=0)",
            "tests/test_chunkwise.py::test_non_finite_output_names_its_chunk[24-2-2-4-1e-300-1]"),
     # Below a tolerance by design: expected to survive.
     Mutant("parallel_backward_scores_1e-13_high", "parallel.py",
